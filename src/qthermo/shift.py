@@ -9,8 +9,10 @@ significant).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +87,11 @@ class Potential:
 
     # -- evaluation ---------------------------------------------------------
 
+    @functools.cached_property
+    def _value_list(self) -> list[float]:
+        # built on first use: workloads that never sum windows skip the copy
+        return self.values.tolist()
+
     def value(self, word: tuple[int, ...]) -> float:
         """Value on any word with len(word) >= memory (uses the prefix)."""
         if len(word) < self.memory:
@@ -98,12 +105,21 @@ class Potential:
         here the convention is the n = len(word) - memory + 1 term sum, i.e.
         every window of length ``memory`` contributes once.
         """
-        m = self.memory
+        m, d = self.memory, self.d
         if len(word) < m:
             raise ValueError("word shorter than memory")
-        return float(
-            sum(self.values[word_index(word[i : i + m], self.d)] for i in range(len(word) - m + 1))
-        )
+        # roll the window index one symbol at a time: drop the oldest symbol
+        # (mod d^(m-1)) and append the next; adds run in window order
+        vals, wrap = self._value_list, d ** (m - 1)
+        word = list(map(operator.index, word))  # numpy integer symbols to int
+        idx = word_index(word[: m - 1], d)
+        total = 0.0
+        for s in word[m - 1 :]:
+            if not 1 <= s <= d:
+                raise ValueError(f"symbol {s} outside 1..{d}")
+            idx = idx % wrap * d + (s - 1)
+            total += vals[idx]
+        return total
 
     def birkhoff_table(self, n: int) -> np.ndarray:
         """Birkhoff sums over all words of length n + memory - 1 (n windows)."""

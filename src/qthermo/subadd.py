@@ -5,9 +5,12 @@ The n-step operator applied to the constant function 1 at a base point x is
     L_n(1)(x) = sum over the d^n preimage words w of exp_q(S_n A(w x)),
 
 with S_n the n-term Birkhoff sum.  Because A is locally constant, the d^n
-sums take polynomially many distinct values; ``SumBuckets`` carries exact
-arbitrary-precision path counts per distinct (quantized) sum so that L_n is
-evaluated exactly for n in the thousands.  The growth exponent
+sums take polynomially many distinct values; ``SumBuckets`` carries float64
+log path counts per distinct sum, quantized to 1e-9, so that L_n is
+evaluated for n in the thousands without overflow or underflow.  Each
+window's value is rounded to that quantum, so a bucket's S_n is off by at
+most n * 5e-10 (nothing for values on the quantum), and the counts carry
+float rounding of about 1e-16 relative per step.  The growth exponent
 (1/n) log L_n(1)(x0) converges; ``asymptotic_pressure`` estimates the limit
 with a tail fit, and ``variational_scan_subadd`` realizes the variational
 side over memory-1 Markov measures.
@@ -24,7 +27,7 @@ from scipy.special import logsumexp
 from .errors import QExpDomainError, QLogDomainError, QThermoError, SizeGuardError
 from .qfun import QParam, exp_q
 from .ruelle import MarkovMeasure
-from .shift import Potential, all_words, word_index
+from .shift import Potential, all_words
 
 _QUANTUM = 1e-9
 
@@ -52,26 +55,38 @@ def phi_n(A: Potential, q: QParam | float, w: tuple[int, ...], tail: tuple[int, 
 
 
 class SumBuckets:
-    """Exact path counts per state and quantized Birkhoff sum.
+    """Path counts per state and quantized Birkhoff sum, held as log-counts.
 
     ``state`` is the leading memory-1 symbols of the grown word (empty for
-    memory-1 potentials); keys are sums in units of the 1e-9 quantum; values
-    are exact integers.  For table potentials the distinct sums form a
-    lattice, so bucket counts stay polynomial in n while the total count is
-    exactly d^n.
+    memory-1 potentials).  ``buckets[state]`` is the sorted ``int64`` array of
+    the distinct sums in units of the 1e-9 quantum and ``log_counts[state]``
+    the float64 log of the number of words at each sum, so no count
+    overflows or underflows whatever n.  For table potentials the distinct
+    sums form a lattice, so bucket counts stay polynomial in n while the total
+    count is d^n.
     """
 
     def __init__(self, A: Potential, x0_prefix: tuple[int, ...]):
-        if A.memory > 2 or A.d > 3:
-            raise SizeGuardError("bucketed evaluation supports memory <= 2, d <= 3")
         if len(x0_prefix) < A.memory - 1:
             raise ValueError("x0_prefix shorter than memory - 1")
         self.A, self.d = A, A.d
         self.n = 0
-        # before any step the only word is empty, sitting at sum zero
-        self.buckets: dict[tuple[int, ...], dict[int, int]] = {
-            tuple(x0_prefix[: A.memory - 1]): {0: 1}
+        m = A.memory
+        # prepending a to a word in ``state`` moves it to ``dest`` and adds inc
+        self._moves = {
+            state: [
+                (((a,) + state)[: m - 1], self._key(A.value((a,) + state)))
+                for a in range(1, A.d + 1)
+            ]
+            for state in all_words(A.d, m - 1)
         }
+        self._inc_max = max(abs(inc) for moves in self._moves.values() for _, inc in moves)
+        # before any step the only word is empty, sitting at sum zero
+        state0 = tuple(x0_prefix[: m - 1])
+        if state0 not in self._moves:
+            raise ValueError(f"x0_prefix symbols outside 1..{A.d}: {state0}")
+        self.buckets: dict[tuple[int, ...], np.ndarray] = {state0: np.zeros(1, np.int64)}
+        self.log_counts: dict[tuple[int, ...], np.ndarray] = {state0: np.zeros(1)}
 
     @staticmethod
     def _key(s: float) -> int:
@@ -79,56 +94,71 @@ class SumBuckets:
 
     def step(self) -> None:
         """Prepend one symbol to every counted word."""
-        m = self.A.memory
-        new: dict[tuple[int, ...], dict[int, int]] = {}
-        for state, kc in self.buckets.items():
-            for a in range(1, self.d + 1):
-                inc = self._key(self.A.value((a,) + state))
-                dest = new.setdefault(((a,) + state)[: m - 1], {})
-                for key, cnt in kc.items():
-                    k2 = key + inc
-                    dest[k2] = dest.get(k2, 0) + cnt
+        if (self.n + 1) * self._inc_max >= 2**62:
+            raise SizeGuardError("quantized Birkhoff sums would overflow int64")
+        parts: dict[tuple[int, ...], tuple[list, list]] = {}
+        for state, keys in self.buckets.items():
+            lc = self.log_counts[state]
+            for dest, inc in self._moves[state]:
+                ks, ls = parts.setdefault(dest, ([], []))
+                ks.append(keys + inc)
+                ls.append(lc)
+        buckets, log_counts = {}, {}
+        for dest, (ks, ls) in parts.items():
+            keys, lc = np.concatenate(ks), np.concatenate(ls)
+            order = np.argsort(keys, kind="stable")
+            keys, lc = keys[order], lc[order]
+            starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            if len(starts) < len(keys):
+                top = np.maximum.reduceat(lc, starts)
+                sizes = np.diff(np.append(starts, len(keys)))
+                lc = top + np.log(np.add.reduceat(np.exp(lc - np.repeat(top, sizes)), starts))
+                keys = keys[starts]
+            buckets[dest], log_counts[dest] = keys, lc
         self.n += 1
-        self.buckets = new
-
-    def items(self):
-        for state, kc in self.buckets.items():
-            for key, cnt in kc.items():
-                yield key * _QUANTUM, cnt
+        self.buckets, self.log_counts = buckets, log_counts
 
     def total_count(self) -> int:
-        return sum(cnt for _, kc in self.buckets.items() for cnt in kc.values())
+        """Number of counted words, d^n, summed from the log-counts.
+
+        Exact while d^n stays below about 2^47 (binomial and trinomial
+        counts at d = 2, 3); beyond that the float counts round.
+        """
+        return round(math.fsum(np.exp(np.concatenate(list(self.log_counts.values())))))
+
+    def _log_terms(self, q: QParam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(log count + log exp_q(S_n), out-of-domain mask, log counts) per bucket."""
+        s = np.concatenate(list(self.buckets.values())) * _QUANTUM
+        lc = np.concatenate(list(self.log_counts.values()))
+        if q.classical:
+            return lc + s, np.zeros(len(s), dtype=bool), lc
+        base = 1.0 + (1.0 - q.q) * s
+        bad = base <= 0.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            lg = np.log(base) / (1.0 - q.q)
+        return lc + lg, bad, lc
 
     def log_value(self, q: QParam) -> float:
         """log of sum(count * exp_q(sum)) over all buckets, in log space."""
-        terms = []
-        for s, cnt in self.items():
-            if q.classical:
-                lg = s
-            else:
-                base = 1.0 + (1.0 - q.q) * s
-                if base <= 0.0:
-                    raise QExpDomainError(
-                        f"bucket at S_n = {s} (count {cnt}) outside exp_q domain",
-                        argument=s,
-                    )
-                lg = math.log(base) / (1.0 - q.q)
-            terms.append(math.log(cnt) + lg)
-        return float(logsumexp(np.array(terms)))
+        terms, bad, lc = self._log_terms(q)
+        if bad.any():
+            i = int(np.argmax(bad))
+            s = float(np.concatenate(list(self.buckets.values()))[i] * _QUANTUM)
+            raise QExpDomainError(
+                f"bucket at S_n = {s} (log count {lc[i]:.6g}) outside exp_q domain",
+                argument=s,
+            )
+        return float(logsumexp(terms))
 
     def log_value_truncated(self, q: QParam) -> tuple[float, float]:
         """(log of the in-domain partial sum, count fraction dropped)."""
-        terms, dropped, total = [], 0, 0
-        for s, cnt in self.items():
-            total += cnt
-            base = 1.0 + (1.0 - q.q) * s
-            if base <= 0.0:
-                dropped += cnt
-                continue
-            terms.append(math.log(cnt) + math.log(base) / (1.0 - q.q))
-        if not terms:
+        terms, bad, lc = self._log_terms(q)
+        if bad.all():
             raise QExpDomainError("all buckets outside exp_q domain", argument=None)
-        return float(logsumexp(np.array(terms))), dropped / total
+        if not bad.any():
+            return float(logsumexp(terms)), 0.0
+        dropped = math.exp(logsumexp(lc[bad]) - logsumexp(lc))
+        return float(logsumexp(terms[~bad])), dropped
 
 
 def _check_bucket_sizes(A: Potential, n: int) -> None:
@@ -139,7 +169,7 @@ def _check_bucket_sizes(A: Potential, n: int) -> None:
 
 
 def frak_L_n(A: Potential, q: QParam | float, x0_prefix: tuple[int, ...], n: int) -> float:
-    """Exact value of the n-step operator sum at the base point, via buckets."""
+    """The n-step operator sum at the base point, via buckets (sums on the 1e-9 quantum)."""
     qp = QParam(float(q)) if not isinstance(q, QParam) else q
     _check_bucket_sizes(A, n)
     if n == 0:

@@ -71,6 +71,31 @@ def test_birkhoff_sum_window_count():
     assert A.birkhoff_sum(w) == expected
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_birkhoff_sum_equals_window_sum_exactly(d, m):
+    # the rolling window index must add the same values in the same order
+    rng = np.random.default_rng(10 * d + m)
+    A = Potential(d=d, memory=m, values=rng.normal(0.0, 1.0, d**m))
+    for _ in range(200):
+        length = int(rng.integers(m, m + 25))
+        w_np = tuple(rng.integers(1, d + 1, length))
+        for w in (w_np, tuple(int(s) for s in w_np)):
+            direct = sum(A.value(w[i : i + m]) for i in range(length - m + 1))
+            assert A.birkhoff_sum(w) == direct
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_birkhoff_sum_rejects_bad_symbol_in_later_window(m):
+    A = Potential(d=2, memory=m, values=np.arange(2.0**m))
+    good = (1, 2) * m
+    for bad in (0, 3, np.int64(3)):
+        with pytest.raises(ValueError):
+            A.birkhoff_sum(good + (bad,) + good)
+        with pytest.raises(ValueError):
+            A.birkhoff_sum(good + (bad,))
+
+
 def test_birkhoff_memory1_is_plain_sum():
     A = Potential(d=2, memory=1, values=np.array([0.25, -1.5]))
     w = (1, 2, 2, 1, 2)

@@ -216,3 +216,21 @@ def test_scan_agrees_with_sequence_limit():
     est, _ = asymptotic_pressure(A, 0.5, (), 800)
     res = variational_scan_subadd(A, 0.5, 80)
     assert est == pytest.approx(res.value, abs=5e-3)
+
+
+def test_two_level_closed_form_at_large_n():
+    # Binomial(n, 1/2) applied to (1 + K/2)^2: 2^n (1 + 9n/16 + n^2/16)
+    seq = log_frak_L_sequence(A_01, 0.5, (), 2000)
+    n = np.arange(1, 2001, dtype=float)
+    closed = n * math.log(2.0) + np.log1p(9.0 * n / 16.0 + n**2 / 16.0)
+    np.testing.assert_allclose(seq, closed, rtol=1e-12, atol=0.0)
+
+
+def test_classical_closed_form_with_tiny_counts():
+    # at q = 1 the sum is (1 + e^10)^n; the cells of few 2-symbols have tiny
+    # weights next to the dominant ones, which must neither underflow nor
+    # drop out of the sum
+    A = Potential(d=2, memory=1, values=[0.0, 10.0])
+    seq = log_frak_L_sequence(A, 1.0, (), 2000)
+    n = np.arange(1, 2001, dtype=float)
+    np.testing.assert_allclose(seq, n * math.log1p(math.exp(10.0)), rtol=1e-12, atol=0.0)
