@@ -20,16 +20,9 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
-
-# Mirror QTHERMO_THREADS into the BLAS thread knobs before numpy loads; once
-# numpy is up the backends have already sized their pools.
-if "QTHERMO_THREADS" in os.environ and "numpy" not in sys.modules:
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["QTHERMO_THREADS"])
 
 import numpy as np
 
@@ -58,7 +51,7 @@ from .ruelle import (
     random_jacobian,
 )
 from .shift import Potential
-from .subadd import asymptotic_pressure, frak_L_n, phi_n
+from .subadd import asymptotic_pressure, log_frak_L_sequence, phi_n
 from .variational import entropy_surface, midpoint_concavity_report, q_pressure_scan
 
 # one-line statement of what each subcommand computes
@@ -655,9 +648,9 @@ def criterion_9() -> CriterionResult:
         q = QParam(0.5)
         A1 = Potential.constant(2, 1.0)
         worst = 0.0
-        for n in range(1, 51):
+        for n, log_L in enumerate(log_frak_L_sequence(A1, q, (), 50), start=1):
             closed = (2.0**n) * (1.0 + n / 2.0) ** 2
-            worst = max(worst, abs(frak_L_n(A1, q, (), n) - closed) / closed)
+            worst = max(worst, abs(math.exp(log_L) - closed) / closed)
         est1, _ = asymptotic_pressure(A1, q, (), 2000)
         A01 = Potential(d=2, memory=1, values=np.array([0.0, 1.0]))
         est2, _ = asymptotic_pressure(A01, q, (), 2000)

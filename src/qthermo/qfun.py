@@ -47,6 +47,11 @@ class QParam:
             raise ValueError(f"deformation parameter must be finite and > 0, got {self.q!r}")
         object.__setattr__(self, "q", q)
 
+    @classmethod
+    def of(cls, q: "QParam | float") -> "QParam":
+        """q itself when it already is a QParam, else QParam(float(q))."""
+        return q if isinstance(q, QParam) else cls(float(q))
+
     @property
     def classical(self) -> bool:
         return abs(self.q - 1.0) <= CLASSICAL_Q_TOL
@@ -58,9 +63,7 @@ class QParam:
 
 
 def _qvalue(q) -> float:
-    if isinstance(q, QParam):
-        return q.q
-    return QParam(float(q)).q
+    return QParam.of(q).q
 
 
 def _is_classical(q: float) -> bool:

@@ -20,6 +20,7 @@ the Jacobian of the associated q-equilibrium Markov measure.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from .ruelle import (
     q_entropy_markov,
     transfer_matrix,
 )
-from .shift import Potential, all_words, word_index
+from .shift import Potential, drop_first, drop_last, index_word, prefix_index, prepend
 
 _ACCEPT_TOL = 1e-10
 _DEDUP_TOL = 1e-7
@@ -64,22 +65,32 @@ class SolveResult:
 
 
 class _System:
-    """Index tables for one (potential, q-tilde) instance."""
+    """Index tables for one (potential, q-tilde) instance.
 
-    def __init__(self, A: Potential, q_tilde: QParam):
-        self.d, self.m = A.d, A.memory
-        self.k = max(self.m - 1, 1)
+    Entry [j, a - 1] belongs to the word a.x, x the j-th length-k context:
+    ``words`` is its (k+1)-word index, ``pre_idx`` its k-prefix index and
+    ``A_vals`` the potential on it.
+    """
+
+    def __init__(self, A: Potential, q_tilde: QParam, k: int | None = None):
+        self.d = A.d
+        self.k = A.context_length() if k is None else k
         self.n = self.d**self.k
         self.qt = float(q_tilde.q)
         self.order = even_power_order(q_tilde)
-        contexts = all_words(self.d, self.k)
-        self.A_vals = np.empty((self.n, self.d))
-        self.pre_idx = np.empty((self.n, self.d), dtype=int)
-        for j, x in enumerate(contexts):
-            for a in range(1, self.d + 1):
-                w = (a,) + x
-                self.A_vals[j, a - 1] = A.value(w)
-                self.pre_idx[j, a - 1] = word_index(w[: self.k], self.d)
+        self.words = prepend(np.arange(1, self.d + 1), np.arange(self.n)[:, None], self.d, self.k)
+        self.pre_idx = drop_last(self.words, self.d)
+        self.A_vals = self.values_of(A)
+
+    def values_of(self, A: Potential) -> np.ndarray:
+        """The table of A over the words a.x."""
+        return A.values[prefix_index(self.words, self.d, self.k + 1, A.memory)]
+
+    def with_values(self, A_vals: np.ndarray) -> "_System":
+        """The same tables carrying another potential table."""
+        out = copy.copy(self)
+        out.A_vals = A_vals
+        return out
 
     def arguments(self, phi: np.ndarray, c: float) -> np.ndarray:
         return self.A_vals + phi[self.pre_idx] - phi[:, None] - c
@@ -91,15 +102,11 @@ class _System:
         """(summand values, summand derivatives), or None outside the domain."""
         base = self.bases(phi, c)
         if self.order is not None:
-            E = base**self.order
-            dE = base ** (self.order - 1)
-            return E, dE
+            return base**self.order, base ** (self.order - 1)
         if np.any(base <= 1e-300):
             return None
         p = 1.0 / (1.0 - self.qt)
-        E = base**p
-        dE = base ** (p - 1.0)
-        return E, dE
+        return base**p, base ** (p - 1.0)
 
     def defect(self, phi: np.ndarray, c: float) -> np.ndarray | None:
         out = self.evaluate(phi, c)
@@ -123,7 +130,7 @@ def qruelle_residual(
         naming the offending (symbol, context) when a summand argument falls
         outside the q-exponential domain and no even-power extension applies.
     """
-    qp = QParam(float(q_tilde)) if not isinstance(q_tilde, QParam) else q_tilde
+    qp = QParam.of(q_tilde)
     sys = _System(A, qp)
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (sys.n,):
@@ -132,7 +139,7 @@ def qruelle_residual(
         base = sys.bases(phi, float(c))
         if np.any(base <= 0.0):
             j, a = map(int, np.argwhere(base <= 0.0)[0])
-            ctx = "".join(map(str, all_words(sys.d, sys.k)[j]))
+            ctx = "".join(map(str, index_word(j, sys.d, sys.k)))
             arg = float(sys.arguments(phi, float(c))[j, a])
             raise QExpDomainError(
                 f"exp_q domain violated at summand a={a + 1}, context {ctx} (u={arg})",
@@ -148,18 +155,16 @@ def _newton(
 ) -> tuple[np.ndarray, float] | None:
     """Damped Newton on the free unknowns (phi[1:], c); None on failure."""
     phi = phi.copy()
-    out = sys.evaluate(phi, c)
-    if out is None:
+    F = sys.defect(phi, c)
+    if F is None:
         return None
-    F = out[0].sum(axis=1) - 1.0
     fnorm = float(np.max(np.abs(F)))
     for _ in range(iters):
         if fnorm <= tol:
             return phi, c
         E, dE = sys.evaluate(phi, c)  # domain already checked
         Jfull = np.zeros((sys.n, sys.n + 1))
-        for a in range(sys.d):
-            np.add.at(Jfull, (np.arange(sys.n), sys.pre_idx[:, a]), dE[:, a])
+        np.add.at(Jfull, (np.arange(sys.n)[:, None], sys.pre_idx), dE)
         Jfull[np.arange(sys.n), np.arange(sys.n)] -= dE.sum(axis=1)
         Jfull[:, sys.n] = -dE.sum(axis=1)
         Jmat = np.delete(Jfull, 0, axis=1)  # gauge: phi[0] stays 0
@@ -174,9 +179,8 @@ def _newton(
             phi_t = phi.copy()
             phi_t[1:] += lam * step[:-1]
             c_t = c + lam * step[-1]
-            out = sys.evaluate(phi_t, c_t)
-            if out is not None:
-                F_t = out[0].sum(axis=1) - 1.0
+            F_t = sys.defect(phi_t, c_t)
+            if F_t is not None:
                 fn_t = float(np.max(np.abs(F_t)))
                 if fn_t < fnorm or fn_t <= tol:
                     phi, c, F, fnorm = phi_t, c_t, F_t, fn_t
@@ -187,42 +191,32 @@ def _newton(
     return (phi, c) if fnorm <= tol else None
 
 
-def _classify(sys: _System, phi: np.ndarray, c: float) -> tuple[bool, bool, float]:
+def _classify(sys: _System, phi: np.ndarray, c: float) -> tuple[bool, bool]:
     base = sys.bases(phi, c)
-    min_base = float(np.min(base))
-    positive = min_base > _BOUNDARY_MARGIN
+    positive = float(np.min(base)) > _BOUNDARY_MARGIN
     # a root touches the boundary when any single base sits at zero, even if
     # other summands have gone negative through the even-power extension
     boundary = bool(np.any(np.abs(base) <= _BOUNDARY_MARGIN))
-    return positive, boundary, min_base
+    return positive, boundary
 
 
 def _jacobian_of_root(sys: _System, phi: np.ndarray, c: float) -> Jacobian:
     E, _ = sys.evaluate(phi, c)
     vals = np.empty(sys.d ** (sys.k + 1))
-    contexts = all_words(sys.d, sys.k)
-    for j, x in enumerate(contexts):
-        for a in range(1, sys.d + 1):
-            vals[word_index((a,) + x, sys.d)] = E[j, a - 1]
+    vals[sys.words] = E
     # row sums are 1 + residual; renormalize so Jacobian validation is exact
     rows = vals.reshape(sys.d, -1).sum(axis=0)
     return Jacobian(d=sys.d, k=sys.k, values=vals / np.tile(rows, sys.d))
 
 
-def _continuation_root(
-    A: Potential, sys: _System, q_tilde: QParam
-) -> tuple[np.ndarray, float] | None:
+def _continuation_root(sys: _System, q_tilde: QParam) -> tuple[np.ndarray, float] | None:
     phi = np.zeros(sys.n)
     c = _trivial_c(sys.d, q_tilde)
     t = 0.0
     dt = 1.0 / 64.0
     while t < 1.0 - 1e-15:
         target = min(1.0, t + dt)
-        scaled = _System(
-            Potential(d=A.d, memory=A.memory, values=target * np.asarray(A.values)),
-            q_tilde,
-        )
-        res = _newton(scaled, phi, c)
+        res = _newton(sys.with_values(target * sys.A_vals), phi, c)
         if res is None:
             dt *= 0.5
             if dt < 1e-4:
@@ -251,14 +245,14 @@ def qruelle_solve(
     reported only when ``allow_boundary`` is set.  An empty list is a valid
     outcome.  The list does not claim exhaustiveness.
     """
-    qp = QParam(float(q_tilde)) if not isinstance(q_tilde, QParam) else q_tilde
+    qp = QParam.of(q_tilde)
     if A.memory > 4:
         raise SizeGuardError(f"memory {A.memory} exceeds the solver guard (4)")
     sys = _System(A, qp)
     c0 = _trivial_c(sys.d, qp)
 
     candidates: list[tuple[np.ndarray, float]] = []
-    cont = _continuation_root(A, sys, qp)
+    cont = _continuation_root(sys, qp)
     if cont is not None:
         candidates.append(cont)
 
@@ -285,7 +279,7 @@ def qruelle_solve(
     roots.sort(key=lambda r: (-r[1], tuple(r[0])))
     results: list[SolveResult] = []
     for phi, c in roots:
-        positive, boundary, _ = _classify(sys, phi, c)
+        positive, boundary = _classify(sys, phi, c)
         if boundary and not allow_boundary:
             continue
         defect = sys.defect(phi, c)
@@ -368,7 +362,7 @@ def explimeq_family(
     c = -log_qt(q1), phi2 = log_qt(1 - q1) + c, a12 = log_qt(1 - q2)
     + phi2 + c, a22 = log_qt(q2) + c.
     """
-    qp = QParam(float(q_tilde)) if not isinstance(q_tilde, QParam) else q_tilde
+    qp = QParam.of(q_tilde)
     if not (0.0 < q1 < 1.0 and 0.0 < q2 < 1.0):
         raise ValueError("q1 and q2 must lie in (0, 1)")
     c = -log_q(q1, qp)
@@ -395,8 +389,8 @@ def q_equilibrium(
     potential -log_q(1/J) of the selected branch is re-solved and the root
     constant nearest zero must vanish to 1e-8.
     """
-    qp = QParam(float(q)) if not isinstance(q, QParam) else q
-    qt = QParam(2.0 - qp.q)
+    qp = QParam.of(q)
+    qt = qp.dual
     branches = [b for b in qruelle_solve(A, qt) if b.summands_positive]
     if not branches:
         raise NonConvergenceError("no branch with strictly positive summands")
@@ -423,7 +417,7 @@ def a_q_transform(A: Potential, q: QParam | float) -> Potential:
     transfer operator of A_q coincides with the operator that sums
     exp_q(A(a x)) f(a x).
     """
-    qp = QParam(float(q)) if not isinstance(q, QParam) else q
+    qp = QParam.of(q)
     vals = np.asarray(A.values, dtype=float)
     if qp.classical:
         return Potential(d=A.d, memory=A.memory, values=vals)
@@ -453,7 +447,7 @@ def bridge_general_g(
     log_{2-q}(v) = (v^{q-1} - 1)/(q - 1).  At q = 1/2 this agrees with the
     algebraic form 2 - r - 4 e^{-r/2}/(2 + a).
     """
-    qp = QParam(float(q)) if not isinstance(q, QParam) else q
+    qp = QParam.of(q)
     r = a1 - a2 - C
     if qp.classical:
         return float(a)
@@ -487,12 +481,11 @@ def bridge_half(A: Potential) -> tuple[Potential, np.ndarray, float]:
     phi_B = np.log(h)
     c_B = math.log(lam)
     d, k = M.d, M.k
-    words = all_words(d, k + 1)
-    B_vals = np.empty(len(words))
-    for i, w in enumerate(words):
-        a1 = phi_B[word_index(w[:k], d)]
-        a2 = phi_B[word_index(w[1:], d)]
-        B_vals[i] = _g_half(a1, a2, c_B, A.value(w))
+    w = np.arange(d ** (k + 1))
+    heads, tails = phi_B[drop_last(w, d)], phi_B[drop_first(w, d, k + 1)]
+    args = zip(heads, tails, A.values[prefix_index(w, d, k + 1, A.memory)])
+    # scalar _g_half per entry: its math.exp may differ from np.exp in the last bit
+    B_vals = [_g_half(a1, a2, c_B, a) for a1, a2, a in args]
     B = Potential(d=d, memory=k + 1, values=B_vals)
     defect = qruelle_residual(B, QParam(1.5), phi_B, c_B)
     if float(np.max(np.abs(defect))) > 1e-9:
@@ -500,25 +493,36 @@ def bridge_half(A: Potential) -> tuple[Potential, np.ndarray, float]:
     return B, phi_B, c_B
 
 
-def _combine(A: Potential, B: Potential, s: float) -> Potential:
-    """A + s*B as a table on the coarser common memory."""
+def _base_branch(A: Potential, q_tilde: QParam, branch_index: int) -> SolveResult:
+    branches = qruelle_solve(A, q_tilde)
+    if len(branches) <= branch_index:
+        raise NonConvergenceError("no branch available at s = 0")
+    return branches[branch_index]
+
+
+def _tracked_slope(
+    A: Potential, B: Potential, q_tilde: QParam, base: SolveResult, h: float
+) -> tuple[dict[float, tuple[np.ndarray, float]], float]:
+    """Roots of A + s*B tracked to s = +-h, +-h/2, and dc/ds at 0 by Richardson."""
     if A.d != B.d:
         raise ValueError("alphabet mismatch")
-    m = max(A.memory, B.memory)
-    words = all_words(A.d, m)
-    vals = np.array([A.value(w) + s * B.value(w) for w in words])
-    return Potential(d=A.d, memory=m, values=vals)
+    # contexts of A + s*B live on the coarser common memory
+    sys = _System(A, q_tilde, k=max(A.context_length(), B.context_length()))
+    B_vals = sys.values_of(B)
+    tracked = {s: _track_root(sys, B_vals, base.phi, base.c, s) for s in (h, -h, h / 2, -h / 2)}
+    d1 = (tracked[h][1] - tracked[-h][1]) / (2.0 * h)
+    d2 = (tracked[h / 2][1] - tracked[-h / 2][1]) / h
+    return tracked, (4.0 * d2 - d1) / 3.0
 
 
 def _track_root(
-    A: Potential, B: Potential, q_tilde: QParam, phi: np.ndarray, c: float, s: float
+    sys: _System, B_vals: np.ndarray, phi: np.ndarray, c: float, s: float
 ) -> tuple[np.ndarray, float]:
-    """Continue a root of A to A + s*B in small steps (no re-multistart)."""
+    """Continue a root of sys to A + s*B in small steps (no re-multistart)."""
     steps = 8
     cur_phi, cur_c = phi.copy(), c
     for i in range(1, steps + 1):
-        sys = _System(_combine(A, B, s * i / steps), q_tilde)
-        res = _newton(sys, cur_phi, cur_c)
+        res = _newton(sys.with_values(sys.A_vals + s * i / steps * B_vals), cur_phi, cur_c)
         if res is None:
             raise NonConvergenceError(f"branch tracking failed at s = {s * i / steps}")
         cur_phi, cur_c = res
@@ -538,19 +542,8 @@ def pressure_derivative(
     branch is tracked by continuation in s from the s = 0 root (never by a
     fresh multistart, to avoid branch hopping).
     """
-    qp = QParam(float(q)) if not isinstance(q, QParam) else q
-    qt = QParam(2.0 - qp.q)
-    branches = qruelle_solve(A, qt)
-    if len(branches) <= branch_index:
-        raise NonConvergenceError("no branch available at s = 0")
-    base = branches[branch_index]
-    c_at = {
-        s: _track_root(A, B, qt, base.phi, base.c, s)[1]
-        for s in (h_step, -h_step, h_step / 2.0, -h_step / 2.0)
-    }
-    d1 = (c_at[h_step] - c_at[-h_step]) / (2.0 * h_step)
-    d2 = (c_at[h_step / 2.0] - c_at[-h_step / 2.0]) / h_step
-    return (4.0 * d2 - d1) / 3.0
+    qt = QParam.of(q).dual
+    return _tracked_slope(A, B, qt, _base_branch(A, qt, branch_index), h_step)[1]
 
 
 @dataclass(frozen=True)
@@ -574,30 +567,26 @@ def derivative_identity_report(
     positive-summand branch.
     """
     qt = QParam(1.5)  # the q = 1/2 pressure solves the 3/2-deformed equation
-    branches = qruelle_solve(A, qt)
-    if len(branches) <= branch_index:
-        raise NonConvergenceError("no branch available at s = 0")
-    base = branches[branch_index]
+    base = _base_branch(A, qt, branch_index)
     if not base.summands_positive or base.jacobian is None:
         raise NonConvergenceError("identity check needs a positive-summand branch")
     h = h_step
-    tracked = {s: _track_root(A, B, qt, base.phi, base.c, s) for s in (h, -h, h / 2, -h / 2)}
-    d1 = (tracked[h][1] - tracked[-h][1]) / (2.0 * h)
-    d2 = (tracked[h / 2][1] - tracked[-h / 2][1]) / h
-    dPds = (4.0 * d2 - d1) / 3.0
+    tracked, dPds = _tracked_slope(A, B, qt, base, h)
     phidot = (tracked[h / 2][0] - tracked[-h / 2][0]) / h
 
     mu = equilibrium_markov(base.jacobian)
     d, k = base.jacobian.d, base.jacobian.k
-    masses = mu.cylinder_masses(k + 1)
-    words = all_words(d, k + 1)
-    J = base.jacobian.values
+    w = np.arange(d ** (k + 1))
+    terms = B.values[prefix_index(w, d, k + 1, B.memory)] + (
+        phidot[drop_last(w, d)] - phidot[drop_first(w, d, k + 1)]
+    )
+    # accumulate left to right: the defect is ~1e-7, so one ulp of the
+    # quotient shows in its printed digits
     num = 0.0
     den = 0.0
-    for i, w in enumerate(words):
-        wgt = masses[i] * J[i] ** 0.5
-        cob = phidot[word_index(w[:k], d)] - phidot[word_index(w[1:], d)]
-        num += wgt * (B.value(w) + cob)
+    for mass, jac, term in zip(mu.cylinder_masses(k + 1), base.jacobian.values, terms):
+        wgt = mass * jac**0.5
+        num += wgt * term
         den += wgt
     quotient = num / den
     return DerivativeIdentityReport(dPds=dPds, quotient=quotient, defect=abs(dPds - quotient))

@@ -25,16 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import NonConvergenceError, SizeGuardError
+from .errors import NonConvergenceError, QLogDomainError, SizeGuardError
 from .qfun import QParam, log_q
-from .shift import Potential, all_words, word_index
+from .shift import Potential, drop_first, drop_last, prefix_index, prepend, word_index
 
 _STATE_GUARD = 4096
 _TABLE_GUARD = 16384
-
-
-def _context_length(m: int) -> int:
-    return max(m - 1, 1)
 
 
 @dataclass(frozen=True)
@@ -55,10 +51,6 @@ class TransferMatrix:
         object.__setattr__(self, "matrix", self.matrix.copy())
         self.matrix.setflags(write=False)
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """Action on a state-indexed vector (a memory-k function)."""
-        return self.matrix @ np.asarray(f, dtype=float)
-
 
 def transfer_matrix(A: Potential) -> TransferMatrix:
     """Build the transfer matrix of a locally constant potential.
@@ -71,16 +63,16 @@ def transfer_matrix(A: Potential) -> TransferMatrix:
     if A.memory > 6:
         raise SizeGuardError(f"memory {A.memory} exceeds the guard (6)")
     d, m = A.d, A.memory
-    k = _context_length(m)
+    k = A.context_length()
     if d**k > _STATE_GUARD:
         raise SizeGuardError(f"{d}**{k} states exceed the guard ({_STATE_GUARD})")
-    words = all_words(d, k)
-    n = len(words)
+    n = d**k
+    x = np.arange(n)
+    ax = prepend(np.arange(1, d + 1)[:, None], x, d, k)  # row a - 1: the (k+1)-words a.x
+    # math.exp per entry: np.exp may differ from it in the last bit
+    entries = [math.exp(v) for v in A.values[prefix_index(ax, d, k + 1, m)].ravel().tolist()]
     M = np.zeros((n, n))
-    for ix, x in enumerate(words):
-        for a in range(1, d + 1):
-            y = (a,) + x[: k - 1]
-            M[ix, word_index(y, d)] = math.exp(A.value(y + x[k - 1 :]))
+    M[x, drop_last(ax, d)] = np.reshape(entries, ax.shape)
     return TransferMatrix(d=d, k=k, m=m, matrix=M)
 
 
@@ -145,15 +137,13 @@ def normalize(A: Potential) -> tuple[Potential, float, np.ndarray]:
     lam, h, _ = leading_eig(M)
     d, k = M.d, M.k
     log_h = np.log(h)
-    words = all_words(d, k + 1)
-    vals = np.empty(len(words))
-    for i, w in enumerate(words):
-        vals[i] = (
-            A.value(w)
-            + log_h[word_index(w[:k], d)]
-            - log_h[word_index(w[1:], d)]
-            - math.log(lam)
-        )
+    w = np.arange(d ** (k + 1))
+    vals = (
+        A.values[prefix_index(w, d, k + 1, A.memory)]
+        + log_h[drop_last(w, d)]
+        - log_h[drop_first(w, d, k + 1)]
+        - math.log(lam)
+    )
     return Potential(d=d, memory=k + 1, values=vals), lam, h
 
 
@@ -257,11 +247,6 @@ class MarkovMeasure:
             pi = pi / pi.sum()
         return cls(d=d, k=k, P=P, pi=pi)
 
-    def successor(self, ix: int, b: int) -> int:
-        """State index reached from state ``ix`` by appending symbol ``b``."""
-        word = all_words(self.d, self.k)[ix]
-        return word_index(word[1:] + (b,), self.d)
-
     def cylinder_masses(self, r: int) -> np.ndarray:
         """Masses of all r-cylinders, r >= 1."""
         d, k = self.d, self.k
@@ -269,25 +254,19 @@ class MarkovMeasure:
             masses = self.pi.reshape((d,) * k)
             return masses.sum(axis=tuple(range(r, k))).reshape(-1)
         masses = self.pi.copy()
-        for step in range(r - k):
-            nxt = np.zeros(d ** (k + step + 1))
-            for i, w in enumerate(all_words(d, k + step)):
-                state = word_index(w[-k:], d)
-                for b in range(1, d + 1):
-                    j = word_index(w[len(w) - k + 1 :] + (b,), d)
-                    nxt[i * d + (b - 1)] = masses[i] * self.P[state, j]
-            masses = nxt
+        for length in range(k + 1, r + 1):
+            # mass(w.b) = mass(w) P(last k symbols of w -> last k symbols of w.b)
+            u = np.arange(d**length)
+            w = drop_last(u, d)
+            masses = masses[w] * self.P[w % d**k, u % d**k]
         return masses
 
     def jacobian(self) -> Jacobian:
         """Backward conditionals Q(w) = P(w[:k] -> w[1:]) pi[w[:k]] / pi[w[1:]]."""
         d, k = self.d, self.k
-        words = all_words(d, k + 1)
-        vals = np.empty(len(words))
-        for i, w in enumerate(words):
-            a = word_index(w[:k], d)
-            b = word_index(w[1:], d)
-            vals[i] = self.P[a, b] * self.pi[a] / self.pi[b]
+        w = np.arange(d ** (k + 1))
+        a, b = drop_last(w, d), drop_first(w, d, k + 1)
+        vals = self.P[a, b] * self.pi[a] / self.pi[b]
         return Jacobian(d=d, k=k, values=vals)
 
     def integrate(self, A: Potential) -> float:
@@ -305,13 +284,10 @@ def equilibrium_markov(J: Jacobian) -> MarkovMeasure:
     forward transitions follow as P(x -> z) = R[x, z] pi[z] / pi[x].
     """
     d, k = J.d, J.k
-    words = all_words(d, k)
-    n = len(words)
+    n = d**k
+    w = np.arange(d ** (k + 1))  # the word x.b links state x to state z = x[1:].b
     R = np.zeros((n, n))
-    for ix, x in enumerate(words):
-        for b in range(1, d + 1):
-            z = x[1:] + (b,)
-            R[ix, word_index(z, d)] = J.value(x + (b,))
+    R[drop_last(w, d), drop_first(w, d, k + 1)] = J.values
     _, pi = _power_iterate(R, 1e-14, 1_000_000)
     pi = np.abs(pi)
     pi = pi / pi.sum()
@@ -343,7 +319,7 @@ def q_entropy_markov(mu: MarkovMeasure, q: QParam | float) -> float:
     For q in (0,1) this dominates the Kolmogorov-Shannon entropy (log_q
     dominates log on [1, infinity)), with the ordering reversed for q > 1.
     """
-    qp = QParam(float(q)) if not isinstance(q, QParam) else q
+    qp = QParam.of(q)
     if qp.classical:
         return ks_entropy(mu)
     masses, Q = _mass_log_weights(mu)
@@ -362,15 +338,12 @@ def relative_q_entropy(
     """
     if (mu1.d, mu1.k) != (mu2.d, mu2.k):
         raise ValueError("measures must share alphabet and memory")
-    qp = QParam(float(q)) if not isinstance(q, QParam) else q
+    qp = QParam.of(q)
     masses = mu1.cylinder_masses(mu1.k + 1)
     Q1 = mu1.jacobian().values
     Q2 = mu2.jacobian().values
     keep = masses > 0.0
-    if qp.classical:
-        diff = np.log(1.0 / Q2[keep]) - np.log(1.0 / Q1[keep])
-    else:
-        diff = log_q(1.0 / Q2[keep], qp) - log_q(1.0 / Q1[keep], qp)
+    diff = log_q(1.0 / Q2[keep], qp) - log_q(1.0 / Q1[keep], qp)  # np.log at q = 1
     return float(masses[keep] @ diff)
 
 
@@ -401,14 +374,16 @@ def q_entropy_variational(
     table, from the Jacobian when shapes allow, and from seeded random
     restarts; the smallest value found is returned.
 
-    The value is bounded between the Kolmogorov-Shannon entropy and the
-    closed-form q-entropy, but for a generic Gibbs measure with q != 1 it sits
-    strictly below ``q_entropy_markov`` - the Jacobian is not the minimizer
-    (the objective decreases along escort-type reweightings of J).
+    For q <= 1 the value is bounded between the Kolmogorov-Shannon entropy
+    and the closed-form q-entropy, but for a generic Gibbs measure with q < 1
+    it sits strictly below ``q_entropy_markov`` - the Jacobian is not the
+    minimizer (the objective decreases along escort-type reweightings of J).
+    For q > 1 the infimum is minus infinity (log_q is unbounded below at
+    ratios near zero), so QLogDomainError is raised before optimizing.
     """
     if u_memory < 1 or u_memory > 4:
         raise SizeGuardError("u_memory must be between 1 and 4")
-    qp = QParam(float(q)) if not isinstance(q, QParam) else q
+    qp = QParam.of(q)
     masses = mu.cylinder_masses(u_memory)
     return _variational_entropy_from_masses(masses, mu.d, u_memory, qp, restarts, seed, mu)
 
@@ -422,6 +397,9 @@ def _variational_entropy_from_masses(
     seed: int,
     mu: MarkovMeasure | None = None,
 ) -> float:
+    if q.q > 1.0 and not q.classical:
+        raise QLogDomainError(f"variational q-entropy is -inf for q = {q.q} > 1")
+
     def objective(t: np.ndarray) -> float:
         return _variational_objective(np.concatenate(([0.0], t)), masses, d, r, q)
 
@@ -451,9 +429,10 @@ def variational_entropy_of_masses(
     """Same infimum evaluated directly on r-cylinder masses.
 
     Accepts mass vectors of arbitrary (not necessarily Markov) invariant
-    measures, e.g. convex mixtures of Markov measures.
+    measures, e.g. convex mixtures of Markov measures.  Raises
+    QLogDomainError for q > 1, as ``q_entropy_variational`` does.
     """
-    qp = QParam(float(q)) if not isinstance(q, QParam) else q
+    qp = QParam.of(q)
     masses = np.asarray(masses, dtype=float)
     if masses.shape != (d**u_memory,):
         raise ValueError("mass vector must enumerate all u_memory-cylinders")

@@ -4,7 +4,8 @@ Symbols are 1..d (matching the usual cylinder notation); a word of length m
 is a tuple of symbols.  A memory-m potential assigns a value to each length-m
 word, i.e. it depends on the first m coordinates of a point.  Words index
 into flat arrays via ``word_index`` (lexicographic, first symbol most
-significant).
+significant); ``drop_last``, ``drop_first``, ``prefix_index`` and ``prepend``
+map word indices, single or numpy arrays, by integer arithmetic.
 """
 
 from __future__ import annotations
@@ -44,6 +45,28 @@ def index_word(idx: int, d: int, m: int) -> tuple[int, ...]:
         out.append(idx % d + 1)
         idx //= d
     return tuple(reversed(out))
+
+
+def drop_last(idx, d: int):
+    """Index of a word with its last symbol removed."""
+    return idx // d
+
+
+def drop_first(idx, d: int, r: int):
+    """Index of an r-word with its first symbol removed."""
+    return idx % d ** (r - 1)
+
+
+def prefix_index(idx, d: int, r: int, m: int):
+    """Index of the length-m prefix of an r-word, m <= r."""
+    if m > r:
+        raise ValueError(f"prefix length {m} exceeds word length {r}")
+    return idx // d ** (r - m)
+
+
+def prepend(a, idx, d: int, r: int):
+    """Index of the (r+1)-word a.x for the r-word x at ``idx``, a in 1..d."""
+    return (a - 1) * d**r + idx
 
 
 def word_distance(x: tuple[int, ...], y: tuple[int, ...], theta: float = 0.5) -> float:
@@ -124,12 +147,17 @@ class Potential:
     def birkhoff_table(self, n: int) -> np.ndarray:
         """Birkhoff sums over all words of length n + memory - 1 (n windows)."""
         m = self.memory
+        if n < 1:
+            raise ValueError("need at least one window")
         length = n + m - 1
         if self.d**length > 4_000_000:
             raise SizeGuardError(f"birkhoff_table would enumerate {self.d ** length} words")
-        out = np.empty(self.d**length)
-        for i, w in enumerate(all_words(self.d, length)):
-            out[i] = self.birkhoff_sum(w)
+        # window t is the last m symbols of the (m + t)-prefix; adds run in
+        # window order from 0.0, as in birkhoff_sum
+        idx = np.arange(self.d**length)
+        out = np.zeros(self.d**length)
+        for t in range(n):
+            out += self.values[prefix_index(idx, self.d, length, m + t) % self.d**m]
         return out
 
     # -- serialization ------------------------------------------------------

@@ -28,6 +28,7 @@ from .errors import QExpDomainError, QLogDomainError, QThermoError, SizeGuardErr
 from .qfun import QParam, exp_q
 from .ruelle import MarkovMeasure
 from .shift import Potential, all_words
+from .variational import BinaryChart, _measure_from_params
 
 _QUANTUM = 1e-9
 
@@ -38,7 +39,7 @@ def phi_n(A: Potential, q: QParam | float, w: tuple[int, ...], tail: tuple[int, 
     Raises QLogDomainError when 1 + (1-q) S_n <= 0, which signals the
     sign-changing-potential regime where the deformed weight is undefined.
     """
-    qp = QParam(float(q)) if not isinstance(q, QParam) else q
+    qp = QParam.of(q)
     m = A.memory
     if len(tail) < m - 1:
         raise ValueError(f"tail must supply at least memory-1 = {m - 1} symbols")
@@ -170,7 +171,7 @@ def _check_bucket_sizes(A: Potential, n: int) -> None:
 
 def frak_L_n(A: Potential, q: QParam | float, x0_prefix: tuple[int, ...], n: int) -> float:
     """The n-step operator sum at the base point, via buckets (sums on the 1e-9 quantum)."""
-    qp = QParam(float(q)) if not isinstance(q, QParam) else q
+    qp = QParam.of(q)
     _check_bucket_sizes(A, n)
     if n == 0:
         return 1.0
@@ -184,7 +185,7 @@ def frak_L_n_enumerate(
     A: Potential, q: QParam | float, x0_prefix: tuple[int, ...], n: int
 ) -> float:
     """Direct enumeration over all d^n preimage words (oracle for n <= 20)."""
-    qp = QParam(float(q)) if not isinstance(q, QParam) else q
+    qp = QParam.of(q)
     if n > 20:
         raise SizeGuardError("direct enumeration capped at n = 20")
     if n == 0:
@@ -202,7 +203,7 @@ def log_frak_L_sequence(
     A: Potential, q: QParam | float, x0_prefix: tuple[int, ...], n_max: int
 ) -> np.ndarray:
     """a_n = log L_n(1)(x0) for n = 1..n_max in one incremental DP pass."""
-    qp = QParam(float(q)) if not isinstance(q, QParam) else q
+    qp = QParam.of(q)
     _check_bucket_sizes(A, n_max)
     sb = SumBuckets(A, x0_prefix)
     out = np.empty(n_max)
@@ -255,37 +256,21 @@ def variational_scan_subadd(A: Potential, q: QParam | float, grid_n: int) -> Sub
     """
     if A.d != 2:
         raise SizeGuardError("the scan is implemented for d = 2")
-    eps = 1e-4
-    t = np.linspace(eps, 1.0 - eps, grid_n)
-    p, r = np.meshgrid(t, t, indexing="ij")  # p = P(1->2), r = P(2->1)
-    pi1 = r / (p + r)
-    pi2 = p / (p + r)
+    chart = BinaryChart.grid(grid_n)
 
     def hb(x):
         return -(x * np.log(x) + (1.0 - x) * np.log1p(-x))
 
-    h = pi1 * hb(p) + pi2 * hb(r)
-    if A.memory == 1:
-        mean_A = pi1 * A.value((1,)) + pi2 * A.value((2,))
-    elif A.memory == 2:
-        mean_A = (
-            pi1 * (1.0 - p) * A.value((1, 1))
-            + pi1 * p * A.value((1, 2))
-            + pi2 * r * A.value((2, 1))
-            + pi2 * (1.0 - r) * A.value((2, 2))
-        )
-    else:
-        raise SizeGuardError("potential memory above 2 is not supported")
+    h = chart.pi1 * hb(chart.p) + chart.pi2 * hb(chart.r)
+    mean_A = chart.integral(A)
     feasible = mean_A > 0.0
     if not np.any(feasible):
         raise QThermoError("no grid measure has positive mean potential")
     h_masked = np.where(feasible, h, -np.inf)
     flat = int(np.argmax(h_masked))
     i, j = np.unravel_index(flat, h.shape)
-    P = np.array([[1.0 - t[i], t[i]], [t[j], 1.0 - t[j]]])
-    nu = MarkovMeasure.from_transitions(2, 1, P)
     return SubaddScan(
         value=float(h[i, j]),
-        argmax=nu,
+        argmax=_measure_from_params(1, chart.t[[i, j]]),
         excluded_fraction=float(1.0 - feasible.mean()),
     )

@@ -38,6 +38,45 @@ class ScanResult:
     excluded_fraction: float
 
 
+@dataclass(frozen=True)
+class BinaryChart:
+    """Memory-1 binary Markov measures on a grid: P(1->2) = p[i, j] = t[i],
+    P(2->1) = r[i, j] = t[j], stationary masses pi1, pi2, and ``mass``, the
+    2-cylinder masses of the words 11, 12, 21, 22."""
+
+    t: np.ndarray
+    p: np.ndarray
+    r: np.ndarray
+    pi1: np.ndarray
+    pi2: np.ndarray
+    mass: np.ndarray
+
+    @classmethod
+    def grid(cls, grid_n: int) -> "BinaryChart":
+        """The grid_n x grid_n chart over (1e-4, 1 - 1e-4)."""
+        t = np.linspace(_EPS, 1.0 - _EPS, grid_n)
+        p, r = np.meshgrid(t, t, indexing="ij")
+        pi1 = r / (p + r)
+        pi2 = p / (p + r)
+        mass = np.stack([pi1 * (1 - p), pi1 * p, pi2 * r, pi2 * (1 - r)])
+        return cls(t, p, r, pi1, pi2, mass)
+
+    def q_entropy(self, q: QParam) -> np.ndarray:
+        """H_q at every grid point."""
+        p, r, pi1, pi2 = self.p, self.r, self.pi1, self.pi2
+        Qb = np.stack([(1 - p), p * pi1 / pi2, r * pi2 / pi1, (1 - r)])  # P_ij pi_i / pi_j
+        return np.sum(self.mass * log_q(1.0 / Qb, q), axis=0)
+
+    def integral(self, A: Potential) -> np.ndarray:
+        """int A dmu at every grid point, for a potential of memory 1 or 2."""
+        if A.memory == 1:
+            return self.pi1 * A.value((1,)) + self.pi2 * A.value((2,))
+        if A.memory == 2:
+            m, v = self.mass, A.values.tolist()
+            return m[0] * v[0] + m[1] * v[1] + m[2] * v[2] + m[3] * v[3]
+        raise SizeGuardError("potential memory above 2 is not supported")
+
+
 def _measure_from_params(k: int, params: np.ndarray) -> MarkovMeasure:
     """Binary Markov measure from its free transition probabilities.
 
@@ -50,11 +89,10 @@ def _measure_from_params(k: int, params: np.ndarray) -> MarkovMeasure:
         return MarkovMeasure.from_transitions(2, 1, P)
     # states in lexicographic order 11, 12, 21, 22; state ij can only move
     # to states j1, j2
+    s = np.arange(4)
     P = np.zeros((4, 4))
-    for s in range(4):
-        j = s % 2  # second symbol of the state, 0-based
-        P[s, 2 * j] = 1.0 - p[s]
-        P[s, 2 * j + 1] = p[s]
+    P[s, 2 * (s % 2)] = 1.0 - p
+    P[s, 2 * (s % 2) + 1] = p
     return MarkovMeasure.from_transitions(2, 2, P)
 
 
@@ -65,23 +103,10 @@ def _objective(A: Potential, q: QParam, k: int, params: np.ndarray) -> float:
 
 def _grid_scan_k1(A: Potential, q: QParam, grid_n: int) -> tuple[float, np.ndarray]:
     """Vectorized scan over the (P12, P21) square for memory-1 measures."""
-    t = np.linspace(_EPS, 1.0 - _EPS, grid_n)
-    p, r = np.meshgrid(t, t, indexing="ij")
-    pi1 = r / (p + r)
-    pi2 = p / (p + r)
-    # backward transition weights on 2-words: Q(ij) = P_ij pi_i / pi_j
-    mass = np.stack([pi1 * (1 - p), pi1 * p, pi2 * r, pi2 * (1 - r)])
-    Qb = np.stack([(1 - p), p * pi1 / pi2, r * pi2 / pi1, (1 - r)])
-    hq = np.sum(mass * log_q(1.0 / Qb, q), axis=0)
-    if A.memory == 1:
-        integral = pi1 * A.value((1,)) + pi2 * A.value((2,))
-    else:  # memory 2: integrate against the 2-cylinder masses
-        vals = [A.value(w) for w in ((1, 1), (1, 2), (2, 1), (2, 2))]
-        integral = sum(mass[i] * vals[i] for i in range(4))
-    obj = hq + integral
-    flat = int(np.argmax(obj))
-    i, j = np.unravel_index(flat, obj.shape)
-    return float(obj[i, j]), np.array([t[i], t[j]])
+    chart = BinaryChart.grid(grid_n)
+    obj = chart.q_entropy(q) + chart.integral(A)
+    i, j = np.unravel_index(int(np.argmax(obj)), obj.shape)
+    return float(obj[i, j]), np.array([chart.t[i], chart.t[j]])
 
 
 def q_pressure_scan(A: Potential, q: QParam | float, grid_n: int) -> ScanResult:
@@ -92,10 +117,10 @@ def q_pressure_scan(A: Potential, q: QParam | float, grid_n: int) -> ScanResult:
     returned value is re-evaluated through the Markov-measure entropy and
     integration routines at the argmax, so it reproduces exactly.
     """
-    qp = QParam(float(q)) if not isinstance(q, QParam) else q
+    qp = QParam.of(q)
     if A.d != 2:
         raise SizeGuardError("the scan is implemented for d = 2")
-    k = max(A.memory - 1, 1)
+    k = A.context_length()
     if k > 2:
         raise SizeGuardError("scan parameter space limited to memory <= 3 potentials")
     if grid_n ** (2 * k) > 40_000_000:
@@ -155,17 +180,11 @@ def entropy_surface(q: QParam | float, grid_n: int) -> EntropySurface:
     lies exactly on the lattice; the surface maximum is then reported at the
     true maximizer rather than a neighboring grid point.
     """
-    qp = QParam(float(q)) if not isinstance(q, QParam) else q
+    qp = QParam.of(q)
     if grid_n % 2 == 0:
         grid_n += 1
-    t = np.linspace(_EPS, 1.0 - _EPS, grid_n)
-    p, r = np.meshgrid(t, t, indexing="ij")
-    pi1 = r / (p + r)
-    pi2 = p / (p + r)
-    mass = np.stack([pi1 * (1 - p), pi1 * p, pi2 * r, pi2 * (1 - r)])
-    Qb = np.stack([(1 - p), p * pi1 / pi2, r * pi2 / pi1, (1 - r)])
-    hq = np.sum(mass * log_q(1.0 / Qb, qp), axis=0)
-    return EntropySurface(q=qp.q, probs=t, values=hq)
+    chart = BinaryChart.grid(grid_n)
+    return EntropySurface(q=qp.q, probs=chart.t, values=chart.q_entropy(qp))
 
 
 def midpoint_concavity_report(
@@ -177,7 +196,7 @@ def midpoint_concavity_report(
     concavity of the entropy in the measure does not imply concavity in the
     transition-probability coordinates for every q (the chart is nonlinear).
     """
-    qp = QParam(float(q)) if not isinstance(q, QParam) else q
+    qp = QParam.of(q)
     rng = np.random.default_rng(seed)
 
     def hq_of(params: np.ndarray) -> float:
@@ -219,7 +238,7 @@ def entropy_affinity_report(
     because it is an infimum of mass-affine objectives.  Positive defects
     indicate non-affinity; no strict positivity is asserted.
     """
-    qp = QParam(float(q)) if not isinstance(q, QParam) else q
+    qp = QParam.of(q)
     rng = np.random.default_rng(seed)
     defects = []
     failures = 0

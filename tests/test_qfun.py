@@ -210,3 +210,12 @@ def test_identity_suite_flags_ambiguous_rows():
     # flagged rows are reported but never gated
     gated = {s.name for s in report.gated()}
     assert flagged.isdisjoint(gated)
+
+
+def test_qparam_of_passes_qparam_through_and_validates_numbers():
+    qp = QParam(0.5)
+    assert QParam.of(qp) is qp
+    assert QParam.of(np.float64(0.5)) == qp
+    assert QParam.of(2).q == 2.0 and isinstance(QParam.of(2).q, float)
+    with pytest.raises(ValueError):
+        QParam.of(-0.5)

@@ -3,6 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from qthermo import ruelle
+from qthermo.errors import QLogDomainError
+from qthermo.qfun import QParam
+from qthermo.qsolve import _System
 from qthermo.ruelle import (
     Jacobian,
     MarkovMeasure,
@@ -16,8 +20,9 @@ from qthermo.ruelle import (
     random_jacobian,
     relative_q_entropy,
     transfer_matrix,
+    variational_entropy_of_masses,
 )
-from qthermo.shift import Potential
+from qthermo.shift import Potential, all_words, word_index
 
 
 def _rand_markov(rng, d=2):
@@ -211,3 +216,137 @@ def test_jacobian_log_potential_roundtrip():
     logA = J.as_log_potential()
     J2 = Jacobian.from_log_potential(logA)
     assert np.max(np.abs(J2.values - J.values)) <= 1e-14
+
+
+def test_variational_entropy_rejects_q_above_one(monkeypatch):
+    # for q > 1 log_q is unbounded below at ratios near zero, so the infimum
+    # is -inf; both entry points refuse before the optimizer runs
+    def no_optimizer(*args, **kwargs):
+        raise AssertionError("optimizer reached")
+
+    monkeypatch.setattr(ruelle, "minimize", no_optimizer)
+    mu = MarkovMeasure.from_transitions(2, 1, np.array([[0.7, 0.3], [0.6, 0.4]]))
+    with pytest.raises(QLogDomainError):
+        q_entropy_variational(mu, 1.5)
+    with pytest.raises(QLogDomainError):
+        variational_entropy_of_masses(mu.cylinder_masses(2), 2, 2, 1.5)
+
+
+# -- the word-index tables against tuple enumeration --------------------------
+#
+# Each reference below walks all_words tuples and looks indices up with
+# word_index; the library builds the same tables by index arithmetic and must
+# agree bit for bit.
+
+
+def _ref_transfer_matrix(A):
+    d, k = A.d, max(A.memory - 1, 1)
+    words = all_words(d, k)
+    M = np.zeros((len(words), len(words)))
+    for ix, x in enumerate(words):
+        for a in range(1, d + 1):
+            y = (a,) + x[: k - 1]
+            M[ix, word_index(y, d)] = math.exp(A.value(y + x[k - 1 :]))
+    return M
+
+
+def _ref_normalized_values(A):
+    lam, h, _ = leading_eig(transfer_matrix(A))
+    d, k = A.d, max(A.memory - 1, 1)
+    log_h = np.log(h)
+    words = all_words(d, k + 1)
+    vals = np.empty(len(words))
+    for i, w in enumerate(words):
+        vals[i] = (
+            A.value(w)
+            + log_h[word_index(w[:k], d)]
+            - log_h[word_index(w[1:], d)]
+            - math.log(lam)
+        )
+    return vals
+
+
+def _ref_equilibrium(J):
+    d, k = J.d, J.k
+    words = all_words(d, k)
+    R = np.zeros((len(words), len(words)))
+    for ix, x in enumerate(words):
+        for b in range(1, d + 1):
+            R[ix, word_index(x[1:] + (b,), d)] = J.value(x + (b,))
+    _, pi = ruelle._power_iterate(R, 1e-14, 1_000_000)
+    pi = np.abs(pi)
+    pi = pi / pi.sum()
+    for _ in range(4):
+        pi = R @ pi
+        pi = pi / pi.sum()
+    P = R * pi[None, :] / pi[:, None]
+    return P / P.sum(axis=1, keepdims=True), pi
+
+
+def _ref_jacobian(mu):
+    d, k = mu.d, mu.k
+    words = all_words(d, k + 1)
+    vals = np.empty(len(words))
+    for i, w in enumerate(words):
+        a, b = word_index(w[:k], d), word_index(w[1:], d)
+        vals[i] = mu.P[a, b] * mu.pi[a] / mu.pi[b]
+    return vals
+
+
+def _ref_cylinder_masses(mu, r):
+    d, k = mu.d, mu.k
+    if r <= k:
+        return mu.pi.reshape((d,) * k).sum(axis=tuple(range(r, k))).reshape(-1)
+    masses = mu.pi.copy()
+    for step in range(r - k):
+        nxt = np.zeros(d ** (k + step + 1))
+        for i, w in enumerate(all_words(d, k + step)):
+            state = word_index(w[-k:], d)
+            for b in range(1, d + 1):
+                j = word_index(w[len(w) - k + 1 :] + (b,), d)
+                nxt[i * d + (b - 1)] = masses[i] * mu.P[state, j]
+        masses = nxt
+    return masses
+
+
+def _ref_system_tables(A):
+    d, k = A.d, max(A.memory - 1, 1)
+    contexts = all_words(d, k)
+    A_vals = np.empty((len(contexts), d))
+    pre_idx = np.empty((len(contexts), d), dtype=int)
+    for j, x in enumerate(contexts):
+        for a in range(1, d + 1):
+            w = (a,) + x
+            A_vals[j, a - 1] = A.value(w)
+            pre_idx[j, a - 1] = word_index(w[:k], d)
+    return A_vals, pre_idx
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("memory", [1, 2, 3, 4])
+def test_index_tables_match_tuple_enumeration(d, memory):
+    rng = np.random.default_rng(100 * d + memory)
+    A = Potential(d=d, memory=memory, values=rng.uniform(-1.0, 1.0, d**memory))
+    k = max(memory - 1, 1)
+
+    assert np.array_equal(transfer_matrix(A).matrix, _ref_transfer_matrix(A))
+    assert np.array_equal(normalize(A)[0].values, _ref_normalized_values(A))
+
+    J = random_jacobian(d, k, seed=memory)
+    mu = equilibrium_markov(J)
+    P, pi = _ref_equilibrium(J)
+    assert np.array_equal(mu.P, P)
+    assert np.array_equal(mu.pi, pi)
+    assert np.array_equal(mu.jacobian().values, _ref_jacobian(mu))
+    for r in range(1, k + 4):
+        assert np.array_equal(mu.cylinder_masses(r), _ref_cylinder_masses(mu, r))
+
+    sys = _System(A, QParam(0.5))
+    A_vals, pre_idx = _ref_system_tables(A)
+    assert np.array_equal(sys.A_vals, A_vals)
+    assert np.array_equal(sys.pre_idx, pre_idx)
+
+    n = 5  # enough windows for the add order to show in the last bit
+    table = A.birkhoff_table(n)
+    ref = np.array([A.birkhoff_sum(w) for w in all_words(d, n + memory - 1)])
+    assert np.array_equal(table, ref)

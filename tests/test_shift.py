@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 from qthermo.shift import (
     Potential,
     all_words,
+    drop_first,
+    drop_last,
     index_word,
+    prefix_index,
+    prepend,
     preimage_words,
     word_distance,
     word_index,
@@ -168,3 +172,26 @@ def test_constant_potential():
     assert A.memory == 1
     assert np.all(A.values == 1.25)
     assert A.birkhoff_sum((1, 2, 3)) == pytest.approx(3.75)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_index_helpers_match_tuple_operations(d, r):
+    idx = np.arange(d**r)
+    words = all_words(d, r)
+    if r > 1:
+        assert drop_last(idx, d).tolist() == [word_index(w[:-1], d) for w in words]
+        assert drop_first(idx, d, r).tolist() == [word_index(w[1:], d) for w in words]
+    for m in range(1, r + 1):
+        assert prefix_index(idx, d, r, m).tolist() == [word_index(w[:m], d) for w in words]
+    for a in range(1, d + 1):
+        assert prepend(a, idx, d, r).tolist() == [word_index((a, *w), d) for w in words]
+    # scalar indices work the same way
+    assert prefix_index(d**r - 1, d, r, 1) == d - 1
+    with pytest.raises(ValueError):
+        prefix_index(0, d, r, r + 1)
+
+
+def test_birkhoff_table_needs_a_window():
+    with pytest.raises(ValueError):
+        Potential(d=2, memory=2, values=np.zeros(4)).birkhoff_table(0)
