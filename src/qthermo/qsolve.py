@@ -7,7 +7,7 @@ index q-tilde, context words of length k = max(m - 1, 1), and unknowns
     sum_a exp_qt( A(a x) + phi(prefix_k(a x)) - phi(x) - c ) = 1
 
 for every context word x.  Roots are found by homotopy continuation from the
-zero potential plus a deterministic multistart Newton lattice.  When
+zero potential plus a deterministic, batched multistart Newton lattice.  When
 1/(1 - qt) is an even positive integer the q-exponential extends to a global
 polynomial and the solver also finds roots whose summand bases are negative
 or zero; otherwise evaluation is strict and every root keeps its arguments
@@ -69,7 +69,9 @@ class _System:
 
     Entry [j, a - 1] belongs to the word a.x, x the j-th length-k context:
     ``words`` is its (k+1)-word index, ``pre_idx`` its k-prefix index and
-    ``A_vals`` the potential on it.
+    ``A_vals`` the potential on it.  The evaluations take a batch of S rows,
+    phi as an (S, n) array and c as an (S,) array, and return arrays whose
+    leading axis is the row.
     """
 
     def __init__(self, A: Potential, q_tilde: QParam, k: int | None = None):
@@ -78,8 +80,10 @@ class _System:
         self.n = self.d**self.k
         self.qt = float(q_tilde.q)
         self.order = even_power_order(q_tilde)
+        self.power = self.order if self.order is not None else 1.0 / (1.0 - self.qt)
         self.words = prepend(np.arange(1, self.d + 1), np.arange(self.n)[:, None], self.d, self.k)
         self.pre_idx = drop_last(self.words, self.d)
+        self.diag = np.arange(self.n)
         self.A_vals = self.values_of(A)
 
     def values_of(self, A: Potential) -> np.ndarray:
@@ -92,27 +96,66 @@ class _System:
         out.A_vals = A_vals
         return out
 
-    def arguments(self, phi: np.ndarray, c: float) -> np.ndarray:
-        return self.A_vals + phi[self.pre_idx] - phi[:, None] - c
+    def arguments(self, PHI: np.ndarray, C: np.ndarray) -> np.ndarray:
+        return self.A_vals + PHI[:, self.pre_idx] - PHI[:, :, None] - C[:, None, None]
 
-    def bases(self, phi: np.ndarray, c: float) -> np.ndarray:
-        return 1.0 + (1.0 - self.qt) * self.arguments(phi, c)
+    def bases(self, PHI: np.ndarray, C: np.ndarray) -> np.ndarray:
+        return 1.0 + (1.0 - self.qt) * self.arguments(PHI, C)
 
-    def evaluate(self, phi: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """(summand values, summand derivatives), or None outside the domain."""
-        base = self.bases(phi, c)
-        if self.order is not None:
-            return base**self.order, base ** (self.order - 1)
-        if np.any(base <= 1e-300):
-            return None
-        p = 1.0 / (1.0 - self.qt)
-        return base**p, base ** (p - 1.0)
+    def domain_bases(self, PHI: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The bases with every row outside the domain set to NaN, and the inside mask.
 
-    def defect(self, phi: np.ndarray, c: float) -> np.ndarray | None:
-        out = self.evaluate(phi, c)
-        if out is None:
-            return None
-        return out[0].sum(axis=1) - 1.0
+        Only the strict case has a domain: a row leaves it when any base is at
+        or below 1e-300.  The row is masked before a power of it is taken, so
+        its summands are NaN rather than an overflow.
+        """
+        base = self.bases(PHI, C)
+        if self.order is None:
+            outside = (base <= 1e-300).any(axis=(1, 2))
+            if outside.any():
+                base[outside] = np.nan
+                return base, ~outside
+        return base, np.ones(len(base), dtype=bool)
+
+    def evaluate(self, PHI: np.ndarray, C: np.ndarray) -> np.ndarray:
+        """Summand values exp_qt(argument), (S, n, d); NaN on rows outside the domain."""
+        return self.domain_bases(PHI, C)[0] ** self.power
+
+    def defect(self, PHI: np.ndarray, C: np.ndarray) -> np.ndarray:
+        """Per-context defect, (S, n); NaN on rows outside the domain."""
+        return self.defect_of_bases(self.domain_bases(PHI, C)[0])
+
+    def defect_of_bases(self, base: np.ndarray) -> np.ndarray:
+        """Per-context defect, (S, n), from the bases."""
+        return (base**self.power).sum(axis=2) - 1.0
+
+    def newton_steps(self, base: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """Newton steps on the free unknowns (phi[1:], c) of every row, (S, n).
+
+        phi[0] stays 0 (the gauge).  One singular matrix makes the stacked
+        solve raise for all of them; the rows are then solved one at a time,
+        each falling back to least squares when its own matrix is singular.
+        """
+        n, diag = self.n, self.diag
+        dE = base ** (self.power - 1)
+        dsum = dE.sum(axis=2)
+        Jfull = np.zeros((len(F), n, n + 1))
+        # the k-prefixes of a.x are distinct over a, so assignment is the sum
+        Jfull[:, diag[:, None], self.pre_idx] = dE
+        Jfull[:, diag, diag] -= dsum
+        Jfull[:, :, n] = -dsum
+        Jmat = Jfull[:, :, 1:]
+        try:
+            return np.linalg.solve(Jmat, -F[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            return np.array([_solve_or_lstsq(J, -f) for J, f in zip(Jmat, F)])
+
+
+def _solve_or_lstsq(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(J, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(J, rhs, rcond=None)[0]
 
 
 def _trivial_c(d: int, q_tilde: QParam) -> float:
@@ -135,64 +178,87 @@ def qruelle_residual(
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (sys.n,):
         raise ValueError(f"phi must have one entry per length-{sys.k} context")
-    if sys.order is None:
-        base = sys.bases(phi, float(c))
-        if np.any(base <= 0.0):
-            j, a = map(int, np.argwhere(base <= 0.0)[0])
-            ctx = "".join(map(str, index_word(j, sys.d, sys.k)))
-            arg = float(sys.arguments(phi, float(c))[j, a])
-            raise QExpDomainError(
-                f"exp_q domain violated at summand a={a + 1}, context {ctx} (u={arg})",
-                argument=arg,
-            )
-    defect = sys.defect(phi, float(c))
-    assert defect is not None
-    return defect
+    PHI, C = phi[None], np.array([float(c)])
+    base = sys.bases(PHI, C)
+    if sys.order is None and np.any(base <= 0.0):
+        _, j, a = map(int, np.argwhere(base <= 0.0)[0])
+        ctx = "".join(map(str, index_word(j, sys.d, sys.k)))
+        arg = float(sys.arguments(PHI, C)[0, j, a])
+        raise QExpDomainError(
+            f"exp_q domain violated at summand a={a + 1}, context {ctx} (u={arg})",
+            argument=arg,
+        )
+    return sys.defect_of_bases(base)[0]
 
 
 def _newton(
-    sys: _System, phi: np.ndarray, c: float, tol: float = 1e-12, iters: int = 60
-) -> tuple[np.ndarray, float] | None:
-    """Damped Newton on the free unknowns (phi[1:], c); None on failure."""
-    phi = phi.copy()
-    F = sys.defect(phi, c)
-    if F is None:
-        return None
-    fnorm = float(np.max(np.abs(F)))
-    for _ in range(iters):
-        if fnorm <= tol:
-            return phi, c
-        E, dE = sys.evaluate(phi, c)  # domain already checked
-        Jfull = np.zeros((sys.n, sys.n + 1))
-        np.add.at(Jfull, (np.arange(sys.n)[:, None], sys.pre_idx), dE)
-        Jfull[np.arange(sys.n), np.arange(sys.n)] -= dE.sum(axis=1)
-        Jfull[:, sys.n] = -dE.sum(axis=1)
-        Jmat = np.delete(Jfull, 0, axis=1)  # gauge: phi[0] stays 0
-        try:
-            step = np.linalg.solve(Jmat, -F)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(Jmat, -F, rcond=None)
-        if not np.all(np.isfinite(step)):
-            return None
+    sys: _System, PHI: np.ndarray, C: np.ndarray, tol: float = 1e-12, iters: int = 60
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Newton on the free unknowns (phi[1:], c) of every row of a batch.
+
+    Each row runs as it would alone: its own convergence test at ``tol``, its
+    own backtracking step length (halved only when its own trial is rejected,
+    at most 30 times) and its own failure (a start outside the domain, a
+    non-finite step, or an exhausted line search).  Returns the final (PHI, C)
+    and the mask of converged rows; failed rows keep their start.
+    """
+    PHI = np.array(PHI, dtype=float)
+    C = np.array(C, dtype=float)
+    converged = np.zeros(len(C), dtype=bool)
+    base, inside = sys.domain_bases(PHI, C)
+    # only the rows still iterating are carried; live maps them to the batch
+    live = np.flatnonzero(inside)
+    state = [live, PHI[live], C[live], base[live]]
+    F = sys.defect_of_bases(state[3])
+    state += [F, np.abs(F).max(axis=1)]
+    for it in range(iters + 1):
+        live, phi, c, base, F, fnorm = state
+        done = fnorm <= tol
+        if done.any():
+            rows = live[done]
+            converged[rows] = True
+            PHI[rows], C[rows] = phi[done], c[done]
+            if done.all():
+                break
+            state = [x[~done] for x in state]
+            live, phi, c, base, F, fnorm = state
+        if not live.size or it == iters:  # the last pass only records convergence
+            break
+        step = sys.newton_steps(base, F)
+        finite = np.isfinite(step).all(axis=1)
+        if not finite.all():
+            state = [x[finite] for x in state]
+            live, phi, c, base, F, fnorm = state
+            step = step[finite]
+        # line search: the rows still pending in a round share one lam
         lam = 1.0
+        pending = np.arange(len(live))
         for _ in range(30):
-            phi_t = phi.copy()
-            phi_t[1:] += lam * step[:-1]
-            c_t = c + lam * step[-1]
-            F_t = sys.defect(phi_t, c_t)
-            if F_t is not None:
-                fn_t = float(np.max(np.abs(F_t)))
-                if fn_t < fnorm or fn_t <= tol:
-                    phi, c, F, fnorm = phi_t, c_t, F_t, fn_t
-                    break
+            full = len(pending) == len(live)  # basic slicing then spares the gathers
+            sel = slice(None) if full else pending
+            phi_t = phi.copy() if full else phi[pending]
+            phi_t[:, 1:] += lam * step[sel, :-1]
+            c_t = c[sel] + lam * step[sel, -1]
+            base_t, _ = sys.domain_bases(phi_t, c_t)
+            F_t = sys.defect_of_bases(base_t)
+            fn_t = np.abs(F_t).max(axis=1)  # NaN outside the domain: rejected
+            accept = (fn_t < fnorm[sel]) | (fn_t <= tol)
+            if full and accept.all():
+                state = [live, phi_t, c_t, base_t, F_t, fn_t]
+                break
+            for x, x_t in zip(state[1:], (phi_t, c_t, base_t, F_t, fn_t)):
+                x[pending[accept]] = x_t[accept]
+            pending = pending[~accept]
+            if not pending.size:
+                break
             lam *= 0.5
         else:
-            return None
-    return (phi, c) if fnorm <= tol else None
+            state = [np.delete(x, pending, axis=0) for x in state]
+    return PHI, C, converged
 
 
 def _classify(sys: _System, phi: np.ndarray, c: float) -> tuple[bool, bool]:
-    base = sys.bases(phi, c)
+    base = sys.bases(phi[None], np.array([c]))
     positive = float(np.min(base)) > _BOUNDARY_MARGIN
     # a root touches the boundary when any single base sits at zero, even if
     # other summands have gone negative through the even-power extension
@@ -201,31 +267,31 @@ def _classify(sys: _System, phi: np.ndarray, c: float) -> tuple[bool, bool]:
 
 
 def _jacobian_of_root(sys: _System, phi: np.ndarray, c: float) -> Jacobian:
-    E, _ = sys.evaluate(phi, c)
+    E = sys.evaluate(phi[None], np.array([c]))
     vals = np.empty(sys.d ** (sys.k + 1))
-    vals[sys.words] = E
+    vals[sys.words] = E[0]
     # row sums are 1 + residual; renormalize so Jacobian validation is exact
     rows = vals.reshape(sys.d, -1).sum(axis=0)
     return Jacobian(d=sys.d, k=sys.k, values=vals / np.tile(rows, sys.d))
 
 
 def _continuation_root(sys: _System, q_tilde: QParam) -> tuple[np.ndarray, float] | None:
-    phi = np.zeros(sys.n)
-    c = _trivial_c(sys.d, q_tilde)
+    phi = np.zeros((1, sys.n))
+    c = np.array([_trivial_c(sys.d, q_tilde)])
     t = 0.0
     dt = 1.0 / 64.0
     while t < 1.0 - 1e-15:
         target = min(1.0, t + dt)
-        res = _newton(sys.with_values(target * sys.A_vals), phi, c)
-        if res is None:
+        phi_t, c_t, ok = _newton(sys.with_values(target * sys.A_vals), phi, c)
+        if not ok[0]:
             dt *= 0.5
             if dt < 1e-4:
                 return None  # continuation breakdown: domain crossing near t
             continue
-        phi, c = res
+        phi, c = phi_t, c_t
         t = target
         dt = min(2.0 * dt, 1.0 / 64.0)
-    return phi, c
+    return phi[0], c[0]
 
 
 def qruelle_solve(
@@ -237,9 +303,10 @@ def qruelle_solve(
     """All distinct roots found, sorted by c descending.
 
     Strategy: homotopy continuation along t*A from the trivial root
-    (phi = 0, c solving d exp_qt(-c) = 1), then a multistart Newton lattice
-    with phi components in {-3, -1.5, 0, 1.5, 3} and c in {c0, c0 +- 2,
-    c0 +- 4}, capped at ``max_starts`` starts.  Roots are accepted at
+    (phi = 0, c solving d exp_qt(-c) = 1), then a batched multistart Newton
+    lattice with phi components in {-3, -1.5, 0, 1.5, 3} and c in {c0,
+    c0 +- 2, c0 +- 4}, capped at ``max_starts`` starts, whose starts all go
+    through one damped-Newton kernel, each row as if alone.  Roots are accepted at
     residual <= 1e-10, deduplicated at distance 1e-7, and classified by the
     sign margin of their summand bases.  Roots with a zero-base summand are
     reported only when ``allow_boundary`` is set.  An empty list is a valid
@@ -251,44 +318,43 @@ def qruelle_solve(
     sys = _System(A, qp)
     c0 = _trivial_c(sys.d, qp)
 
-    candidates: list[tuple[np.ndarray, float]] = []
     cont = _continuation_root(sys, qp)
-    if cont is not None:
-        candidates.append(cont)
 
     phi_levels = (-3.0, -1.5, 0.0, 1.5, 3.0)
     c_levels = (c0, c0 + 2.0, c0 - 2.0, c0 + 4.0, c0 - 4.0)
     lattice = itertools.product(itertools.product(phi_levels, repeat=sys.n - 1), c_levels)
-    for free_phi, c_start in itertools.islice(lattice, max_starts):
-        res = _newton(sys, np.concatenate(([0.0], free_phi)), c_start)
-        if res is not None:
-            candidates.append(res)
+    starts = list(itertools.islice(lattice, max_starts))
+    PHI = np.zeros((len(starts), sys.n))
+    PHI[:, 1:] = [free_phi for free_phi, _ in starts]
+    PHI, C, converged = _newton(sys, PHI, np.array([c_start for _, c_start in starts]))
+    # candidates in order: the continuation root, then the lattice rows
+    PHI, C = PHI[converged], C[converged]
+    if cont is not None:
+        PHI, C = np.vstack([cont[0], PHI]), np.concatenate([[cont[1]], C])
+    residuals = np.abs(sys.defect(PHI, C)).max(axis=1)
 
-    roots: list[tuple[np.ndarray, float]] = []
-    for phi, c in candidates:
-        defect = sys.defect(phi, c)
-        if defect is None or float(np.max(np.abs(defect))) > _ACCEPT_TOL:
+    roots: list[tuple[np.ndarray, float, float]] = []
+    for phi, c, residual in zip(PHI, C, residuals):
+        if not residual <= _ACCEPT_TOL:  # NaN: outside the domain
             continue
         if any(
             abs(c - c2) < _DEDUP_TOL and np.max(np.abs(phi - p2)) < _DEDUP_TOL
-            for p2, c2 in roots
+            for p2, c2, _ in roots
         ):
             continue
-        roots.append((phi, c))
+        roots.append((phi, c, residual))
 
     roots.sort(key=lambda r: (-r[1], tuple(r[0])))
     results: list[SolveResult] = []
-    for phi, c in roots:
+    for phi, c, residual in roots:
         positive, boundary = _classify(sys, phi, c)
         if boundary and not allow_boundary:
             continue
-        defect = sys.defect(phi, c)
-        assert defect is not None
         results.append(
             SolveResult(
-                phi=phi,
+                phi=phi.copy(),
                 c=float(c),
-                residual=float(np.max(np.abs(defect))),
+                residual=float(residual),
                 summands_positive=positive,
                 jacobian=_jacobian_of_root(sys, phi, c) if positive else None,
                 branch_id=len(results),
@@ -506,10 +572,13 @@ def _tracked_slope(
     """Roots of A + s*B tracked to s = +-h, +-h/2, and dc/ds at 0 by Richardson."""
     if A.d != B.d:
         raise ValueError("alphabet mismatch")
-    # contexts of A + s*B live on the coarser common memory
-    sys = _System(A, q_tilde, k=max(A.context_length(), B.context_length()))
+    # contexts of A + s*B have the longer common length K; the root on A's
+    # k-contexts, read through the k-prefix, is a root on the K-contexts
+    k = A.context_length()
+    sys = _System(A, q_tilde, k=max(k, B.context_length()))
     B_vals = sys.values_of(B)
-    tracked = {s: _track_root(sys, B_vals, base.phi, base.c, s) for s in (h, -h, h / 2, -h / 2)}
+    phi = base.phi[prefix_index(np.arange(sys.n), sys.d, sys.k, k)]
+    tracked = {s: _track_root(sys, B_vals, phi, base.c, s) for s in (h, -h, h / 2, -h / 2)}
     d1 = (tracked[h][1] - tracked[-h][1]) / (2.0 * h)
     d2 = (tracked[h / 2][1] - tracked[-h / 2][1]) / h
     return tracked, (4.0 * d2 - d1) / 3.0
@@ -520,13 +589,14 @@ def _track_root(
 ) -> tuple[np.ndarray, float]:
     """Continue a root of sys to A + s*B in small steps (no re-multistart)."""
     steps = 8
-    cur_phi, cur_c = phi.copy(), c
+    cur_phi, cur_c = phi[None], np.array([c])
     for i in range(1, steps + 1):
-        res = _newton(sys.with_values(sys.A_vals + s * i / steps * B_vals), cur_phi, cur_c)
-        if res is None:
+        cur_phi, cur_c, ok = _newton(
+            sys.with_values(sys.A_vals + s * i / steps * B_vals), cur_phi, cur_c
+        )
+        if not ok[0]:
             raise NonConvergenceError(f"branch tracking failed at s = {s * i / steps}")
-        cur_phi, cur_c = res
-    return cur_phi, cur_c
+    return cur_phi[0], cur_c[0]
 
 
 def pressure_derivative(
@@ -576,15 +646,19 @@ def derivative_identity_report(
 
     mu = equilibrium_markov(base.jacobian)
     d, k = base.jacobian.d, base.jacobian.k
-    w = np.arange(d ** (k + 1))
-    terms = B.values[prefix_index(w, d, k + 1, B.memory)] + (
-        phidot[drop_last(w, d)] - phidot[drop_first(w, d, k + 1)]
+    # phidot lives on the common context length K >= k; read the Jacobian
+    # and B on (K+1)-words through their prefixes (the identity when K = k)
+    K = max(k, B.context_length())
+    w = np.arange(d ** (K + 1))
+    jac_vals = base.jacobian.values[prefix_index(w, d, K + 1, k + 1)]
+    terms = B.values[prefix_index(w, d, K + 1, B.memory)] + (
+        phidot[drop_last(w, d)] - phidot[drop_first(w, d, K + 1)]
     )
     # accumulate left to right: the defect is ~1e-7, so one ulp of the
     # quotient shows in its printed digits
     num = 0.0
     den = 0.0
-    for mass, jac, term in zip(mu.cylinder_masses(k + 1), base.jacobian.values, terms):
+    for mass, jac, term in zip(mu.cylinder_masses(K + 1), jac_vals, terms):
         wgt = mass * jac**0.5
         num += wgt * term
         den += wgt

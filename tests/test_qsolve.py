@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,9 @@ from qthermo.errors import NonConvergenceError, QExpDomainError, SizeGuardError
 from qthermo.qfun import QParam, log_q
 from qthermo.qsolve import (
     _neg_log_q_inv,
+    _newton,
+    _System,
+    _trivial_c,
     a_q_transform,
     bridge_general_g,
     bridge_half,
@@ -327,3 +331,199 @@ def test_derivative_identity_report_frozen():
 def test_size_guard():
     with pytest.raises(SizeGuardError):
         qruelle_solve(Potential(d=2, memory=5, values=np.zeros(32)), 0.5)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_higher_memory_constant_direction(seed):
+    # A of memory 2, B of memory 3: the root is tracked on 2-contexts
+    A = _neg_log_q_inv(random_jacobian(2, 1, seed=seed), QParam(0.5))
+    b = 0.7
+    B = Potential(d=2, memory=3, values=np.full(8, b))
+    assert pressure_derivative(A, B, 0.5) == pytest.approx(b, abs=1e-8)
+    rep = derivative_identity_report(A, B)
+    assert rep.dPds == pytest.approx(b, abs=1e-8)
+    assert rep.quotient == pytest.approx(b, abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_higher_memory_coboundary_direction(seed):
+    A = _neg_log_q_inv(random_jacobian(2, 1, seed=seed), QParam(0.5))
+    # g(w[:2]) - g(w[1:]) on the 3-words w
+    g = np.random.default_rng(seed).normal(0.0, 1.0, 4)
+    w = np.arange(8)
+    B = Potential(d=2, memory=3, values=g[w // 2] - g[w % 4])
+    assert abs(pressure_derivative(A, B, 0.5)) <= 1e-8
+    rep = derivative_identity_report(A, B)
+    assert abs(rep.dPds) <= 1e-8
+    assert abs(rep.quotient) <= 1e-8
+
+
+# -- per-start reference: one scalar damped Newton per start, as the solver
+# ran before its starts were batched; the batched solver must match it bit
+# for bit
+
+
+def _ref_evaluate(sys, phi, c):
+    base = 1.0 + (1.0 - sys.qt) * (sys.A_vals + phi[sys.pre_idx] - phi[:, None] - c)
+    if sys.order is not None:
+        return base**sys.order, base ** (sys.order - 1)
+    if np.any(base <= 1e-300):
+        return None
+    p = 1.0 / (1.0 - sys.qt)
+    return base**p, base ** (p - 1.0)
+
+
+def _ref_defect(sys, phi, c):
+    out = _ref_evaluate(sys, phi, c)
+    return None if out is None else out[0].sum(axis=1) - 1.0
+
+
+def _ref_newton(sys, phi, c, tol=1e-12, iters=60):
+    phi = phi.copy()
+    F = _ref_defect(sys, phi, c)
+    if F is None:
+        return None
+    fnorm = float(np.max(np.abs(F)))
+    for _ in range(iters):
+        if fnorm <= tol:
+            return phi, c
+        E, dE = _ref_evaluate(sys, phi, c)
+        Jfull = np.zeros((sys.n, sys.n + 1))
+        np.add.at(Jfull, (np.arange(sys.n)[:, None], sys.pre_idx), dE)
+        Jfull[np.arange(sys.n), np.arange(sys.n)] -= dE.sum(axis=1)
+        Jfull[:, sys.n] = -dE.sum(axis=1)
+        Jmat = np.delete(Jfull, 0, axis=1)
+        try:
+            step = np.linalg.solve(Jmat, -F)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(Jmat, -F, rcond=None)
+        if not np.all(np.isfinite(step)):
+            return None
+        lam = 1.0
+        for _ in range(30):
+            phi_t = phi.copy()
+            phi_t[1:] += lam * step[:-1]
+            c_t = c + lam * step[-1]
+            F_t = _ref_defect(sys, phi_t, c_t)
+            if F_t is not None:
+                fn_t = float(np.max(np.abs(F_t)))
+                if fn_t < fnorm or fn_t <= tol:
+                    phi, c, F, fnorm = phi_t, c_t, F_t, fn_t
+                    break
+            lam *= 0.5
+        else:
+            return None
+    return (phi, c) if fnorm <= tol else None
+
+
+def _ref_solve(A, q_tilde, max_starts=2000):
+    qp = QParam.of(q_tilde)
+    sys = _System(A, qp)
+    c0 = _trivial_c(sys.d, qp)
+    candidates = []
+    phi, c, t, dt = np.zeros(sys.n), c0, 0.0, 1.0 / 64.0
+    while t < 1.0 - 1e-15:
+        target = min(1.0, t + dt)
+        res = _ref_newton(sys.with_values(target * sys.A_vals), phi, c)
+        if res is None:
+            dt *= 0.5
+            if dt < 1e-4:
+                break
+            continue
+        phi, c = res
+        t = target
+        dt = min(2.0 * dt, 1.0 / 64.0)
+    else:
+        candidates.append((phi, c))
+    phi_levels = (-3.0, -1.5, 0.0, 1.5, 3.0)
+    c_levels = (c0, c0 + 2.0, c0 - 2.0, c0 + 4.0, c0 - 4.0)
+    lattice = itertools.product(itertools.product(phi_levels, repeat=sys.n - 1), c_levels)
+    for free_phi, c_start in itertools.islice(lattice, max_starts):
+        res = _ref_newton(sys, np.concatenate(([0.0], free_phi)), c_start)
+        if res is not None:
+            candidates.append(res)
+    roots = []
+    for phi, c in candidates:
+        defect = _ref_defect(sys, phi, c)
+        if defect is None or float(np.max(np.abs(defect))) > 1e-10:
+            continue
+        if any(abs(c - c2) < 1e-7 and np.max(np.abs(phi - p2)) < 1e-7 for p2, c2 in roots):
+            continue
+        roots.append((phi, c))
+    roots.sort(key=lambda r: (-r[1], tuple(r[0])))
+    out = []
+    for phi, c in roots:
+        base = 1.0 + (1.0 - sys.qt) * (sys.A_vals + phi[sys.pre_idx] - phi[:, None] - c)
+        positive = float(np.min(base)) > 1e-12
+        boundary = bool(np.any(np.abs(base) <= 1e-12))
+        if boundary:
+            continue
+        residual = float(np.max(np.abs(_ref_defect(sys, phi, c))))
+        out.append((phi, float(c), residual, positive, boundary))
+    return out
+
+
+def _assert_same_roots(A, qt, max_starts=2000):
+    got = qruelle_solve(A, qt, max_starts=max_starts)
+    want = _ref_solve(A, qt, max_starts=max_starts)
+    assert len(got) == len(want)
+    for r, (phi, c, residual, positive, boundary) in zip(got, want):
+        assert np.array_equal(r.phi, phi)
+        assert r.c == c
+        assert r.residual == residual
+        assert r.summands_positive == positive
+        assert r.boundary == boundary
+
+
+_PIN_CASES = [(2, m) for m in (1, 2, 3)] + [(3, m) for m in (1, 2)]
+
+
+@pytest.mark.parametrize("qt", [0.5, 0.7, 0.75, 1.5])
+@pytest.mark.parametrize("d,memory", _PIN_CASES)
+def test_solver_matches_per_start_reference(d, memory, qt):
+    rng = np.random.default_rng([d, memory, int(qt * 100)])
+    for sigma in (0.25, 0.8):
+        A = Potential(d=d, memory=memory, values=rng.normal(0.0, sigma, d**memory))
+        _assert_same_roots(A, qt)
+
+
+@pytest.mark.parametrize("qt", [0.5, 0.7, 0.75, 1.5])
+def test_solver_matches_per_start_reference_memory_4(qt):
+    # 5^8 lattice points: a small cap truncates the lattice
+    rng = np.random.default_rng([2, 4, int(qt * 100)])
+    A = Potential(d=2, memory=4, values=rng.normal(0.0, 0.25, 16))
+    _assert_same_roots(A, qt, max_starts=150)
+
+
+def test_singular_row_takes_the_least_squares_step(monkeypatch):
+    # at qt = 1/2 the summand derivative is the base itself; with the bases of
+    # the first context all zero, that row of the Jacobian vanishes
+    A = Potential(d=2, memory=2, values=np.array([0.0, 0.5, 0.0, 0.3]))
+    sys = _System(A, QParam(0.5))
+    starts = [(np.array([0.0, 0.4]), 2.1), (np.array([0.0, 0.0]), 2.0), (np.array([0.0, -1.0]), 2.5)]
+    assert not np.any(_ref_evaluate(sys, *starts[1])[1][0])
+    refs = [_ref_newton(sys, phi, c) for phi, c in starts]
+    assert refs[1] is not None  # the least-squares step leads to a root
+
+    lstsq_calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting_lstsq(*args, **kwargs):
+        lstsq_calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    PHI = np.array([phi for phi, _ in starts])
+    C = np.array([c for _, c in starts])
+    out_phi, out_c, converged = _newton(sys, PHI, C)
+    assert lstsq_calls  # the stacked solve raised and the singular row fell back
+    for i, ref in enumerate(refs):
+        assert converged[i] == (ref is not None)
+        if ref is not None:
+            assert np.array_equal(out_phi[i], ref[0])
+            assert out_c[i] == ref[1]
+    # the other rows come out as they do without the singular row beside them
+    alone_phi, alone_c, alone_ok = _newton(sys, PHI[[0, 2]], C[[0, 2]])
+    assert np.array_equal(alone_ok, converged[[0, 2]])
+    assert np.array_equal(alone_phi, out_phi[[0, 2]])
+    assert np.array_equal(alone_c, out_c[[0, 2]])
