@@ -51,7 +51,7 @@ from .ruelle import (
     random_jacobian,
 )
 from .shift import Potential
-from .subadd import asymptotic_pressure, log_frak_L_sequence, phi_n
+from .subadd import asymptotic_fit, asymptotic_pressure, log_frak_L_sequence, phi_n
 from .variational import entropy_surface, midpoint_concavity_report, q_pressure_scan
 
 # one-line statement of what each subcommand computes
@@ -310,23 +310,18 @@ def _cmd_derivative(cfg: RunConfig) -> dict:
 def _cmd_asym_pressure(cfg: RunConfig) -> dict:
     A = _load_potential(cfg.potential)
     qp = _resolve_q(cfg, as_tilde=False)
-    est, seq = asymptotic_pressure(A, qp, cfg.x0, cfg.n_max)
+    coef, seq = asymptotic_fit(A, qp, cfg.x0, cfg.n_max)
     path = cfg.sequence_csv or "asym_sequence.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("n,log_L_n_over_n\n")
         for n, v in seq:
             fh.write(f"{n},{v:.12g}\n")
-    ns = np.array([n for n, _ in seq], dtype=float)
-    vals = np.array([v for _, v in seq])
-    lo = cfg.n_max // 2
-    design = np.column_stack([np.ones(ns.size), np.log(ns) / ns, 1.0 / ns])[lo - 1 :]
-    coef, *_ = np.linalg.lstsq(design, vals[lo - 1 :], rcond=None)
     return {
         "q": qp.q,
         "n_max": cfg.n_max,
         "x0": list(cfg.x0),
         "seed": cfg.seed,
-        "estimate": est,
+        "estimate": float(coef[0]),
         "fit_params": {"constant": coef[0], "log_n_over_n": coef[1], "one_over_n": coef[2]},
         "sequence_csv_path": path,
     }

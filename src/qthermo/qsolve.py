@@ -6,12 +6,13 @@ index q-tilde, context words of length k = max(m - 1, 1), and unknowns
 
     sum_a exp_qt( A(a x) + phi(prefix_k(a x)) - phi(x) - c ) = 1
 
-for every context word x.  Roots are found by homotopy continuation from the
-zero potential plus a deterministic, batched multistart Newton lattice.  When
-1/(1 - qt) is an even positive integer the q-exponential extends to a global
-polynomial and the solver also finds roots whose summand bases are negative
-or zero; otherwise evaluation is strict and every root keeps its arguments
-inside the q-exponential domain.
+for every context word x.  Roots are found by secant-predicted adaptive
+continuation from the zero potential plus a deterministic, batched
+multistart Newton lattice.  When 1/(1 - qt) is an even positive integer the
+q-exponential extends to a global polynomial and the solver also finds
+roots whose summand bases are negative or zero; otherwise evaluation is
+strict and every root keeps its arguments inside the q-exponential domain.
+The classical case qt = 1 is left to ``ruelle``.
 
 The constant c of a branch whose summands are all strictly positive is the
 dynamical q-pressure of A at q = 2 - qt, and the summands themselves form
@@ -75,6 +76,11 @@ class _System:
     """
 
     def __init__(self, A: Potential, q_tilde: QParam, k: int | None = None):
+        if q_tilde.classical:
+            raise ValueError(
+                "the deformed equation needs q-tilde != 1; at q-tilde = 1 (q = 1) use "
+                "ruelle.classical_pressure and ruelle.equilibrium_markov"
+            )
         self.d = A.d
         self.k = A.context_length() if k is None else k
         self.n = self.d**self.k
@@ -169,6 +175,8 @@ def qruelle_residual(
 
     Raises
     ------
+    ValueError
+        at q-tilde = 1, as ``qruelle_solve`` does.
     QExpDomainError
         naming the offending (symbol, context) when a summand argument falls
         outside the q-exponential domain and no even-power extension applies.
@@ -275,23 +283,61 @@ def _jacobian_of_root(sys: _System, phi: np.ndarray, c: float) -> Jacobian:
     return Jacobian(d=sys.d, k=sys.k, values=vals / np.tile(rows, sys.d))
 
 
-def _continuation_root(sys: _System, q_tilde: QParam) -> tuple[np.ndarray, float] | None:
-    phi = np.zeros((1, sys.n))
-    c = np.array([_trivial_c(sys.d, q_tilde)])
-    t = 0.0
-    dt = 1.0 / 64.0
+def _track(
+    sys: _System, V0: np.ndarray | float, V1: np.ndarray, phi: np.ndarray, c: float
+) -> tuple[np.ndarray, float] | None:
+    """Follow a root (phi, c) of sys.with_values(V0 + t*V1) from t = 0 to t = 1.
+
+    Secant-predicted adaptive continuation: each step corrects the secant
+    through the last two points with at most 8 Newton iterations, so a
+    prediction heading for another branch fails fast; while dt <= 1/64 a
+    plain full-budget step from the last root follows (a larger plain step
+    could jump a fold onto another branch).  dt starts at 1/64, doubles on
+    success and halves on failure; below 1e-4 the path has broken down (it
+    left the domain or turned at a fold) and None is returned.  At t = 1 one
+    more full Newton step is kept unless it raises the defect.
+    """
+    points = [(0.0, phi[None], np.array([c]))]
+    t, dt = 0.0, 1.0 / 64.0
     while t < 1.0 - 1e-15:
         target = min(1.0, t + dt)
-        phi_t, c_t, ok = _newton(sys.with_values(target * sys.A_vals), phi, c)
-        if not ok[0]:
+        at = sys.with_values(V0 + target * V1)
+        _, PHI, C = points[-1]
+        starts = []
+        if len(points) > 1:
+            t0, PHI0, C0 = points[-2]
+            r = (target - t) / (t - t0)
+            starts.append((PHI + r * (PHI - PHI0), C + r * (C - C0), 8))
+        if dt <= 1.0 / 64.0:  # always so before the first accepted step
+            starts.append((PHI, C, 60))
+        for PHI_s, C_s, iters in starts:
+            PHI_t, C_t, ok = _newton(at, PHI_s, C_s, iters=iters)
+            if ok[0]:
+                break
+        else:
             dt *= 0.5
             if dt < 1e-4:
-                return None  # continuation breakdown: domain crossing near t
+                return None
             continue
-        phi, c = phi_t, c_t
+        points = [points[-1], (target, PHI_t, C_t)]
         t = target
-        dt = min(2.0 * dt, 1.0 / 64.0)
-    return phi[0], c[0]
+        dt *= 2.0
+    _, PHI, C = points[-1]
+    base, _ = at.domain_bases(PHI, C)
+    F = at.defect_of_bases(base)
+    step = at.newton_steps(base, F)
+    if np.isfinite(step).all():
+        PHI_t = PHI.copy()
+        PHI_t[:, 1:] += step[:, :-1]
+        C_t = C + step[:, -1]
+        if np.abs(at.defect(PHI_t, C_t)).max() <= np.abs(F).max():  # NaN: keep
+            PHI, C = PHI_t, C_t
+    return PHI[0], C[0]
+
+
+def _continuation_root(sys: _System, q_tilde: QParam) -> tuple[np.ndarray, float] | None:
+    """The root continued along t*A from the trivial root of the zero potential."""
+    return _track(sys, 0.0, sys.A_vals, np.zeros(sys.n), _trivial_c(sys.d, q_tilde))
 
 
 def qruelle_solve(
@@ -302,15 +348,20 @@ def qruelle_solve(
 ) -> list[SolveResult]:
     """All distinct roots found, sorted by c descending.
 
-    Strategy: homotopy continuation along t*A from the trivial root
-    (phi = 0, c solving d exp_qt(-c) = 1), then a batched multistart Newton
-    lattice with phi components in {-3, -1.5, 0, 1.5, 3} and c in {c0,
-    c0 +- 2, c0 +- 4}, capped at ``max_starts`` starts, whose starts all go
-    through one damped-Newton kernel, each row as if alone.  Roots are accepted at
-    residual <= 1e-10, deduplicated at distance 1e-7, and classified by the
-    sign margin of their summand bases.  Roots with a zero-base summand are
-    reported only when ``allow_boundary`` is set.  An empty list is a valid
-    outcome.  The list does not claim exhaustiveness.
+    Domain: q-tilde > 0 and q-tilde != 1 (outside ``qfun.CLASSICAL_Q_TOL`` of 1).
+    At q-tilde = 1 the equation is the classical eigen-equation, which
+    ``ruelle.classical_pressure`` and ``ruelle.equilibrium_markov`` solve;
+    this raises ValueError there.
+
+    Strategy: secant-predicted adaptive continuation along t*A from the
+    trivial root (phi = 0, c solving d exp_qt(-c) = 1), then a batched
+    multistart Newton lattice with phi components in {-3, -1.5, 0, 1.5, 3}
+    and c in {c0, c0 +- 2, c0 +- 4}, capped at ``max_starts`` starts, whose
+    starts all go through one damped-Newton kernel, each row as if alone.
+    Roots are accepted at residual <= 1e-10, deduplicated at distance 1e-7,
+    and classified by the sign margin of their summand bases.  Roots with a
+    zero-base summand are reported only when ``allow_boundary`` is set.  An
+    empty list is a valid outcome.  The list does not claim exhaustiveness.
     """
     qp = QParam.of(q_tilde)
     if A.memory > 4:
@@ -587,16 +638,11 @@ def _tracked_slope(
 def _track_root(
     sys: _System, B_vals: np.ndarray, phi: np.ndarray, c: float, s: float
 ) -> tuple[np.ndarray, float]:
-    """Continue a root of sys to A + s*B in small steps (no re-multistart)."""
-    steps = 8
-    cur_phi, cur_c = phi[None], np.array([c])
-    for i in range(1, steps + 1):
-        cur_phi, cur_c, ok = _newton(
-            sys.with_values(sys.A_vals + s * i / steps * B_vals), cur_phi, cur_c
-        )
-        if not ok[0]:
-            raise NonConvergenceError(f"branch tracking failed at s = {s * i / steps}")
-    return cur_phi[0], cur_c[0]
+    """Continue a root of sys to A + s*B (no re-multistart)."""
+    root = _track(sys, sys.A_vals, s * B_vals, phi, c)
+    if root is None:
+        raise NonConvergenceError(f"branch tracking to s = {s} broke down")
+    return root
 
 
 def pressure_derivative(
@@ -609,8 +655,8 @@ def pressure_derivative(
     """d/ds of the branch constant of A + s*B at s = 0.
 
     Central differences at h and h/2 with one Richardson extrapolation; the
-    branch is tracked by continuation in s from the s = 0 root (never by a
-    fresh multistart, to avoid branch hopping).
+    branch is tracked by secant-predicted adaptive continuation in s from
+    the s = 0 root (never by a fresh multistart, to avoid branch hopping).
     """
     qt = QParam.of(q).dual
     return _tracked_slope(A, B, qt, _base_branch(A, qt, branch_index), h_step)[1]

@@ -22,7 +22,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import QExpDomainError, QLogDomainError, QThermoError, SizeGuardError
 from .qfun import QParam, exp_q
@@ -31,6 +30,12 @@ from .shift import Potential, all_words
 from .variational import BinaryChart, _measure_from_params
 
 _QUANTUM = 1e-9
+
+
+def _logsumexp(x: np.ndarray) -> float:
+    """log(sum(exp(x))) for finite x, shifted by the maximum."""
+    m = x.max()
+    return float(m + np.log(np.exp(x - m).sum()))
 
 
 def phi_n(A: Potential, q: QParam | float, w: tuple[int, ...], tail: tuple[int, ...]) -> float:
@@ -149,7 +154,7 @@ class SumBuckets:
                 f"bucket at S_n = {s} (log count {lc[i]:.6g}) outside exp_q domain",
                 argument=s,
             )
-        return float(logsumexp(terms))
+        return _logsumexp(terms)
 
     def log_value_truncated(self, q: QParam) -> tuple[float, float]:
         """(log of the in-domain partial sum, count fraction dropped)."""
@@ -157,9 +162,9 @@ class SumBuckets:
         if bad.all():
             raise QExpDomainError("all buckets outside exp_q domain", argument=None)
         if not bad.any():
-            return float(logsumexp(terms)), 0.0
-        dropped = math.exp(logsumexp(lc[bad]) - logsumexp(lc))
-        return float(logsumexp(terms[~bad])), dropped
+            return _logsumexp(terms), 0.0
+        dropped = math.exp(_logsumexp(lc[bad]) - _logsumexp(lc))
+        return _logsumexp(terms[~bad]), dropped
 
 
 def _check_bucket_sizes(A: Potential, n: int) -> None:
@@ -213,16 +218,17 @@ def log_frak_L_sequence(
     return out
 
 
-def asymptotic_pressure(
+def asymptotic_fit(
     A: Potential, q: QParam | float, x0_prefix: tuple[int, ...], n_max: int
-) -> tuple[float, list[tuple[int, float]]]:
-    """Tail-fit estimate of lim (1/n) log L_n(1)(x0), plus the sequence.
+) -> tuple[np.ndarray, list[tuple[int, float]]]:
+    """Tail-fit coefficients of (1/n) log L_n(1)(x0), plus the sequence.
 
     Requires min A >= 0 (the regime where every bucket stays inside the
     exp_q domain for 0 < q < 1).  The tail n in [n_max/2, n_max] is fitted
-    by least squares against 1, (log n)/n and 1/n; the constant is the
-    estimate.  The (log n)/n term is essential: the constant-potential
-    closed form carries exactly that correction.
+    by least squares against 1, (log n)/n and 1/n; the coefficients come in
+    that order, and the constant estimates the limit.  The (log n)/n term
+    is essential: the constant-potential closed form carries exactly that
+    correction.
     """
     if float(np.min(A.values)) < 0.0:
         raise ValueError("asymptotic pressure requires a nonnegative potential")
@@ -235,7 +241,18 @@ def asymptotic_pressure(
         [np.ones_like(tail_n), np.log(tail_n) / tail_n, 1.0 / tail_n]
     )
     coef, *_ = np.linalg.lstsq(design, seq[lo - 1 :], rcond=None)
-    return float(coef[0]), list(zip(ns.tolist(), seq.tolist()))
+    return coef, list(zip(ns.tolist(), seq.tolist()))
+
+
+def asymptotic_pressure(
+    A: Potential, q: QParam | float, x0_prefix: tuple[int, ...], n_max: int
+) -> tuple[float, list[tuple[int, float]]]:
+    """Tail-fit estimate of lim (1/n) log L_n(1)(x0), plus the sequence.
+
+    The constant of ``asymptotic_fit``, under the same requirements.
+    """
+    coef, seq = asymptotic_fit(A, q, x0_prefix, n_max)
+    return float(coef[0]), seq
 
 
 class SubaddScan(NamedTuple):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import io
 import json
@@ -103,6 +104,44 @@ def test_no_roots_exits_3(jana_file, monkeypatch):
     monkeypatch.setattr(cli, "qruelle_solve", lambda *a, **k: [])
     rc, _ = run_cli(["solve", "--potential", jana_file, "--q-tilde", "0.5"])
     assert rc == 3
+
+
+# asym-pressure output on a lattice and a generic potential, as written when
+# the CLI refitted the tail itself: the JSON text and the CSV's SHA-256
+ASYM_CASES = {
+    "lattice": (
+        (2, 2, [0.0, 1.0, 2.0, 0.5]),
+        ["--q", "0.5", "--x0", "1"],
+        '{\n  "q": 0.5,\n  "n_max": 400,\n  "x0": [\n    1\n  ],\n  "seed": 0,\n'
+        '  "estimate": 0.693214790634,\n  "fit_params": {\n    "constant": 0.693214790634,\n'
+        '    "log_n_over_n": 1.96136366865,\n    "one_over_n": -1.43522737562\n  },\n'
+        '  "sequence_csv_path": "seq.csv"\n}\n',
+        "ab28ec2a52f5562f83924b45dd10319d11f3e6a479c9e5cb02b1b3cc59c432c4",
+    ),
+    "generic": (
+        (2, 1, [0.3, 0.7071067811865476]),
+        ["--q", "0.7"],
+        '{\n  "q": 0.7,\n  "n_max": 400,\n  "x0": [],\n  "seed": 0,\n'
+        '  "estimate": 0.693420717119,\n  "fit_params": {\n    "constant": 0.693420717119,\n'
+        '    "log_n_over_n": 3.17587153563,\n    "one_over_n": -5.40940551715\n  },\n'
+        '  "sequence_csv_path": "seq.csv"\n}\n',
+        "9ed71e5a6015312cb7c79ffb0fe0c9fc741802b0ba3fead4fea5df86d57ab11c",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ASYM_CASES))
+def test_asym_pressure_output_is_frozen(case, tmp_path, monkeypatch):
+    (d, memory, values), q_args, want_json, want_csv = ASYM_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    Path("A.json").write_text(Potential(d=d, memory=memory, values=np.array(values)).to_json())
+    rc, _ = run_cli(
+        ["asym-pressure", "--potential", "A.json", *q_args, "--n-max", "400",
+         "--sequence-csv", "seq.csv", "--output", "out.json"]
+    )
+    assert rc == 0
+    assert Path("out.json").read_text() == want_json
+    assert hashlib.sha256(Path("seq.csv").read_bytes()).hexdigest() == want_csv
 
 
 def test_solve_branches(jana_file):
@@ -211,6 +250,19 @@ def test_console_script_runs(tmp_path):
         env=child_env(),
     )
     assert_qfun_exp_ran(proc)
+
+
+def test_solve_at_classical_q_tilde_exits_2(jana_file, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qthermo", "solve", "--potential", jana_file, "--q-tilde", "1"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=child_env(),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "classical_pressure" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_console_script_entry_point(monkeypatch):

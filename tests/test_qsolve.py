@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from qthermo import qsolve
 from qthermo.errors import NonConvergenceError, QExpDomainError, SizeGuardError
 from qthermo.qfun import QParam, log_q
 from qthermo.qsolve import (
+    _continuation_root,
     _neg_log_q_inv,
     _newton,
     _System,
+    _track_root,
     _trivial_c,
     a_q_transform,
     bridge_general_g,
@@ -328,6 +331,17 @@ def test_derivative_identity_report_frozen():
     assert rep.quotient == pytest.approx(rep.dPds, abs=1e-6)
 
 
+@pytest.mark.parametrize("qt", [1.0, QParam(1.0 + 1e-9)])
+def test_classical_q_tilde_is_a_value_error(qt):
+    A = Potential(d=2, memory=2, values=np.array([0.1, -0.2, 0.3, 0.0]))
+    with pytest.raises(ValueError, match="classical_pressure"):
+        qruelle_solve(A, qt)
+    with pytest.raises(ValueError, match="classical_pressure"):
+        qruelle_residual(A, qt, np.zeros(2), 0.0)
+    with pytest.raises(ValueError, match="equilibrium_markov"):
+        q_equilibrium(A, 2.0 - QParam.of(qt).q)
+
+
 def test_size_guard():
     with pytest.raises(SizeGuardError):
         qruelle_solve(Potential(d=2, memory=5, values=np.zeros(32)), 0.5)
@@ -420,21 +434,9 @@ def _ref_solve(A, q_tilde, max_starts=2000):
     qp = QParam.of(q_tilde)
     sys = _System(A, qp)
     c0 = _trivial_c(sys.d, qp)
-    candidates = []
-    phi, c, t, dt = np.zeros(sys.n), c0, 0.0, 1.0 / 64.0
-    while t < 1.0 - 1e-15:
-        target = min(1.0, t + dt)
-        res = _ref_newton(sys.with_values(target * sys.A_vals), phi, c)
-        if res is None:
-            dt *= 0.5
-            if dt < 1e-4:
-                break
-            continue
-        phi, c = res
-        t = target
-        dt = min(2.0 * dt, 1.0 / 64.0)
-    else:
-        candidates.append((phi, c))
+    # the continuation candidate is the library's (see test_tracker_* below)
+    cont = _continuation_root(sys, qp)
+    candidates = [] if cont is None else [cont]
     phi_levels = (-3.0, -1.5, 0.0, 1.5, 3.0)
     c_levels = (c0, c0 + 2.0, c0 - 2.0, c0 + 4.0, c0 - 4.0)
     lattice = itertools.product(itertools.product(phi_levels, repeat=sys.n - 1), c_levels)
@@ -527,3 +529,89 @@ def test_singular_row_takes_the_least_squares_step(monkeypatch):
     assert np.array_equal(alone_ok, converged[[0, 2]])
     assert np.array_equal(alone_phi, out_phi[[0, 2]])
     assert np.array_equal(alone_c, out_c[[0, 2]])
+
+
+# -- the path tracker against the fixed-step continuation it replaced: steps
+# of at most 1/64 from the last root, no predictor, the full Newton budget
+
+
+def _ref_continuation(sys, q_tilde):
+    phi, c = np.zeros((1, sys.n)), np.array([_trivial_c(sys.d, q_tilde)])
+    t, dt = 0.0, 1.0 / 64.0
+    while t < 1.0 - 1e-15:
+        target = min(1.0, t + dt)
+        phi_t, c_t, ok = _newton(sys.with_values(target * sys.A_vals), phi, c)
+        if not ok[0]:
+            dt *= 0.5
+            if dt < 1e-4:
+                return None
+            continue
+        phi, c = phi_t, c_t
+        t = target
+        dt = min(2.0 * dt, 1.0 / 64.0)
+    return phi[0], c[0]
+
+
+def _grid_draw(sigma, d, memory, qt, index):
+    rng = np.random.default_rng([d, memory, int(100 * qt), int(100 * sigma)])
+    for _ in range(index + 1):
+        values = rng.normal(0.0, sigma, d**memory)
+    return Potential(d=d, memory=memory, values=values)
+
+
+_GRID_QT = (0.3, 0.5, 0.7, 0.75, 1.2, 1.5)
+
+
+@pytest.mark.parametrize("sigma", [0.25, 0.8, 1.5, 3.0])
+def test_tracker_follows_the_fixed_step_branch(sigma):
+    # the fifth draw of each grid cell; at sigma = 3, qt = 0.75 the d = 2
+    # memory-1 draw is carried across a fold onto another branch by the
+    # fixed-step loop and the memory-2 draw breaks down at a fold, which a
+    # large plain step would jump
+    cells = [(2, 1), (2, 2)] + ([(2, 3), (3, 2), (2, 4), (3, 3)] if sigma == 0.25 else [])
+    for (d, memory), qt in itertools.product(cells, _GRID_QT):
+        sys = _System(_grid_draw(sigma, d, memory, qt, 4), QParam(qt))
+        want = _ref_continuation(sys, QParam(qt))
+        got = _continuation_root(sys, QParam(qt))
+        assert (got is None) == (want is None), (d, memory, qt)
+        if want is not None:
+            assert abs(got[1] - want[1]) <= 1e-10
+            assert np.max(np.abs(got[0] - want[0])) <= 1e-10
+
+
+@pytest.mark.parametrize("qt", [0.5, 0.7, 0.75, 1.5])
+@pytest.mark.parametrize("d", [2, 3])
+def test_tracker_takes_few_newton_calls(monkeypatch, d, qt):
+    calls = []
+
+    def counting_newton(*args, **kwargs):
+        calls.append(1)
+        return _newton(*args, **kwargs)
+
+    monkeypatch.setattr(qsolve, "_newton", counting_newton)
+    rng = np.random.default_rng([d, 2, int(100 * qt)])
+    for _ in range(3):
+        sys = _System(Potential(d=d, memory=2, values=rng.normal(0.0, 0.25, d * d)), QParam(qt))
+        calls.clear()
+        phi, c = _continuation_root(sys, QParam(qt))
+        assert len(calls) <= 10
+        # the last step is polished past the 1e-12 Newton tolerance
+        assert np.max(np.abs(sys.defect(phi[None], np.array([c])))) <= 1e-14
+
+
+def test_branch_tracking_is_the_same_tracker():
+    # tracking the zero potential's trivial root along s*A to s = 1 is the
+    # continuation along t*A: the same root, or the same breakdown, raised
+    qt = QParam(0.75)
+    for index, memory in ((0, 2), (4, 2)):
+        sys = _System(_grid_draw(3.0, 2, memory, 0.75, index), qt)
+        zero = sys.with_values(np.zeros_like(sys.A_vals))
+        start = (np.zeros(sys.n), _trivial_c(sys.d, qt))
+        want = _continuation_root(sys, qt)
+        if want is None:
+            with pytest.raises(NonConvergenceError):
+                _track_root(zero, sys.A_vals, *start, 1.0)
+        else:
+            phi, c = _track_root(zero, sys.A_vals, *start, 1.0)
+            assert np.array_equal(phi, want[0])
+            assert c == want[1]
