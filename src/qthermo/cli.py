@@ -17,12 +17,12 @@ and any numerical drift — including on the defective entries — is flagged.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,52 +54,6 @@ from .shift import Potential
 from .subadd import asymptotic_fit, asymptotic_pressure, log_frak_L_sequence, phi_n
 from .variational import entropy_surface, midpoint_concavity_report, q_pressure_scan
 
-# one-line statement of what each subcommand computes
-DOC_MAP = {
-    "qfun": "pointwise exp_q(u) = (1+(1-q)u)^(1/(1-q)) and log_q(u) = (u^(1-q)-1)/(1-q) with derivatives",
-    "selftest": "max violation of the deformed-calculus identity suite at seeded random points",
-    "static-pressure": "sup_p { H_q(p) + beta <a,p> } over probability vectors, closed form p* ~ exp_{2-q}(beta a)",
-    "sweep-beta": "the static pressure curve beta -> sup_p { H_q(p) + beta <a,p> }",
-    "entropy": "H_q(p) = sum_j p_j^q log_q(1/p_j), Renyi H^R_q = log(sum p^q)/(1-q), and their bijection",
-    "ruelle": "classical pressure log lambda, normalized Jacobian rows sum_a J(a x) = 1, and equilibrium entropies",
-    "solve": "all roots (phi, c) of sum_a exp_qt(A(a x)+phi((a x)|k)-phi(x)-c) = 1 per context x",
-    "derivative": "d/ds at 0 of the branch constant c(s) for the family A + s B",
-    "asym-pressure": "lim (1/n) log sum_{|w|=n} exp_q(S_n A(w x0)) via exact bucket counts and tail fit",
-    "scan": "sup of H_q(mu) + int A dmu over binary Markov measures on a transition-probability grid",
-    "entropy-surface": "H_q(mu) tabulated over the two free transition probabilities of a binary Markov measure",
-    "paper-regression": "replay of the frozen cross-module regression catalog with per-criterion timing",
-}
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: subcommand plus the numeric and I/O options."""
-
-    subcommand: str
-    potential: str | None = None
-    direction: str | None = None
-    q: float | None = None
-    q_tilde: float | None = None
-    beta: float = 1.0
-    payoff: list[float] = field(default_factory=list)
-    probs: list[float] = field(default_factory=list)
-    u: float | None = None
-    op: str = "exp"
-    grid: int = 400
-    n_max: int = 2000
-    x0: tuple[int, ...] = ()
-    h_step: float = 1e-4
-    branch: int = 0
-    all_branches: bool = False
-    allow_boundary: bool = False
-    samples: int = 10_000
-    seed: int = 0
-    beta_min: float = 0.0
-    beta_max: float = 2.0
-    beta_steps: int = 21
-    output: str | None = None
-    sequence_csv: str | None = None
-
 
 def _sig12(x: float) -> float:
     if not math.isfinite(x):
@@ -124,10 +78,10 @@ def _clean(obj):
     return obj
 
 
-def _emit(payload: dict, cfg: RunConfig) -> None:
+def _emit(payload: dict, output: str | None) -> None:
     text = json.dumps(_clean(payload), ensure_ascii=False, indent=2) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -145,9 +99,9 @@ def _load_potential(path: str | None) -> Potential:
         raise QThermoError(f"could not parse potential {path}: {exc}") from exc
 
 
-def _resolve_q(cfg: RunConfig, as_tilde: bool) -> QParam:
+def _resolve_q(args: argparse.Namespace, as_tilde: bool) -> QParam:
     """Exactly one of q / q-tilde, or both consistent with q_tilde = 2 - q."""
-    q, qt = cfg.q, cfg.q_tilde
+    q, qt = args.q, args.q_tilde
     if q is None and qt is None:
         raise QThermoError("one of --q or --q-tilde is required")
     if q is not None and qt is not None and abs(qt - (2.0 - q)) > 1e-12:
@@ -158,54 +112,49 @@ def _resolve_q(cfg: RunConfig, as_tilde: bool) -> QParam:
 
 
 # ----------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each reads the parsed options and returns the payload
+
+_QFUN_OPS = {"exp": qfun.exp_q, "log": qfun.log_q, "dexp": qfun.dexp_q, "dlog": qfun.dlog_q}
 
 
-def _cmd_qfun(cfg: RunConfig) -> dict:
-    qp = _resolve_q(cfg, as_tilde=False)
-    if cfg.u is None:
+def _cmd_qfun(args: argparse.Namespace) -> dict:
+    qp = _resolve_q(args, as_tilde=False)
+    if args.u is None:
         raise QThermoError("--u is required")
-    fn = {
-        "exp": qfun.exp_q,
-        "log": qfun.log_q,
-        "dexp": qfun.dexp_q,
-        "dlog": qfun.dlog_q,
-    }.get(cfg.op)
-    if fn is None:
-        raise QThermoError(f"unknown op {cfg.op!r}; choose exp, log, dexp or dlog")
-    return {"op": cfg.op, "q": qp.q, "u": cfg.u, "value": float(fn(cfg.u, qp))}
+    value = float(_QFUN_OPS[args.op](args.u, qp))
+    return {"op": args.op, "q": qp.q, "u": args.u, "value": value}
 
 
-def _cmd_selftest(cfg: RunConfig) -> dict:
-    report = qfun.identity_suite(samples=cfg.samples, seed=cfg.seed)
+def _cmd_selftest(args: argparse.Namespace) -> dict:
+    report = qfun.identity_suite(samples=args.samples, seed=args.seed)
     return {
-        "seed": cfg.seed,
-        "samples": cfg.samples,
+        "seed": args.seed,
+        "samples": args.samples,
         "max_violation": report.worst_gated,
         "passed": report.passed(1e-9),
         "identities": report.as_rows(),
     }
 
 
-def _cmd_static_pressure(cfg: RunConfig) -> dict:
-    qp = _resolve_q(cfg, as_tilde=False)
-    if len(cfg.payoff) < 2:
+def _cmd_static_pressure(args: argparse.Namespace) -> dict:
+    qp = _resolve_q(args, as_tilde=False)
+    if len(args.payoff) < 2:
         raise QThermoError("--a requires at least two comma-separated payoffs")
-    eq = staticq.static_q_pressure(cfg.payoff, cfg.beta, qp.q)
+    eq = staticq.static_q_pressure(args.payoff, args.beta, qp)
     return {
         "q": qp.q,
-        "beta": cfg.beta,
-        "a": list(cfg.payoff),
+        "beta": args.beta,
+        "a": list(args.payoff),
         "pressure": eq.pressure,
         "p_star": eq.p_star,
     }
 
 
-def _cmd_sweep_beta(cfg: RunConfig) -> dict:
-    qp = _resolve_q(cfg, as_tilde=False)
-    betas = np.linspace(cfg.beta_min, cfg.beta_max, cfg.beta_steps)
-    rows = staticq.beta_sweep(cfg.payoff, qp.q, betas)
-    path = cfg.sequence_csv or "beta_sweep.csv"
+def _cmd_sweep_beta(args: argparse.Namespace) -> dict:
+    qp = _resolve_q(args, as_tilde=False)
+    betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
+    rows = staticq.beta_sweep(args.payoff, qp, betas)
+    path = args.sequence_csv or "beta_sweep.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("beta,pressure\n")
         for b, p in rows:
@@ -213,37 +162,37 @@ def _cmd_sweep_beta(cfg: RunConfig) -> dict:
     finite = [(b, p) for b, p in rows if p is not None]
     return {
         "q": qp.q,
-        "a": list(cfg.payoff),
-        "beta_min": cfg.beta_min,
-        "beta_max": cfg.beta_max,
-        "steps": cfg.beta_steps,
+        "a": list(args.payoff),
+        "beta_min": args.beta_min,
+        "beta_max": args.beta_max,
+        "steps": args.beta_steps,
         "csv_path": path,
         "defined_fraction": len(finite) / len(rows),
     }
 
 
-def _cmd_entropy(cfg: RunConfig) -> dict:
-    qp = _resolve_q(cfg, as_tilde=False)
-    if not cfg.probs:
+def _cmd_entropy(args: argparse.Namespace) -> dict:
+    qp = _resolve_q(args, as_tilde=False)
+    if not args.probs:
         raise QThermoError("--p requires a comma-separated probability vector")
-    p = np.asarray(cfg.probs, dtype=float)
-    hq = staticq.q_entropy_vec(p, qp.q)
+    p = np.asarray(args.probs, dtype=float)
+    hq = staticq.q_entropy_vec(p, qp)
     shannon = float(-(p * np.log(p)).sum())
     out = {
         "q": qp.q,
         "p": p,
         "h_q": hq,
         "shannon": shannon,
-        "renyi_q": staticq.renyi_entropy(p, qp.q),
-        "renyi_from_h_q": staticq.renyi_from_q_entropy(hq, qp.q),
+        "renyi_q": staticq.renyi_entropy(p, qp),
+        "renyi_from_h_q": staticq.renyi_from_q_entropy(hq, qp),
     }
     if p.size == 2:
-        out["meson_vericat"] = staticq.meson_vericat_bernoulli(p, qp.q)
+        out["meson_vericat"] = staticq.meson_vericat_bernoulli(p, qp)
     return out
 
 
-def _cmd_ruelle(cfg: RunConfig) -> dict:
-    A = _load_potential(cfg.potential)
+def _cmd_ruelle(args: argparse.Namespace) -> dict:
+    A = _load_potential(args.potential)
     logJ, lam, h = normalize(A)
     J = np.exp(logJ.values)
     mu = equilibrium_markov(Jacobian.from_log_potential(logJ))
@@ -255,82 +204,76 @@ def _cmd_ruelle(cfg: RunConfig) -> dict:
         "stationary_pi": mu.pi,
         "ks_entropy": ks_entropy(mu),
     }
-    if cfg.q is not None or cfg.q_tilde is not None:
-        qp = _resolve_q(cfg, as_tilde=False)
+    if args.q is not None or args.q_tilde is not None:
+        qp = _resolve_q(args, as_tilde=False)
         out["q"] = qp.q
         out["q_entropy_markov"] = q_entropy_markov(mu, qp)
     return out
 
 
-def _cmd_solve(cfg: RunConfig) -> dict:
-    A = _load_potential(cfg.potential)
-    qp = _resolve_q(cfg, as_tilde=True)
-    roots = qruelle_solve(A, qp, allow_boundary=cfg.allow_boundary)
+def _cmd_solve(args: argparse.Namespace) -> dict:
+    A = _load_potential(args.potential)
+    qp = _resolve_q(args, as_tilde=True)
+    roots = qruelle_solve(A, qp, allow_boundary=args.allow_boundary)
     if not roots:
         raise NonConvergenceError("no roots found")
-    chosen = roots if cfg.all_branches else roots[: 1]
+    chosen = roots if args.all_branches else roots[: 1]
     return {
         "q_tilde": qp.q,
-        "allow_boundary": cfg.allow_boundary,
+        "allow_boundary": args.allow_boundary,
         "branch_count": len(roots),
         "branches": [
-            {
-                "branch_id": r.branch_id,
-                "c": r.c,
-                "phi": r.phi,
-                "residual": r.residual,
-                "summands_positive": r.summands_positive,
-                "boundary": r.boundary,
-            }
+            {k: getattr(r, k) for k in
+             ("branch_id", "c", "phi", "residual", "summands_positive", "boundary")}
             for r in chosen
         ],
     }
 
 
-def _cmd_derivative(cfg: RunConfig) -> dict:
-    A = _load_potential(cfg.potential)
-    if not cfg.direction:
+def _cmd_derivative(args: argparse.Namespace) -> dict:
+    A = _load_potential(args.potential)
+    if not args.direction:
         raise QThermoError("--direction potential file is required")
-    B = _load_potential(cfg.direction)
-    qp = _resolve_q(cfg, as_tilde=False)
-    d = pressure_derivative(A, B, qp, h_step=cfg.h_step, branch_index=cfg.branch)
+    B = _load_potential(args.direction)
+    qp = _resolve_q(args, as_tilde=False)
+    d = pressure_derivative(A, B, qp, h_step=args.h_step, branch_index=args.branch)
     out = {
         "q": qp.q,
-        "h_step": cfg.h_step,
-        "branch": cfg.branch,
+        "h_step": args.h_step,
+        "branch": args.branch,
         "dPds": d,
     }
     if abs(qp.q - 0.5) <= 1e-12:
-        rep = derivative_identity_report(A, B, h_step=cfg.h_step, branch_index=cfg.branch)
+        rep = derivative_identity_report(A, B, h_step=args.h_step, branch_index=args.branch)
         out["identity_quotient"] = rep.quotient
         out["identity_defect"] = rep.defect
     return out
 
 
-def _cmd_asym_pressure(cfg: RunConfig) -> dict:
-    A = _load_potential(cfg.potential)
-    qp = _resolve_q(cfg, as_tilde=False)
-    coef, seq = asymptotic_fit(A, qp, cfg.x0, cfg.n_max)
-    path = cfg.sequence_csv or "asym_sequence.csv"
+def _cmd_asym_pressure(args: argparse.Namespace) -> dict:
+    A = _load_potential(args.potential)
+    qp = _resolve_q(args, as_tilde=False)
+    coef, seq = asymptotic_fit(A, qp, args.x0, args.n_max)
+    path = args.sequence_csv or "asym_sequence.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("n,log_L_n_over_n\n")
         for n, v in seq:
             fh.write(f"{n},{v:.12g}\n")
     return {
         "q": qp.q,
-        "n_max": cfg.n_max,
-        "x0": list(cfg.x0),
-        "seed": cfg.seed,
+        "n_max": args.n_max,
+        "x0": list(args.x0),
+        "seed": args.seed,
         "estimate": float(coef[0]),
         "fit_params": {"constant": coef[0], "log_n_over_n": coef[1], "one_over_n": coef[2]},
         "sequence_csv_path": path,
     }
 
 
-def _cmd_scan(cfg: RunConfig) -> dict:
-    A = _load_potential(cfg.potential)
-    qp = _resolve_q(cfg, as_tilde=False)
-    res = q_pressure_scan(A, qp, cfg.grid)
+def _cmd_scan(args: argparse.Namespace) -> dict:
+    A = _load_potential(args.potential)
+    qp = _resolve_q(args, as_tilde=False)
+    res = q_pressure_scan(A, qp, args.grid)
     return {
         "q": qp.q,
         "grid_n": res.grid_n,
@@ -342,17 +285,17 @@ def _cmd_scan(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_entropy_surface(cfg: RunConfig) -> dict:
-    qp = _resolve_q(cfg, as_tilde=False)
-    surf = entropy_surface(qp, cfg.grid)
-    path = cfg.sequence_csv or "entropy_surface.csv"
+def _cmd_entropy_surface(args: argparse.Namespace) -> dict:
+    qp = _resolve_q(args, as_tilde=False)
+    surf = entropy_surface(qp, args.grid)
+    path = args.sequence_csv or "entropy_surface.csv"
     surf.to_csv(path)
     p12, p21, mx = surf.max_point()
-    report = midpoint_concavity_report(qp, segments=1000, seed=cfg.seed)
+    report = midpoint_concavity_report(qp, segments=1000, seed=args.seed)
     return {
         "q": qp.q,
         "grid_n": len(surf.probs),
-        "seed": cfg.seed,
+        "seed": args.seed,
         "csv_path": path,
         "max": {"p12": p12, "p21": p21, "value": mx},
         "midpoint_gaps": report,
@@ -363,18 +306,44 @@ def _cmd_entropy_surface(cfg: RunConfig) -> dict:
 # regression catalog: frozen criteria with both literal and measured gates
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CriterionResult:
-    index: int
+    """One catalog entry as ``paper-regression`` reports it, fields in key order."""
+
+    criterion: int
     title: str
     target_pass: bool
     matches_expected: bool
+    known_defect: bool
     seconds: float
     measured: dict
-    note: str = ""
+    note: str
 
 
-JANA_VALUES = (0.0, 2.0, 3.5, 0.0)
+# index -> (criterion, known_defect) in catalog order, filled by @_criterion
+_CATALOG: dict = {}
+
+
+def _criterion(index: int, title: str, note: str = "", known_defect: bool = False):
+    """Register a cached catalog criterion.
+
+    The decorated body returns ``(target, match, dt, measured)`` and keeps its
+    literal ``dt < X`` wall-clock gate in its own source.  A known defect's
+    literal target is reproducibly unattainable, so its gate is
+    ``matches_expected`` alone.
+    """
+
+    def register(body):
+        @functools.lru_cache(maxsize=None)
+        @functools.wraps(body)
+        def criterion() -> CriterionResult:
+            target, match, dt, measured = body()
+            return CriterionResult(index, title, target, match, known_defect, dt, measured, note)
+
+        _CATALOG[index] = (criterion, known_defect)
+        return criterion
+
+    return register
 
 
 def _timed(fn):
@@ -383,8 +352,8 @@ def _timed(fn):
     return out, time.perf_counter() - t0
 
 
-@functools.lru_cache(maxsize=None)
-def criterion_1() -> CriterionResult:
+@_criterion(1, "static equilibrium closed form")
+def criterion_1():
     """Static equilibrium closed form at q=1/3, beta=1.2, a=(0.5, 0.8)."""
     eq, dt = _timed(lambda: staticq.static_q_pressure((0.5, 0.8), 1.2, 1.0 / 3.0))
     target = (
@@ -396,25 +365,22 @@ def criterion_1() -> CriterionResult:
         abs(eq.pressure - 1.689655762197444) <= 1e-9
         and abs(eq.p_star[0] - 0.31729336931746177) <= 1e-9
     )
-    return CriterionResult(
-        1,
-        "static equilibrium closed form",
-        target,
-        match,
-        dt,
-        {"pressure": eq.pressure, "p1": float(eq.p_star[0]), "p2": float(eq.p_star[1])},
-    )
+    return target, match, dt, {
+        "pressure": eq.pressure, "p1": float(eq.p_star[0]), "p2": float(eq.p_star[1])
+    }
 
 
-@functools.lru_cache(maxsize=None)
-def criterion_2(a12: float = 2.0, a21: float = 3.5) -> CriterionResult:
+@_criterion(
+    2,
+    "two-branch solve, zero-diagonal two-symbol system",
+    note="the target (phi2, c) pair satisfies only the first context equation; "
+    "the true roots share phi2 = (a12-a21)/2",
+    known_defect=True,
+)
+def criterion_2():
     """Two-branch solve of the zero-diagonal two-symbol system at qt=1/2."""
-    A = Potential(d=2, memory=2, values=np.array([0.0, a12, a21, 0.0]))
-
-    def run():
-        return qruelle_solve(A, 0.5)
-
-    roots, dt = _timed(run)
+    A = Potential(d=2, memory=2, values=np.array([0.0, 2.0, 3.5, 0.0]))
+    roots, dt = _timed(lambda: qruelle_solve(A, 0.5))
     cs = sorted(r.c for r in roots)
     phi2s = sorted(r.phi[1] for r in roots)
     target = (
@@ -431,21 +397,14 @@ def criterion_2(a12: float = 2.0, a21: float = 3.5) -> CriterionResult:
         and all(abs(p + 0.75) <= 1e-7 for p in phi2s)
         and all(r.residual <= 1e-10 for r in roots)
     )
-    return CriterionResult(
-        2,
-        "two-branch solve, zero-diagonal two-symbol system",
-        target,
-        match,
-        dt,
-        {"c_low": cs[0] if roots else math.nan, "c_high": cs[-1] if roots else math.nan,
-         "phi2": phi2s[0] if roots else math.nan, "branches": len(roots)},
-        note="the target (phi2, c) pair satisfies only the first context equation; "
-        "the true roots share phi2 = (a12-a21)/2",
-    )
+    return target, match, dt, {
+        "c_low": cs[0] if roots else math.nan, "c_high": cs[-1] if roots else math.nan,
+        "phi2": phi2s[0] if roots else math.nan, "branches": len(roots),
+    }
 
 
-@functools.lru_cache(maxsize=None)
-def criterion_3() -> CriterionResult:
+@_criterion(3, "memory-1 closed form and pressure derivative")
+def criterion_3():
     """Memory-1 closed form plus directional derivative of the constant."""
     from .qsolve import supex_closed_form
 
@@ -471,18 +430,11 @@ def criterion_3() -> CriterionResult:
         and abs(c_solver - 5.75) <= 1e-9
         and abs(d - 0.5) <= 1e-6
     )
-    return CriterionResult(
-        3,
-        "memory-1 closed form and pressure derivative",
-        target,
-        match,
-        dt,
-        {"phi2": phi2, "c": c, "dPds": d, "c_solver": c_solver},
-    )
+    return target, match, dt, {"phi2": phi2, "c": c, "dPds": d, "c_solver": c_solver}
 
 
-@functools.lru_cache(maxsize=None)
-def criterion_4() -> CriterionResult:
+@_criterion(4, "exactly solvable family generator and recovery")
+def criterion_4():
     """Exactly solvable family: tabulated rows and solver recovery."""
 
     def run():
@@ -507,18 +459,19 @@ def criterion_4() -> CriterionResult:
     rows, dt = _timed(run)
     target = all(diff <= 1e-5 and rec <= 1e-6 for diff, rec in rows) and dt < 1.0
     match = all(rec <= 1e-9 for _, rec in rows)
-    return CriterionResult(
-        4,
-        "exactly solvable family generator and recovery",
-        target,
-        match,
-        dt,
-        {"max_print_diff": max(r[0] for r in rows), "max_recovery": max(r[1] for r in rows)},
-    )
+    return target, match, dt, {
+        "max_print_diff": max(r[0] for r in rows), "max_recovery": max(r[1] for r in rows)
+    }
 
 
-@functools.lru_cache(maxsize=None)
-def criterion_5() -> CriterionResult:
+@_criterion(
+    5,
+    "scan value vs solver constant, random potentials",
+    note="the closed-form Markov q-entropy overshoots the constant: its "
+    "variational sup is generically strictly above c",
+    known_defect=True,
+)
+def criterion_5():
     """Scan value against solver constant on random positive-branch potentials."""
 
     def run():
@@ -541,20 +494,19 @@ def criterion_5() -> CriterionResult:
         and abs(float(gaps.min()) - 0.00036957644261770284) <= 1e-6
         and bool(np.min(gaps) > -1e-9)
     )
-    return CriterionResult(
-        5,
-        "scan value vs solver constant, random potentials",
-        target,
-        match,
-        dt,
-        {"max_gap": float(gaps.max()), "min_gap": float(gaps.min()), "mean_gap": float(gaps.mean())},
-        note="the closed-form Markov q-entropy overshoots the constant: its "
-        "variational sup is generically strictly above c",
-    )
+    return target, match, dt, {
+        "max_gap": float(gaps.max()), "min_gap": float(gaps.min()), "mean_gap": float(gaps.mean())
+    }
 
 
-@functools.lru_cache(maxsize=None)
-def criterion_6() -> CriterionResult:
+@_criterion(
+    6,
+    "Jacobian round trip and scan gap",
+    note="constant and equilibrium recover exactly; the closed-form "
+    "entropy scan exceeds the constant on every draw",
+    known_defect=True,
+)
+def criterion_6():
     """Round trip J -> A = -log_q(1/J) -> equilibrium, plus the scan gap."""
 
     def run():
@@ -582,36 +534,22 @@ def criterion_6() -> CriterionResult:
         and abs(float(gaps.max()) - 0.08131564719948108) <= 1e-6
         and abs(float(gaps.min()) - 0.008248027056523798) <= 1e-6
     )
-    return CriterionResult(
-        6,
-        "Jacobian round trip and scan gap",
-        target,
-        match,
-        dt,
-        {"max_abs_c": float(cs.max()), "max_tv": float(tvs.max()),
-         "max_gap": float(gaps.max()), "min_gap": float(gaps.min())},
-        note="constant and equilibrium recover exactly; the closed-form "
-        "entropy scan exceeds the constant on every draw",
-    )
+    return target, match, dt, {
+        "max_abs_c": float(cs.max()), "max_tv": float(tvs.max()),
+        "max_gap": float(gaps.max()), "min_gap": float(gaps.min()),
+    }
 
 
-@functools.lru_cache(maxsize=None)
-def criterion_7() -> CriterionResult:
+@_criterion(7, "deformed-calculus identity suite")
+def criterion_7():
     """Deformed-calculus identity suite at 10^4 seeded points."""
     report, dt = _timed(lambda: qfun.identity_suite(samples=10_000, seed=0))
-    target = report.passed(1e-9) and dt < 5.0
-    return CriterionResult(
-        7,
-        "deformed-calculus identity suite",
-        target,
-        report.passed(1e-9),
-        dt,
-        {"max_violation": report.worst_gated},
-    )
+    match = report.passed(1e-9)
+    return match and dt < 5.0, match, dt, {"max_violation": report.worst_gated}
 
 
-@functools.lru_cache(maxsize=None)
-def criterion_8() -> CriterionResult:
+@_criterion(8, "entropy surface maximum at the uniform measure")
+def criterion_8():
     """Entropy surface maximum at the uniform measure for q in {0.5, 0.9}."""
 
     def run():
@@ -625,18 +563,11 @@ def criterion_8() -> CriterionResult:
     rows, dt = _timed(run)
     target = all(p12 == 0.5 and p21 == 0.5 and err <= 1e-6 for _, p12, p21, _, err in rows) and dt < 10.0
     match = all(err <= 1e-12 for *_, err in rows)
-    return CriterionResult(
-        8,
-        "entropy surface maximum at the uniform measure",
-        target,
-        match,
-        dt,
-        {f"err_q{q}": err for q, *_, err in rows},
-    )
+    return target, match, dt, {f"err_q{q}": err for q, *_, err in rows}
 
 
-@functools.lru_cache(maxsize=None)
-def criterion_9() -> CriterionResult:
+@_criterion(9, "asymptotic pressure estimates")
+def criterion_9():
     """Asymptotic pressure: closed form, two potentials, two base points."""
 
     def run():
@@ -664,19 +595,14 @@ def criterion_9() -> CriterionResult:
         and dt < 30.0
     )
     match = abs(est1 - ln2) <= 1e-4 and abs(est2 - ln2) <= 1e-4 and bdiff <= 1e-5
-    return CriterionResult(
-        9,
-        "asymptotic pressure estimates",
-        target,
-        match,
-        dt,
-        {"closed_form_rel": worst, "estimate_const": est1, "estimate_01": est2,
-         "base_point_diff": bdiff},
-    )
+    return target, match, dt, {
+        "closed_form_rel": worst, "estimate_const": est1, "estimate_01": est2,
+        "base_point_diff": bdiff,
+    }
 
 
-@functools.lru_cache(maxsize=None)
-def criterion_10() -> CriterionResult:
+@_criterion(10, "sub-additivity of deformed Birkhoff logs")
+def criterion_10():
     """Sub-additivity of the deformed Birkhoff logs for nonnegative potentials."""
 
     def run():
@@ -698,19 +624,12 @@ def criterion_10() -> CriterionResult:
         return worst
 
     worst, dt = _timed(run)
-    target = worst <= 1e-12 and dt < 5.0
-    return CriterionResult(
-        10,
-        "sub-additivity of deformed Birkhoff logs",
-        target,
-        worst <= 1e-12,
-        dt,
-        {"max_violation": worst},
-    )
+    match = worst <= 1e-12
+    return match and dt < 5.0, match, dt, {"max_violation": worst}
 
 
-@functools.lru_cache(maxsize=None)
-def criterion_11() -> CriterionResult:
+@_criterion(11, "classical transfer-operator oracle")
+def criterion_11():
     """Classical transfer-operator oracle: pressure, rows, consistency."""
 
     def run():
@@ -731,18 +650,13 @@ def criterion_11() -> CriterionResult:
 
     (p_err, row_worst, rohklin_worst), dt = _timed(run)
     target = p_err <= 1e-10 and row_worst <= 1e-10 and rohklin_worst <= 1e-10 and dt < 5.0
-    return CriterionResult(
-        11,
-        "classical transfer-operator oracle",
-        target,
-        target,
-        dt,
-        {"pressure_err": p_err, "row_sum_err": row_worst, "normalized_pressure": rohklin_worst},
-    )
+    return target, target, dt, {
+        "pressure_err": p_err, "row_sum_err": row_worst, "normalized_pressure": rohklin_worst
+    }
 
 
-@functools.lru_cache(maxsize=None)
-def criterion_12() -> CriterionResult:
+@_criterion(12, "bridge identities")
+def criterion_12():
     """Bridge identities between the q = 1/2 and 3/2-deformed equations."""
 
     def run():
@@ -774,18 +688,11 @@ def criterion_12() -> CriterionResult:
 
     (scalar_worst, res_worst, g_worst), dt = _timed(run)
     target = scalar_worst <= 1e-10 and res_worst <= 1e-9 and g_worst <= 1e-9 and dt < 5.0
-    return CriterionResult(
-        12,
-        "bridge identities",
-        target,
-        target,
-        dt,
-        {"scalar": scalar_worst, "residual": res_worst, "g_match": g_worst},
-    )
+    return target, target, dt, {"scalar": scalar_worst, "residual": res_worst, "g_match": g_worst}
 
 
-@functools.lru_cache(maxsize=None)
-def criterion_13() -> CriterionResult:
+@_criterion(13, "Renyi bijection and independence-rate value")
+def criterion_13():
     """Renyi bijection and the two-symbol independence-rate value."""
 
     def run():
@@ -812,18 +719,11 @@ def criterion_13() -> CriterionResult:
 
     (worst, mv_worst), dt = _timed(run)
     target = worst <= 1e-10 and mv_worst <= 1e-12 and dt < 2.0
-    return CriterionResult(
-        13,
-        "Renyi bijection and independence-rate value",
-        target,
-        target,
-        dt,
-        {"bijection": worst, "meson_vericat": mv_worst},
-    )
+    return target, target, dt, {"bijection": worst, "meson_vericat": mv_worst}
 
 
-@functools.lru_cache(maxsize=None)
-def criterion_14() -> CriterionResult:
+@_criterion(14, "first-order pressure identity")
+def criterion_14():
     """First-order identity: dc/ds against the quotient of integrals."""
 
     def run():
@@ -834,89 +734,29 @@ def criterion_14() -> CriterionResult:
 
     rep, dt = _timed(run)
     target = rep.defect <= 1e-4 and dt < 5.0
-    return CriterionResult(
-        14,
-        "first-order pressure identity",
-        target,
-        rep.defect <= 1e-6,
-        dt,
-        {"dPds": rep.dPds, "quotient": rep.quotient, "defect": rep.defect},
-    )
-
-
-ALL_CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-    criterion_12,
-    criterion_13,
-    criterion_14,
-)
-
-# catalog entries whose literal target values are reproducibly defective;
-# for these the gate is matches_expected, not target_pass
-KNOWN_DEFECT_CRITERIA = frozenset({2, 5, 6})
-
-
-def run_regression() -> dict:
-    criteria = []
-    exit_ok = True
-    for fn in ALL_CRITERIA:
-        res = fn()
-        if not res.matches_expected:
-            exit_ok = False
-        if res.index not in KNOWN_DEFECT_CRITERIA and not res.target_pass:
-            exit_ok = False
-        criteria.append(
-            {
-                "criterion": res.index,
-                "title": res.title,
-                "target_pass": res.target_pass,
-                "matches_expected": res.matches_expected,
-                "known_defect": res.index in KNOWN_DEFECT_CRITERIA,
-                "seconds": res.seconds,
-                "measured": res.measured,
-                "note": res.note,
-            }
-        )
-    return {
-        "criteria": criteria,
-        "target_failures": sorted(
-            c["criterion"] for c in criteria if not c["target_pass"]
-        ),
-        "drifted": sorted(
-            c["criterion"] for c in criteria if not c["matches_expected"]
-        ),
-        "ok": exit_ok,
+    return target, rep.defect <= 1e-6, dt, {
+        "dPds": rep.dPds, "quotient": rep.quotient, "defect": rep.defect
     }
 
 
-def _cmd_paper_regression(cfg: RunConfig) -> dict:
-    return run_regression()
+ALL_CRITERIA = tuple(fn for fn, _ in _CATALOG.values())
+KNOWN_DEFECT_CRITERIA = frozenset(i for i, (_, defect) in _CATALOG.items() if defect)
 
 
-_HANDLERS = {
-    "qfun": _cmd_qfun,
-    "selftest": _cmd_selftest,
-    "static-pressure": _cmd_static_pressure,
-    "sweep-beta": _cmd_sweep_beta,
-    "entropy": _cmd_entropy,
-    "ruelle": _cmd_ruelle,
-    "solve": _cmd_solve,
-    "derivative": _cmd_derivative,
-    "asym-pressure": _cmd_asym_pressure,
-    "scan": _cmd_scan,
-    "entropy-surface": _cmd_entropy_surface,
-    "paper-regression": _cmd_paper_regression,
-}
+def run_regression() -> dict:
+    criteria = [dataclasses.asdict(fn()) for fn in ALL_CRITERIA]
+    return {
+        "criteria": criteria,
+        "target_failures": [c["criterion"] for c in criteria if not c["target_pass"]],
+        "drifted": [c["criterion"] for c in criteria if not c["matches_expected"]],
+        "ok": all(
+            c["matches_expected"] and (c["known_defect"] or c["target_pass"]) for c in criteria
+        ),
+    }
+
+
+# ----------------------------------------------------------------------------
+# the subcommand table and the parser built from it
 
 
 def _floats(text: str) -> list[float]:
@@ -934,6 +774,110 @@ def _word(text: str) -> tuple[int, ...]:
     return tuple(int(ch) for ch in text)
 
 
+def _opt(flag: str, **kwargs) -> tuple[str, dict]:
+    return flag, kwargs
+
+
+# every subcommand takes these first, then its own options
+_COMMON = (
+    _opt("--q", type=float),
+    _opt("--q-tilde", type=float),
+    _opt("--seed", type=int, default=0),
+    _opt("--output"),
+)
+_POTENTIAL = _opt("--potential")
+_GRID = _opt("--grid", type=int, default=400)
+_PAYOFF = (
+    _opt("--a", type=_floats, default=[], dest="payoff"),
+    _opt("--beta", type=float, default=1.0),
+)
+_CSV = _opt("--csv", dest="sequence_csv")
+
+# name -> (one-line statement of what it computes, handler, its own options)
+SUBCOMMANDS = {
+    "qfun": (
+        "pointwise exp_q(u) = (1+(1-q)u)^(1/(1-q)) and log_q(u) = (u^(1-q)-1)/(1-q) with derivatives",
+        _cmd_qfun,
+        (_opt("--op", default="exp", choices=tuple(_QFUN_OPS)), _opt("--u", type=float)),
+    ),
+    "selftest": (
+        "max violation of the deformed-calculus identity suite at seeded random points",
+        _cmd_selftest,
+        (_opt("--samples", type=int, default=10_000),),
+    ),
+    "static-pressure": (
+        "sup_p { H_q(p) + beta <a,p> } over probability vectors, closed form p* ~ exp_{2-q}(beta a)",
+        _cmd_static_pressure,
+        _PAYOFF,
+    ),
+    "sweep-beta": (
+        "the static pressure curve beta -> sup_p { H_q(p) + beta <a,p> }",
+        _cmd_sweep_beta,
+        (
+            *_PAYOFF,
+            _opt("--beta-min", type=float, default=0.0),
+            _opt("--beta-max", type=float, default=2.0),
+            _opt("--beta-steps", type=int, default=21),
+            _CSV,
+        ),
+    ),
+    "entropy": (
+        "H_q(p) = sum_j p_j^q log_q(1/p_j), Renyi H^R_q = log(sum p^q)/(1-q), and their bijection",
+        _cmd_entropy,
+        (_opt("--p", type=_floats, default=[], dest="probs"),),
+    ),
+    "ruelle": (
+        "classical pressure log lambda, normalized Jacobian rows sum_a J(a x) = 1, and equilibrium entropies",
+        _cmd_ruelle,
+        (_POTENTIAL,),
+    ),
+    "solve": (
+        "all roots (phi, c) of sum_a exp_qt(A(a x)+phi((a x)|k)-phi(x)-c) = 1 per context x",
+        _cmd_solve,
+        (
+            _POTENTIAL,
+            _opt("--all-branches", action="store_true"),
+            _opt("--allow-boundary", action="store_true"),
+        ),
+    ),
+    "derivative": (
+        "d/ds at 0 of the branch constant c(s) for the family A + s B",
+        _cmd_derivative,
+        (
+            _POTENTIAL,
+            _opt("--direction"),
+            _opt("--h-step", type=float, default=1e-4),
+            _opt("--branch", type=int, default=0),
+        ),
+    ),
+    "asym-pressure": (
+        "lim (1/n) log sum_{|w|=n} exp_q(S_n A(w x0)) via exact bucket counts and tail fit",
+        _cmd_asym_pressure,
+        (
+            _POTENTIAL,
+            _opt("--n-max", type=int, default=2000),
+            _opt("--x0", type=_word, default=()),
+            _opt("--sequence-csv"),
+        ),
+    ),
+    "scan": (
+        "sup of H_q(mu) + int A dmu over binary Markov measures on a transition-probability grid",
+        _cmd_scan,
+        (_POTENTIAL, _GRID),
+    ),
+    "entropy-surface": (
+        "H_q(mu) tabulated over the two free transition probabilities of a binary Markov measure",
+        _cmd_entropy_surface,
+        (_GRID, _CSV),
+    ),
+    "paper-regression": (
+        "replay of the frozen cross-module regression catalog with per-criterion timing",
+        lambda args: run_regression(),
+        (),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qthermo",
@@ -941,68 +885,27 @@ def build_parser() -> argparse.ArgumentParser:
         "QTHERMO_THREADS caps numeric-library parallelism when set before launch.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in DOC_MAP:
-        p = sub.add_parser(name, help=DOC_MAP[name], description=DOC_MAP[name])
-        p.add_argument("--q", type=float, default=None)
-        p.add_argument("--q-tilde", type=float, default=None, dest="q_tilde")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", default=None)
-        if name in ("solve", "derivative", "asym-pressure", "scan", "ruelle"):
-            p.add_argument("--potential", default=None)
-        if name == "qfun":
-            p.add_argument("--op", default="exp", choices=("exp", "log", "dexp", "dlog"))
-            p.add_argument("--u", type=float, default=None)
-        if name == "selftest":
-            p.add_argument("--samples", type=int, default=10_000)
-        if name in ("static-pressure", "sweep-beta"):
-            p.add_argument("--a", type=_floats, default=[], dest="payoff")
-            p.add_argument("--beta", type=float, default=1.0)
-        if name == "sweep-beta":
-            p.add_argument("--beta-min", type=float, default=0.0, dest="beta_min")
-            p.add_argument("--beta-max", type=float, default=2.0, dest="beta_max")
-            p.add_argument("--beta-steps", type=int, default=21, dest="beta_steps")
-            p.add_argument("--csv", default=None, dest="sequence_csv")
-        if name == "entropy":
-            p.add_argument("--p", type=_floats, default=[], dest="probs")
-        if name == "solve":
-            p.add_argument("--all-branches", action="store_true", dest="all_branches")
-            p.add_argument("--allow-boundary", action="store_true", dest="allow_boundary")
-        if name == "derivative":
-            p.add_argument("--direction", default=None)
-            p.add_argument("--h-step", type=float, default=1e-4, dest="h_step")
-            p.add_argument("--branch", type=int, default=0)
-        if name == "asym-pressure":
-            p.add_argument("--n-max", type=int, default=2000, dest="n_max")
-            p.add_argument("--x0", type=_word, default=())
-            p.add_argument("--sequence-csv", default=None, dest="sequence_csv")
-        if name in ("scan", "entropy-surface"):
-            p.add_argument("--grid", type=int, default=400)
-        if name == "entropy-surface":
-            p.add_argument("--csv", default=None, dest="sequence_csv")
+    for name, (doc, _, options) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=doc, description=doc)
+        for flag, kwargs in (*_COMMON, *options):
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    fields_ = RunConfig.__dataclass_fields__
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        **{k: v for k, v in vars(args).items() if k != "subcommand" and k in fields_},
-    )
+    _, handler, _ = SUBCOMMANDS[args.subcommand]
     try:
-        payload = _HANDLERS[cfg.subcommand](cfg)
+        payload = handler(args)
     except NonConvergenceError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except (QThermoError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    _emit(payload, cfg)
-    if cfg.subcommand == "selftest" and not payload.get("passed", True):
-        return 1
-    if cfg.subcommand == "paper-regression" and not payload.get("ok", True):
-        return 1
-    return 0
+    _emit(payload, args.output)
+    # selftest reports "passed", paper-regression "ok"; either false exits 1
+    return 0 if payload.get("passed", True) and payload.get("ok", True) else 1
 
 
 if __name__ == "__main__":

@@ -62,28 +62,20 @@ class QParam:
         return QParam(2.0 - self.q)
 
 
-def _qvalue(q) -> float:
-    return QParam.of(q).q
-
-
-def _is_classical(q: float) -> bool:
-    return abs(q - 1.0) <= CLASSICAL_Q_TOL
-
-
 def log_q(u, q):
     """Deformed logarithm (u^(1-q) - 1)/(1-q); natural log at q = 1.
 
     Accepts scalars or arrays; raises QLogDomainError off u > 0.
     """
-    qv = _qvalue(q)
+    qp = QParam.of(q)
     arr = np.asarray(u, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         bad = arr[~(arr > 0.0) | ~np.isfinite(arr)]
         raise QLogDomainError(f"log_q requires u > 0, got {bad.ravel()[:4]}")
-    if _is_classical(qv):
+    if qp.classical:
         out = np.log(arr)
     else:
-        out = np.expm1((1.0 - qv) * np.log(arr)) / (1.0 - qv)
+        out = np.expm1((1.0 - qp.q) * np.log(arr)) / (1.0 - qp.q)
     return out if isinstance(u, np.ndarray) else float(out)
 
 
@@ -92,37 +84,37 @@ def exp_q(u, q):
 
     Strict domain: raises QExpDomainError unless 1 + (1-q)u > 0 everywhere.
     """
-    qv = _qvalue(q)
+    qp = QParam.of(q)
     arr = np.asarray(u, dtype=float)
-    if _is_classical(qv):
+    if qp.classical:
         out = np.exp(arr)
         return out if isinstance(u, np.ndarray) else float(out)
-    base = 1.0 + (1.0 - qv) * arr
+    base = 1.0 + (1.0 - qp.q) * arr
     if np.any(base <= 0.0) or not np.all(np.isfinite(base)):
         bad = arr[(base <= 0.0) | ~np.isfinite(base)]
         raise QExpDomainError(
-            f"exp_q domain violated: 1+(1-q)u <= 0 at q={qv}, u={bad.ravel()[:4]}",
+            f"exp_q domain violated: 1+(1-q)u <= 0 at q={qp.q}, u={bad.ravel()[:4]}",
             argument=float(bad.ravel()[0]),
         )
-    out = np.exp(np.log1p((1.0 - qv) * arr) / (1.0 - qv))
+    out = np.exp(np.log1p((1.0 - qp.q) * arr) / (1.0 - qp.q))
     return out if isinstance(u, np.ndarray) else float(out)
 
 
 def dexp_q(u, q):
     """Derivative of exp_q: d/du exp_q(u) = exp_q(u)^q."""
-    qv = _qvalue(q)
-    val = exp_q(u, qv)
-    out = np.asarray(val, dtype=float) ** qv
+    qp = QParam.of(q)
+    val = exp_q(u, qp)
+    out = np.asarray(val, dtype=float) ** qp.q
     return out if isinstance(u, np.ndarray) else float(out)
 
 
 def dlog_q(u, q):
     """Derivative of log_q: d/du log_q(u) = u^(-q)."""
-    qv = _qvalue(q)
+    qp = QParam.of(q)
     arr = np.asarray(u, dtype=float)
     if np.any(arr <= 0.0):
         raise QLogDomainError("dlog_q requires u > 0")
-    out = arr ** (-qv)
+    out = arr ** (-qp.q)
     return out if isinstance(u, np.ndarray) else float(out)
 
 
@@ -139,10 +131,10 @@ def dlog_q(u, q):
 
 def even_power_order(q, tol: float = 1e-9):
     """Return N when 1/(1-q) is an even positive integer N (else None)."""
-    qv = _qvalue(q)
-    if _is_classical(qv) or qv >= 1.0:
+    qp = QParam.of(q)
+    if qp.classical or qp.q >= 1.0:
         return None
-    n = 1.0 / (1.0 - qv)
+    n = 1.0 / (1.0 - qp.q)
     rounded = round(n)
     if rounded >= 2 and rounded % 2 == 0 and abs(n - rounded) <= tol * max(1.0, n):
         return int(rounded)
@@ -174,8 +166,8 @@ def dexp_q_extended(u, q):
 
 def exp_q_base(u, q):
     """The affine base 1 + (1-q)u whose positivity defines the strict domain."""
-    qv = _qvalue(q)
-    return 1.0 + (1.0 - qv) * np.asarray(u, dtype=float)
+    qp = QParam.of(q)
+    return 1.0 + (1.0 - qp.q) * np.asarray(u, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -350,13 +350,18 @@ def relative_q_entropy(
 def _variational_objective(
     t: np.ndarray, masses: np.ndarray, d: int, r: int, q: QParam
 ) -> float:
-    u = np.exp(t - t.max()).reshape(d, -1)  # major axis: first symbol of the r-word
-    s = u.sum(axis=0)  # sums over the first symbol, indexed by (r-1)-words
-    flat_u = u.reshape(-1)
+    # u = exp(t) stays in log space: exp(t - max t) underflows to 0 once the
+    # spread of t passes about 745
+    t = t.reshape(d, -1)  # major axis: first symbol of the r-word
+    top = t.max(axis=0)
+    # log of the sums over the first symbol, indexed by (r-1)-words
+    log_s = top + np.log(np.exp(t - top).sum(axis=0))
     # at an r-word with flat lexicographic index i, the prefix w[:r-1] has
-    # index i // d, so the ratio table is repeat(s, d) / u
-    ratios = (s[0] / flat_u) if r == 1 else (np.repeat(s, d) / flat_u)
-    return float(masses @ log_q(ratios, q))
+    # index i // d, so the log-ratio table is repeat(log_s, d) - t
+    log_ratio = (log_s[0] if r == 1 else np.repeat(log_s, d)) - t.reshape(-1)
+    if q.classical:
+        return float(masses @ log_ratio)
+    return float(masses @ (np.expm1((1.0 - q.q) * log_ratio) / (1.0 - q.q)))
 
 
 def q_entropy_variational(

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import optimize
 from scipy.special import logsumexp
 
-from .qfun import CLASSICAL_Q_TOL, exp_q
+from .qfun import QParam, exp_q
 
 
 def _check_prob(p) -> np.ndarray:
@@ -43,41 +43,44 @@ def _check_prob(p) -> np.ndarray:
     return arr
 
 
-def q_entropy_vec(p, q: float) -> float:
+def _shannon(arr: np.ndarray) -> float:
+    pos = arr[arr > 0.0]
+    return float(-(pos * np.log(pos)).sum())
+
+
+def _q_entropy(arr: np.ndarray, qp: QParam) -> float:
+    if qp.classical:
+        return _shannon(arr)
+    return float(((arr**qp.q).sum() - 1.0) / (1.0 - qp.q))
+
+
+def q_entropy_vec(p, q: QParam | float) -> float:
     """Deformed entropy (sum p^q - 1)/(1-q); Shannon at q = 1.
 
     Zero entries contribute 0 (the 0*log_q(1/0) = 0 convention).
     """
-    arr = _check_prob(p)
-    if abs(q - 1.0) <= CLASSICAL_Q_TOL:
-        pos = arr[arr > 0.0]
-        return float(-(pos * np.log(pos)).sum())
-    return float(((arr**q).sum() - 1.0) / (1.0 - q))
+    return _q_entropy(_check_prob(p), QParam.of(q))
 
 
-def renyi_entropy(p, q: float) -> float:
+def renyi_entropy(p, q: QParam | float) -> float:
     """Renyi entropy log(sum p^q)/(1-q); Shannon at q = 1."""
     arr = _check_prob(p)
-    if abs(q - 1.0) <= CLASSICAL_Q_TOL:
-        pos = arr[arr > 0.0]
-        return float(-(pos * np.log(pos)).sum())
-    return float(math.log((arr**q).sum()) / (1.0 - q))
+    qp = QParam.of(q)
+    if qp.classical:
+        return _shannon(arr)
+    return float(math.log((arr**qp.q).sum()) / (1.0 - qp.q))
 
 
-def renyi_from_q_entropy(hq: float, q: float) -> float:
+def renyi_from_q_entropy(hq: float, q: QParam | float) -> float:
     """The bridge F(x) = log(1 + (1-q)x)/(1-q) sending H_q to H^R_q."""
-    if abs(q - 1.0) <= CLASSICAL_Q_TOL:
+    qp = QParam.of(q)
+    if qp.classical:
         return hq
-    return math.log1p((1.0 - q) * hq) / (1.0 - q)
+    return math.log1p((1.0 - qp.q) * hq) / (1.0 - qp.q)
 
 
-def _objective(p: np.ndarray, a: np.ndarray, q: float, beta: float) -> float:
-    if abs(q - 1.0) <= CLASSICAL_Q_TOL:
-        pos = p[p > 0.0]
-        ent = float(-(pos * np.log(pos)).sum())
-    else:
-        ent = float(((p**q).sum() - 1.0) / (1.0 - q))
-    return ent + beta * float(a @ p)
+def _objective(p: np.ndarray, a: np.ndarray, qp: QParam, beta: float) -> float:
+    return _q_entropy(p, qp) + beta * float(a @ p)
 
 
 @dataclass
@@ -90,34 +93,37 @@ class StaticEquilibrium:
     payoff: np.ndarray
 
 
-def static_q_pressure(payoff, beta: float, q: float) -> StaticEquilibrium:
+def static_q_pressure(payoff, beta: float, q: QParam | float) -> StaticEquilibrium:
     """Closed-form static equilibrium p* ~ e_{2-q}(beta a_j), normalized.
 
     Requires every beta*a_j in the e_{2-q} domain (1 + (q-1) beta a_j > 0).
     Returns the objective H_q(p*) + beta <a, p*> as the pressure field; see
     the module docstring for how this relates to the true supremum.
     """
+    qp = QParam.of(q)
     a = np.asarray(payoff, dtype=float)
     if a.ndim != 1 or a.size < 2:
         raise ValueError("payoff must be a 1-d vector with length >= 2")
-    weights = np.asarray(exp_q(beta * a, 2.0 - q), dtype=float)
+    weights = np.asarray(exp_q(beta * a, qp.dual), dtype=float)
     p = weights / weights.sum()
-    val = _objective(p, a, q, beta)
-    return StaticEquilibrium(val, p, val, q, beta, a)
+    val = _objective(p, a, qp, beta)
+    return StaticEquilibrium(val, p, val, qp.q, beta, a)
 
 
-def true_static_equilibrium(payoff, beta: float, q: float) -> StaticEquilibrium:
+def true_static_equilibrium(payoff, beta: float, q: QParam | float) -> StaticEquilibrium:
     """Exact interior maximizer of H_q(p) + beta <a, p> via the multiplier solve.
 
     Stationarity: beta a_j + q/(1-q) p_j^(q-1) = lam for all j, with lam fixed
     by sum p = 1 (bracketed scalar root find).
     """
+    qp = QParam.of(q)
     a = np.asarray(payoff, dtype=float)
-    if abs(q - 1.0) <= CLASSICAL_Q_TOL:
+    if qp.classical:
         w = np.exp(beta * a - np.max(beta * a))
         p = w / w.sum()
-        val = _objective(p, a, q, beta)
-        return StaticEquilibrium(val, p, val, q, beta, a)
+        val = _objective(p, a, qp, beta)
+        return StaticEquilibrium(val, p, val, qp.q, beta, a)
+    q = qp.q
 
     def p_of_lam(lam):
         t = (1.0 - q) / q * (lam - beta * a)
@@ -159,24 +165,28 @@ def true_static_equilibrium(payoff, beta: float, q: float) -> StaticEquilibrium:
     )
     p = p_of_lam(lam)
     p = p / p.sum()
-    val = _objective(p, a, q, beta)
+    val = _objective(p, a, qp, beta)
     return StaticEquilibrium(val, p, val, q, beta, a)
 
 
-def stationarity_defect(p, payoff, beta: float, q: float) -> float:
+def stationarity_defect(p, payoff, beta: float, q: QParam | float) -> float:
     """Spread of the Lagrange gradient beta a_j + q/(1-q) p_j^(q-1) across j."""
     arr = _check_prob(p)
+    q = QParam.of(q).q
     a = np.asarray(payoff, dtype=float)
     grad = beta * a + q / (1.0 - q) * arr ** (q - 1.0)
     return float(np.max(grad) - np.min(grad))
 
 
-def static_q_pressure_scan(payoff, beta: float, q: float, grid_n: int = 2000) -> StaticEquilibrium:
+def static_q_pressure_scan(
+    payoff, beta: float, q: QParam | float, grid_n: int = 2000
+) -> StaticEquilibrium:
     """Brute-force maximum of H_q(p) + beta <a, p> on a simplex grid (d=2,3).
 
     Barycentric stride 1/grid_n, then one coordinate-wise golden-section pass
     around the best grid point.
     """
+    qp = QParam.of(q)
     a = np.asarray(payoff, dtype=float)
     d = a.size
     if grid_n < 100:
@@ -193,10 +203,10 @@ def static_q_pressure_scan(payoff, beta: float, q: float, grid_n: int = 2000) ->
     else:
         raise ValueError("scan supports d = 2 or 3 only")
 
-    if abs(q - 1.0) <= CLASSICAL_Q_TOL:
+    if qp.classical:
         ent = -(pts * np.log(pts)).sum(axis=1)
     else:
-        ent = ((pts**q).sum(axis=1) - 1.0) / (1.0 - q)
+        ent = ((pts**qp.q).sum(axis=1) - 1.0) / (1.0 - qp.q)
     vals = ent + beta * pts @ a
     best = pts[int(np.argmax(vals))].copy()
 
@@ -210,33 +220,34 @@ def static_q_pressure_scan(payoff, beta: float, q: float, grid_n: int = 2000) ->
             p[-1] = 1.0 - rest - t
             if p[-1] <= 0.0 or t <= 0.0:
                 return math.inf
-            return -_objective(p, a, q, beta)
+            return -_objective(p, a, qp, beta)
 
         lo = max(1e-12, best[axis] - 2.0 / grid_n)
         hi = min(1.0 - rest - 1e-12, best[axis] + 2.0 / grid_n)
         res = optimize.minimize_scalar(f, bracket=None, bounds=(lo, hi), method="bounded",
                                        options={"xatol": 1e-13})
-        if -res.fun > _objective(best, a, q, beta):
+        if -res.fun > _objective(best, a, qp, beta):
             best[axis] = res.x
             best[-1] = 1.0 - rest - res.x
-    val = _objective(best, a, q, beta)
-    return StaticEquilibrium(val, best, val, q, beta, a)
+    val = _objective(best, a, qp, beta)
+    return StaticEquilibrium(val, best, val, qp.q, beta, a)
 
 
-def beta_sweep(payoff, q: float, betas) -> list[tuple[float, float | None]]:
+def beta_sweep(payoff, q: QParam | float, betas) -> list[tuple[float, float | None]]:
     """(beta, pressure) curve from the closed form; inadmissible beta -> None."""
+    qp = QParam.of(q)
     a = np.asarray(payoff, dtype=float)
     out: list[tuple[float, float | None]] = []
     for b in betas:
-        base = 1.0 + (q - 1.0) * float(b) * a
+        base = 1.0 + (qp.q - 1.0) * float(b) * a
         if np.any(base <= 0.0):
             out.append((float(b), None))
         else:
-            out.append((float(b), static_q_pressure(a, float(b), q).pressure))
+            out.append((float(b), static_q_pressure(a, float(b), qp).pressure))
     return out
 
 
-def meson_vericat_bernoulli(p, q: float, check_up_to: int = 8) -> float:
+def meson_vericat_bernoulli(p, q: QParam | float, check_up_to: int = 8) -> float:
     """Block growth rate (1/n) log sum_{|w|=n} mu(w)^q of a Bernoulli measure.
 
     Cylinder masses factorize, so the quotient is constant in n and equals
@@ -244,6 +255,7 @@ def meson_vericat_bernoulli(p, q: float, check_up_to: int = 8) -> float:
     verified constant to 1e-12 before returning.
     """
     arr = _check_prob(p)
+    q = QParam.of(q).q
     if not 0.0 < q < 1.0:
         raise ValueError("requires 0 < q < 1")
     target = float(math.log((arr**q).sum()))

@@ -120,3 +120,37 @@ def test_regression_catalog_is_complete():
     assert report["target_failures"] == sorted(cli.KNOWN_DEFECT_CRITERIA)
     assert report["drifted"] == []
     assert report["ok"] is True
+
+
+# (criterion, title, known_defect, note) as the catalog reports them
+CATALOG = [
+    (1, "static equilibrium closed form", False, ""),
+    (2, "two-branch solve, zero-diagonal two-symbol system", True,
+     "the target (phi2, c) pair satisfies only the first context equation; "
+     "the true roots share phi2 = (a12-a21)/2"),
+    (3, "memory-1 closed form and pressure derivative", False, ""),
+    (4, "exactly solvable family generator and recovery", False, ""),
+    (5, "scan value vs solver constant, random potentials", True,
+     "the closed-form Markov q-entropy overshoots the constant: its "
+     "variational sup is generically strictly above c"),
+    (6, "Jacobian round trip and scan gap", True,
+     "constant and equilibrium recover exactly; the closed-form "
+     "entropy scan exceeds the constant on every draw"),
+    (7, "deformed-calculus identity suite", False, ""),
+    (8, "entropy surface maximum at the uniform measure", False, ""),
+    (9, "asymptotic pressure estimates", False, ""),
+    (10, "sub-additivity of deformed Birkhoff logs", False, ""),
+    (11, "classical transfer-operator oracle", False, ""),
+    (12, "bridge identities", False, ""),
+    (13, "Renyi bijection and independence-rate value", False, ""),
+    (14, "first-order pressure identity", False, ""),
+]
+
+
+def test_catalog_metadata_is_pinned():
+    report = cli.run_regression()
+    assert [
+        (c["criterion"], c["title"], c["known_defect"], c["note"]) for c in report["criteria"]
+    ] == CATALOG
+    assert [fn.__name__ for fn in cli.ALL_CRITERIA] == [f"criterion_{i}" for i in range(1, 15)]
+    assert cli.KNOWN_DEFECT_CRITERIA == {2, 5, 6}

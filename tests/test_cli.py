@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import io
@@ -41,8 +42,87 @@ def jana_file(tmp_path):
     return str(path)
 
 
-def test_doc_map_covers_every_handler():
-    assert set(cli.DOC_MAP) == set(cli._HANDLERS)
+def _subparsers():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+# option string -> (dest, default, choices), per subcommand, in declaration order
+COMMON_OPTIONS = {
+    "--q": ("q", None, None),
+    "--q-tilde": ("q_tilde", None, None),
+    "--seed": ("seed", 0, None),
+    "--output": ("output", None, None),
+}
+POTENTIAL = {"--potential": ("potential", None, None)}
+PAYOFF = {"--a": ("payoff", [], None), "--beta": ("beta", 1.0, None)}
+CLI_OPTIONS = {
+    "qfun": {
+        **COMMON_OPTIONS,
+        "--op": ("op", "exp", ("exp", "log", "dexp", "dlog")),
+        "--u": ("u", None, None),
+    },
+    "selftest": {**COMMON_OPTIONS, "--samples": ("samples", 10000, None)},
+    "static-pressure": {**COMMON_OPTIONS, **PAYOFF},
+    "sweep-beta": {
+        **COMMON_OPTIONS,
+        **PAYOFF,
+        "--beta-min": ("beta_min", 0.0, None),
+        "--beta-max": ("beta_max", 2.0, None),
+        "--beta-steps": ("beta_steps", 21, None),
+        "--csv": ("sequence_csv", None, None),
+    },
+    "entropy": {**COMMON_OPTIONS, "--p": ("probs", [], None)},
+    "ruelle": {**COMMON_OPTIONS, **POTENTIAL},
+    "solve": {
+        **COMMON_OPTIONS,
+        **POTENTIAL,
+        "--all-branches": ("all_branches", False, None),
+        "--allow-boundary": ("allow_boundary", False, None),
+    },
+    "derivative": {
+        **COMMON_OPTIONS,
+        **POTENTIAL,
+        "--direction": ("direction", None, None),
+        "--h-step": ("h_step", 0.0001, None),
+        "--branch": ("branch", 0, None),
+    },
+    "asym-pressure": {
+        **COMMON_OPTIONS,
+        **POTENTIAL,
+        "--n-max": ("n_max", 2000, None),
+        "--x0": ("x0", (), None),
+        "--sequence-csv": ("sequence_csv", None, None),
+    },
+    "scan": {**COMMON_OPTIONS, **POTENTIAL, "--grid": ("grid", 400, None)},
+    "entropy-surface": {
+        **COMMON_OPTIONS,
+        "--grid": ("grid", 400, None),
+        "--csv": ("sequence_csv", None, None),
+    },
+    "paper-regression": COMMON_OPTIONS,
+}
+
+
+def test_cli_interface_is_pinned():
+    subparsers = _subparsers()
+    assert list(subparsers.choices) == list(CLI_OPTIONS)
+    for name, sp in subparsers.choices.items():
+        options = [
+            (a.option_strings, (a.dest, a.default, a.choices))
+            for a in sp._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        assert options == [([flag], spec) for flag, spec in CLI_OPTIONS[name].items()], name
+
+
+def test_each_subparser_help_is_its_table_doc():
+    subparsers = _subparsers()
+    helps = {a.dest: a.help for a in subparsers._choices_actions}
+    assert list(helps) == list(cli.SUBCOMMANDS)
+    for name, (doc, _, _) in cli.SUBCOMMANDS.items():
+        assert helps[name] == doc
+        assert subparsers.choices[name].description == doc
 
 
 def test_qfun_log_value():

@@ -5,7 +5,7 @@ import pytest
 
 from qthermo import ruelle
 from qthermo.errors import QLogDomainError
-from qthermo.qfun import QParam
+from qthermo.qfun import QParam, log_q
 from qthermo.qsolve import _System
 from qthermo.ruelle import (
     Jacobian,
@@ -194,6 +194,32 @@ def test_variational_entropy_classical_case():
     P = np.array([[0.7, 0.3], [0.6, 0.4]])
     mu = MarkovMeasure.from_transitions(2, 1, P)
     assert q_entropy_variational(mu, 1.0) == pytest.approx(ks_entropy(mu), abs=1e-7)
+
+
+def _ratio_objective(t, masses, d, r, q):
+    # the objective as first written: exp(t - max t) in linear space, then log_q
+    u = np.exp(t - t.max()).reshape(d, -1)
+    s = u.sum(axis=0)
+    flat_u = u.reshape(-1)
+    ratios = (s[0] / flat_u) if r == 1 else (np.repeat(s, d) / flat_u)
+    return float(masses @ log_q(ratios, q))
+
+
+def test_variational_objective_is_finite_at_a_wide_spread():
+    # a spread of 760 underflows exp(t - max t) to 0 in linear space
+    value = ruelle._variational_objective(
+        np.array([0.0, 760.0, 0.0, 0.0]), np.full(4, 0.25), 2, 2, QParam(0.5)
+    )
+    assert math.isfinite(value) and value > 0.0
+    rng = np.random.default_rng(11)
+    for d, r in ((2, 1), (2, 2), (3, 1), (2, 3), (3, 2)):
+        for q in (0.3, 0.5, 0.9, 1.0):
+            for _ in range(50):
+                t = rng.normal(0.0, 3.0, d**r)
+                masses = rng.dirichlet(np.ones(d**r))
+                want = _ratio_objective(t, masses, d, r, QParam(q))
+                got = ruelle._variational_objective(t, masses, d, r, QParam(q))
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_cylinder_masses_sum_to_one():

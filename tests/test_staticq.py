@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qthermo.errors import QThermoError
-from qthermo.qfun import log_q
+from qthermo.qfun import QParam, log_q
 from qthermo.staticq import (
     beta_sweep,
     loloi_closed_form,
@@ -199,3 +199,42 @@ def test_loloi_unnormalized_variant_rejected():
     den = 8.0 - 4.0 * a1 * b - 4.0 * a2 * b + a1**2 * b**2 + a2**2 * b**2
     bad = ((a2 * b - b) ** 2 + (a1 * b - b) ** 2) / den
     assert abs(bad - 1.0) > 0.5
+
+
+@pytest.mark.parametrize("q", [0.0, -0.5])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q: q_entropy_vec((0.3, 0.7), q),
+        lambda q: renyi_entropy((0.3, 0.7), q),
+        lambda q: renyi_from_q_entropy(0.5, q),
+        lambda q: static_q_pressure((0.5, 0.8), 1.2, q),
+        lambda q: true_static_equilibrium((0.5, 0.8), 1.2, q),
+        lambda q: stationarity_defect((0.3, 0.7), (0.5, 0.8), 1.2, q),
+        lambda q: static_q_pressure_scan((0.5, 0.8), 1.2, q),
+        lambda q: beta_sweep((0.5, 0.8), q, [0.0, 1.0]),
+        lambda q: meson_vericat_bernoulli((0.3, 0.7), q),
+    ],
+    ids=[
+        "q_entropy_vec", "renyi_entropy", "renyi_from_q_entropy", "static_q_pressure",
+        "true_static_equilibrium", "stationarity_defect", "static_q_pressure_scan",
+        "beta_sweep", "meson_vericat_bernoulli",
+    ],
+)
+def test_nonpositive_q_is_a_value_error(call, q):
+    with pytest.raises(ValueError, match="> 0"):
+        call(q)
+
+
+def test_qparam_and_float_q_agree_bit_for_bit():
+    p, a = (0.2, 0.3, 0.5), (0.5, 0.8, -0.1)
+    for q in (1.0 / 3.0, 0.5, 1.0, 1.5):
+        qp = QParam(q)
+        assert q_entropy_vec(p, qp) == q_entropy_vec(p, q)
+        assert renyi_entropy(p, qp) == renyi_entropy(p, q)
+        assert renyi_from_q_entropy(0.7, qp) == renyi_from_q_entropy(0.7, q)
+        assert static_q_pressure(a, 0.4, qp).pressure == static_q_pressure(a, 0.4, q).pressure
+        assert beta_sweep(a, qp, [0.0, 0.4]) == beta_sweep(a, q, [0.0, 0.4])
+        if q <= 1.0:  # at q > 1 the multiplier bracket search can fail to end
+            assert (true_static_equilibrium(a, 0.4, qp).pressure
+                    == true_static_equilibrium(a, 0.4, q).pressure)
