@@ -236,15 +236,14 @@ def _cmd_derivative(args: argparse.Namespace) -> dict:
         raise QThermoError("--direction potential file is required")
     B = _load_potential(args.direction)
     qp = _resolve_q(args, as_tilde=False)
-    d = pressure_derivative(A, B, qp, h_step=args.h_step, branch_index=args.branch)
+    d = pressure_derivative(A, B, qp, branch_index=args.branch)
     out = {
         "q": qp.q,
-        "h_step": args.h_step,
         "branch": args.branch,
         "dPds": d,
     }
     if abs(qp.q - 0.5) <= 1e-12:
-        rep = derivative_identity_report(A, B, h_step=args.h_step, branch_index=args.branch)
+        rep = derivative_identity_report(A, B, branch_index=args.branch)
         out["identity_quotient"] = rep.quotient
         out["identity_defect"] = rep.defect
     return out
@@ -263,7 +262,6 @@ def _cmd_asym_pressure(args: argparse.Namespace) -> dict:
         "q": qp.q,
         "n_max": args.n_max,
         "x0": list(args.x0),
-        "seed": args.seed,
         "estimate": float(coef[0]),
         "fit_params": {"constant": coef[0], "log_n_over_n": coef[1], "one_over_n": coef[2]},
         "sequence_csv_path": path,
@@ -778,13 +776,10 @@ def _opt(flag: str, **kwargs) -> tuple[str, dict]:
     return flag, kwargs
 
 
-# every subcommand takes these first, then its own options
-_COMMON = (
-    _opt("--q", type=float),
-    _opt("--q-tilde", type=float),
-    _opt("--seed", type=int, default=0),
-    _opt("--output"),
-)
+# the common options, each declared by the subcommands that read it, first
+_Q = (_opt("--q", type=float), _opt("--q-tilde", type=float))
+_SEED = _opt("--seed", type=int, default=0)
+_OUTPUT = _opt("--output")  # read by main for every subcommand
 _POTENTIAL = _opt("--potential")
 _GRID = _opt("--grid", type=int, default=400)
 _PAYOFF = (
@@ -793,27 +788,32 @@ _PAYOFF = (
 )
 _CSV = _opt("--csv", dest="sequence_csv")
 
-# name -> (one-line statement of what it computes, handler, its own options)
+# name -> (one-line statement of what it computes, handler, the options it reads)
 SUBCOMMANDS = {
     "qfun": (
         "pointwise exp_q(u) = (1+(1-q)u)^(1/(1-q)) and log_q(u) = (u^(1-q)-1)/(1-q) with derivatives",
         _cmd_qfun,
-        (_opt("--op", default="exp", choices=tuple(_QFUN_OPS)), _opt("--u", type=float)),
+        (
+            *_Q, _OUTPUT,
+            _opt("--op", default="exp", choices=tuple(_QFUN_OPS)),
+            _opt("--u", type=float),
+        ),
     ),
     "selftest": (
         "max violation of the deformed-calculus identity suite at seeded random points",
         _cmd_selftest,
-        (_opt("--samples", type=int, default=10_000),),
+        (_SEED, _OUTPUT, _opt("--samples", type=int, default=10_000)),
     ),
     "static-pressure": (
         "sup_p { H_q(p) + beta <a,p> } over probability vectors, closed form p* ~ exp_{2-q}(beta a)",
         _cmd_static_pressure,
-        _PAYOFF,
+        (*_Q, _OUTPUT, *_PAYOFF),
     ),
     "sweep-beta": (
         "the static pressure curve beta -> sup_p { H_q(p) + beta <a,p> }",
         _cmd_sweep_beta,
         (
+            *_Q, _OUTPUT,
             *_PAYOFF,
             _opt("--beta-min", type=float, default=0.0),
             _opt("--beta-max", type=float, default=2.0),
@@ -824,17 +824,18 @@ SUBCOMMANDS = {
     "entropy": (
         "H_q(p) = sum_j p_j^q log_q(1/p_j), Renyi H^R_q = log(sum p^q)/(1-q), and their bijection",
         _cmd_entropy,
-        (_opt("--p", type=_floats, default=[], dest="probs"),),
+        (*_Q, _OUTPUT, _opt("--p", type=_floats, default=[], dest="probs")),
     ),
     "ruelle": (
         "classical pressure log lambda, normalized Jacobian rows sum_a J(a x) = 1, and equilibrium entropies",
         _cmd_ruelle,
-        (_POTENTIAL,),
+        (*_Q, _OUTPUT, _POTENTIAL),
     ),
     "solve": (
         "all roots (phi, c) of sum_a exp_qt(A(a x)+phi((a x)|k)-phi(x)-c) = 1 per context x",
         _cmd_solve,
         (
+            *_Q, _OUTPUT,
             _POTENTIAL,
             _opt("--all-branches", action="store_true"),
             _opt("--allow-boundary", action="store_true"),
@@ -843,17 +844,13 @@ SUBCOMMANDS = {
     "derivative": (
         "d/ds at 0 of the branch constant c(s) for the family A + s B",
         _cmd_derivative,
-        (
-            _POTENTIAL,
-            _opt("--direction"),
-            _opt("--h-step", type=float, default=1e-4),
-            _opt("--branch", type=int, default=0),
-        ),
+        (*_Q, _OUTPUT, _POTENTIAL, _opt("--direction"), _opt("--branch", type=int, default=0)),
     ),
     "asym-pressure": (
         "lim (1/n) log sum_{|w|=n} exp_q(S_n A(w x0)) via exact bucket counts and tail fit",
         _cmd_asym_pressure,
         (
+            *_Q, _OUTPUT,
             _POTENTIAL,
             _opt("--n-max", type=int, default=2000),
             _opt("--x0", type=_word, default=()),
@@ -863,17 +860,17 @@ SUBCOMMANDS = {
     "scan": (
         "sup of H_q(mu) + int A dmu over binary Markov measures on a transition-probability grid",
         _cmd_scan,
-        (_POTENTIAL, _GRID),
+        (*_Q, _OUTPUT, _POTENTIAL, _GRID),
     ),
     "entropy-surface": (
         "H_q(mu) tabulated over the two free transition probabilities of a binary Markov measure",
         _cmd_entropy_surface,
-        (_GRID, _CSV),
+        (*_Q, _SEED, _OUTPUT, _GRID, _CSV),
     ),
     "paper-regression": (
         "replay of the frozen cross-module regression catalog with per-criterion timing",
         lambda args: run_regression(),
-        (),
+        (_OUTPUT,),
     ),
 }
 
@@ -887,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (doc, _, options) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=doc, description=doc)
-        for flag, kwargs in (*_COMMON, *options):
+        for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
     return parser
 

@@ -17,6 +17,12 @@ The classical case qt = 1 is left to ``ruelle``.
 The constant c of a branch whose summands are all strictly positive is the
 dynamical q-pressure of A at q = 2 - qt, and the summands themselves form
 the Jacobian of the associated q-equilibrium Markov measure.
+
+Along A + s*B a root moves differentiably; its derivative (phidot, cdot)
+solves the cohomological equation, the s-derivative of the one above, whose
+matrix is the Newton matrix.  ``pressure_derivative`` is that one solve;
+``derivative_identity_report`` checks it against the paper's integral
+quotient, with phidot from a central difference of Newton roots.
 """
 
 from __future__ import annotations
@@ -283,25 +289,23 @@ def _jacobian_of_root(sys: _System, phi: np.ndarray, c: float) -> Jacobian:
     return Jacobian(d=sys.d, k=sys.k, values=vals / np.tile(rows, sys.d))
 
 
-def _track(
-    sys: _System, V0: np.ndarray | float, V1: np.ndarray, phi: np.ndarray, c: float
-) -> tuple[np.ndarray, float] | None:
-    """Follow a root (phi, c) of sys.with_values(V0 + t*V1) from t = 0 to t = 1.
+def _continuation_root(sys: _System, q_tilde: QParam) -> tuple[np.ndarray, float] | None:
+    """The root continued along t*A from the trivial root of the zero potential.
 
-    Secant-predicted adaptive continuation: each step corrects the secant
-    through the last two points with at most 8 Newton iterations, so a
-    prediction heading for another branch fails fast; while dt <= 1/64 a
-    plain full-budget step from the last root follows (a larger plain step
-    could jump a fold onto another branch).  dt starts at 1/64, doubles on
-    success and halves on failure; below 1e-4 the path has broken down (it
-    left the domain or turned at a fold) and None is returned.  At t = 1 one
-    more full Newton step is kept unless it raises the defect.
+    Secant-predicted adaptive continuation from t = 0 to t = 1: each step
+    corrects the secant through the last two points with at most 8 Newton
+    iterations, so a prediction heading for another branch fails fast; while
+    dt <= 1/64 a plain full-budget step from the last root follows (a larger
+    plain step could jump a fold onto another branch).  dt starts at 1/64,
+    doubles on success and halves on failure; below 1e-4 the path has broken
+    down (it left the domain or turned at a fold) and None is returned.  At
+    t = 1 one more full Newton step is kept unless it raises the defect.
     """
-    points = [(0.0, phi[None], np.array([c]))]
+    points = [(0.0, np.zeros((1, sys.n)), np.array([_trivial_c(sys.d, q_tilde)]))]
     t, dt = 0.0, 1.0 / 64.0
     while t < 1.0 - 1e-15:
         target = min(1.0, t + dt)
-        at = sys.with_values(V0 + target * V1)
+        at = sys.with_values(target * sys.A_vals)
         _, PHI, C = points[-1]
         starts = []
         if len(points) > 1:
@@ -333,11 +337,6 @@ def _track(
         if np.abs(at.defect(PHI_t, C_t)).max() <= np.abs(F).max():  # NaN: keep
             PHI, C = PHI_t, C_t
     return PHI[0], C[0]
-
-
-def _continuation_root(sys: _System, q_tilde: QParam) -> tuple[np.ndarray, float] | None:
-    """The root continued along t*A from the trivial root of the zero potential."""
-    return _track(sys, 0.0, sys.A_vals, np.zeros(sys.n), _trivial_c(sys.d, q_tilde))
 
 
 def qruelle_solve(
@@ -610,56 +609,46 @@ def bridge_half(A: Potential) -> tuple[Potential, np.ndarray, float]:
     return B, phi_B, c_B
 
 
-def _base_branch(A: Potential, q_tilde: QParam, branch_index: int) -> SolveResult:
+def _branch_slope(
+    A: Potential, B: Potential, q_tilde: QParam, branch_index: int
+) -> tuple[SolveResult, _System, np.ndarray, np.ndarray, float]:
+    """The chosen root of A and dc/ds at s = 0 along A + s*B.
+
+    Differentiating the deformed equation in s at the root gives, for every
+    context x, the cohomological equation
+        sum_a E'(u_a(x)) (B(a x) + phidot(prefix_k(a x)) - phidot(x) - cdot) = 0
+    with E'(u) = base^(power - 1).  Its matrix is the Newton matrix, so one
+    ``newton_steps`` call with F(x) = sum_a E'(u_a(x)) B(a x) returns
+    (phidot[1:], cdot).  Also returns the system of A on the common context
+    length, the table of B and the root's phi on it.
+    """
+    if A.d != B.d:
+        raise ValueError("alphabet mismatch")
     branches = qruelle_solve(A, q_tilde)
     if len(branches) <= branch_index:
         raise NonConvergenceError("no branch available at s = 0")
-    return branches[branch_index]
-
-
-def _tracked_slope(
-    A: Potential, B: Potential, q_tilde: QParam, base: SolveResult, h: float
-) -> tuple[dict[float, tuple[np.ndarray, float]], float]:
-    """Roots of A + s*B tracked to s = +-h, +-h/2, and dc/ds at 0 by Richardson."""
-    if A.d != B.d:
-        raise ValueError("alphabet mismatch")
+    root = branches[branch_index]
     # contexts of A + s*B have the longer common length K; the root on A's
     # k-contexts, read through the k-prefix, is a root on the K-contexts
     k = A.context_length()
     sys = _System(A, q_tilde, k=max(k, B.context_length()))
     B_vals = sys.values_of(B)
-    phi = base.phi[prefix_index(np.arange(sys.n), sys.d, sys.k, k)]
-    tracked = {s: _track_root(sys, B_vals, phi, base.c, s) for s in (h, -h, h / 2, -h / 2)}
-    d1 = (tracked[h][1] - tracked[-h][1]) / (2.0 * h)
-    d2 = (tracked[h / 2][1] - tracked[-h / 2][1]) / h
-    return tracked, (4.0 * d2 - d1) / 3.0
-
-
-def _track_root(
-    sys: _System, B_vals: np.ndarray, phi: np.ndarray, c: float, s: float
-) -> tuple[np.ndarray, float]:
-    """Continue a root of sys to A + s*B (no re-multistart)."""
-    root = _track(sys, sys.A_vals, s * B_vals, phi, c)
-    if root is None:
-        raise NonConvergenceError(f"branch tracking to s = {s} broke down")
-    return root
+    phi = root.phi[prefix_index(np.arange(sys.n), sys.d, sys.k, k)]
+    bases = sys.bases(phi[None], np.array([root.c]))
+    rhs = (bases ** (sys.power - 1) * B_vals).sum(axis=2)
+    return root, sys, B_vals, phi, float(sys.newton_steps(bases, rhs)[0, -1])
 
 
 def pressure_derivative(
-    A: Potential,
-    B: Potential,
-    q: QParam | float,
-    h_step: float = 1e-4,
-    branch_index: int = 0,
+    A: Potential, B: Potential, q: QParam | float, branch_index: int = 0
 ) -> float:
     """d/ds of the branch constant of A + s*B at s = 0.
 
-    Central differences at h and h/2 with one Richardson extrapolation; the
-    branch is tracked by secant-predicted adaptive continuation in s from
-    the s = 0 root (never by a fresh multistart, to avoid branch hopping).
+    The branch is root ``branch_index`` of ``qruelle_solve`` at q-tilde = 2 - q,
+    of any sign pattern; the derivative is one linear solve of the
+    cohomological equation at it (implicit-function theorem).
     """
-    qt = QParam.of(q).dual
-    return _tracked_slope(A, B, qt, _base_branch(A, qt, branch_index), h_step)[1]
+    return _branch_slope(A, B, QParam.of(q).dual, branch_index)[-1]
 
 
 @dataclass(frozen=True)
@@ -672,35 +661,41 @@ class DerivativeIdentityReport:
 
 
 def derivative_identity_report(
-    A: Potential, B: Potential, h_step: float = 1e-4, branch_index: int = 0
+    A: Potential, B: Potential, branch_index: int = 0
 ) -> DerivativeIdentityReport:
     """Compare dc/ds against the integral quotient on the branch measure (q = 1/2).
 
-    The right-hand side is
+    ``dPds`` is ``pressure_derivative``'s solve.  The right-hand side is
     [int J^{1/2} B dmu + int J^{1/2} (phidot - phidot o sigma) dmu]
-    / int J^{1/2} dmu, with phidot the finite-difference derivative of the
-    tracked branch's phi and mu the branch's equilibrium measure.  Requires a
+    / int J^{1/2} dmu, with mu the branch's equilibrium measure and phidot
+    found independently of that solve: the central difference of the roots
+    at s = +-5e-5, each one Newton solve from the s = 0 root.  Requires a
     positive-summand branch.
     """
-    qt = QParam(1.5)  # the q = 1/2 pressure solves the 3/2-deformed equation
-    base = _base_branch(A, qt, branch_index)
+    # the q = 1/2 pressure solves the 3/2-deformed equation
+    base, sys, B_vals, phi, dPds = _branch_slope(A, B, QParam(1.5), branch_index)
     if not base.summands_positive or base.jacobian is None:
         raise NonConvergenceError("identity check needs a positive-summand branch")
-    h = h_step
-    tracked, dPds = _tracked_slope(A, B, qt, base, h)
-    phidot = (tracked[h / 2][0] - tracked[-h / 2][0]) / h
+    h = 5e-5
+    moved = []
+    for s in (h, -h):
+        at = sys.with_values(sys.A_vals + s * B_vals)
+        PHI, _, ok = _newton(at, phi[None], np.array([base.c]))
+        if not ok[0]:
+            raise NonConvergenceError(f"Newton solve at s = {s} did not converge")
+        moved.append(PHI[0])
+    phidot = (moved[0] - moved[1]) / (2.0 * h)
 
     mu = equilibrium_markov(base.jacobian)
-    d, k = base.jacobian.d, base.jacobian.k
+    d, k, K = sys.d, base.jacobian.k, sys.k
     # phidot lives on the common context length K >= k; read the Jacobian
     # and B on (K+1)-words through their prefixes (the identity when K = k)
-    K = max(k, B.context_length())
     w = np.arange(d ** (K + 1))
     jac_vals = base.jacobian.values[prefix_index(w, d, K + 1, k + 1)]
     terms = B.values[prefix_index(w, d, K + 1, B.memory)] + (
         phidot[drop_last(w, d)] - phidot[drop_first(w, d, K + 1)]
     )
-    # accumulate left to right: the defect is ~1e-7, so one ulp of the
+    # accumulate left to right: the defect is ~1e-13, so one ulp of the
     # quotient shows in its printed digits
     num = 0.0
     den = 0.0

@@ -31,6 +31,7 @@ import numpy as np
 from scipy import optimize
 from scipy.special import logsumexp
 
+from .errors import QThermoError
 from .qfun import QParam, exp_q
 
 
@@ -114,7 +115,8 @@ def true_static_equilibrium(payoff, beta: float, q: QParam | float) -> StaticEqu
     """Exact interior maximizer of H_q(p) + beta <a, p> via the multiplier solve.
 
     Stationarity: beta a_j + q/(1-q) p_j^(q-1) = lam for all j, with lam fixed
-    by sum p = 1 (bracketed scalar root find).
+    by sum p = 1 (bracketed scalar root find).  Raises QThermoError at q > 1
+    when the maximizer lies on the boundary of the simplex.
     """
     qp = QParam.of(q)
     a = np.asarray(payoff, dtype=float)
@@ -147,18 +149,22 @@ def true_static_equilibrium(payoff, beta: float, q: QParam | float) -> StaticEqu
             lo_eff = lo + (lo_eff - lo) * 8.0
         bracket = (lo_eff, hi)
     else:
-        hi = float(np.min(beta * a)) - 1e-18
+        # sum p falls from +inf on (-inf, min(beta a)) to its value at the end,
+        # where the smallest entry is 0; if that is >= 1, no interior p sums to 1
+        hi = float(np.min(beta * a))
+        if p_of_lam(hi).sum() >= 1.0:
+            raise QThermoError(
+                f"at q = {q} the maximizer of H_q(p) + beta <a, p> lies on the boundary "
+                "of the simplex"
+            )
         span = max(1.0, float(np.ptp(beta * a)))
         lo = hi - span
-        while p_of_lam(lo).sum() > 1.0:
+        while p_of_lam(lo).sum() < 1.0:
             span *= 2.0
             lo = hi - span
             if span > 1e12:
                 raise RuntimeError("multiplier bracket growth failed")
-        hi_eff = hi
-        while p_of_lam(hi_eff).sum() < 1.0 and hi - hi_eff < span:
-            hi_eff = hi - max(1e-18, (hi - hi_eff) * 8.0)
-        bracket = (lo, hi_eff)
+        bracket = (lo, hi)
 
     lam = optimize.brentq(
         lambda t: p_of_lam(t).sum() - 1.0, *bracket, xtol=1e-300, rtol=8.9e-16, maxiter=400

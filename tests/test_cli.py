@@ -48,59 +48,62 @@ def _subparsers():
 
 
 # option string -> (dest, default, choices), per subcommand, in declaration order
-COMMON_OPTIONS = {
-    "--q": ("q", None, None),
-    "--q-tilde": ("q_tilde", None, None),
-    "--seed": ("seed", 0, None),
-    "--output": ("output", None, None),
-}
+Q_OPTIONS = {"--q": ("q", None, None), "--q-tilde": ("q_tilde", None, None)}
+SEED = {"--seed": ("seed", 0, None)}
+OUTPUT = {"--output": ("output", None, None)}
 POTENTIAL = {"--potential": ("potential", None, None)}
 PAYOFF = {"--a": ("payoff", [], None), "--beta": ("beta", 1.0, None)}
 CLI_OPTIONS = {
     "qfun": {
-        **COMMON_OPTIONS,
+        **Q_OPTIONS,
+        **OUTPUT,
         "--op": ("op", "exp", ("exp", "log", "dexp", "dlog")),
         "--u": ("u", None, None),
     },
-    "selftest": {**COMMON_OPTIONS, "--samples": ("samples", 10000, None)},
-    "static-pressure": {**COMMON_OPTIONS, **PAYOFF},
+    "selftest": {**SEED, **OUTPUT, "--samples": ("samples", 10000, None)},
+    "static-pressure": {**Q_OPTIONS, **OUTPUT, **PAYOFF},
     "sweep-beta": {
-        **COMMON_OPTIONS,
+        **Q_OPTIONS,
+        **OUTPUT,
         **PAYOFF,
         "--beta-min": ("beta_min", 0.0, None),
         "--beta-max": ("beta_max", 2.0, None),
         "--beta-steps": ("beta_steps", 21, None),
         "--csv": ("sequence_csv", None, None),
     },
-    "entropy": {**COMMON_OPTIONS, "--p": ("probs", [], None)},
-    "ruelle": {**COMMON_OPTIONS, **POTENTIAL},
+    "entropy": {**Q_OPTIONS, **OUTPUT, "--p": ("probs", [], None)},
+    "ruelle": {**Q_OPTIONS, **OUTPUT, **POTENTIAL},
     "solve": {
-        **COMMON_OPTIONS,
+        **Q_OPTIONS,
+        **OUTPUT,
         **POTENTIAL,
         "--all-branches": ("all_branches", False, None),
         "--allow-boundary": ("allow_boundary", False, None),
     },
     "derivative": {
-        **COMMON_OPTIONS,
+        **Q_OPTIONS,
+        **OUTPUT,
         **POTENTIAL,
         "--direction": ("direction", None, None),
-        "--h-step": ("h_step", 0.0001, None),
         "--branch": ("branch", 0, None),
     },
     "asym-pressure": {
-        **COMMON_OPTIONS,
+        **Q_OPTIONS,
+        **OUTPUT,
         **POTENTIAL,
         "--n-max": ("n_max", 2000, None),
         "--x0": ("x0", (), None),
         "--sequence-csv": ("sequence_csv", None, None),
     },
-    "scan": {**COMMON_OPTIONS, **POTENTIAL, "--grid": ("grid", 400, None)},
+    "scan": {**Q_OPTIONS, **OUTPUT, **POTENTIAL, "--grid": ("grid", 400, None)},
     "entropy-surface": {
-        **COMMON_OPTIONS,
+        **Q_OPTIONS,
+        **SEED,
+        **OUTPUT,
         "--grid": ("grid", 400, None),
         "--csv": ("sequence_csv", None, None),
     },
-    "paper-regression": COMMON_OPTIONS,
+    "paper-regression": OUTPUT,
 }
 
 
@@ -192,7 +195,7 @@ ASYM_CASES = {
     "lattice": (
         (2, 2, [0.0, 1.0, 2.0, 0.5]),
         ["--q", "0.5", "--x0", "1"],
-        '{\n  "q": 0.5,\n  "n_max": 400,\n  "x0": [\n    1\n  ],\n  "seed": 0,\n'
+        '{\n  "q": 0.5,\n  "n_max": 400,\n  "x0": [\n    1\n  ],\n'
         '  "estimate": 0.693214790634,\n  "fit_params": {\n    "constant": 0.693214790634,\n'
         '    "log_n_over_n": 1.96136366865,\n    "one_over_n": -1.43522737562\n  },\n'
         '  "sequence_csv_path": "seq.csv"\n}\n',
@@ -201,7 +204,7 @@ ASYM_CASES = {
     "generic": (
         (2, 1, [0.3, 0.7071067811865476]),
         ["--q", "0.7"],
-        '{\n  "q": 0.7,\n  "n_max": 400,\n  "x0": [],\n  "seed": 0,\n'
+        '{\n  "q": 0.7,\n  "n_max": 400,\n  "x0": [],\n'
         '  "estimate": 0.693420717119,\n  "fit_params": {\n    "constant": 0.693420717119,\n'
         '    "log_n_over_n": 3.17587153563,\n    "one_over_n": -5.40940551715\n  },\n'
         '  "sequence_csv_path": "seq.csv"\n}\n',
@@ -294,7 +297,7 @@ def test_entropy_surface_writes_csv_and_json(tmp_path):
 
 
 def test_seed_is_echoed():
-    payload = run_json(["selftest", "--q", "0.5", "--samples", "200", "--seed", "7"])
+    payload = run_json(["selftest", "--samples", "200", "--seed", "7"])
     assert payload["seed"] == 7
     assert payload["passed"] is True
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qthermo import qsolve
 from qthermo.errors import NonConvergenceError, QExpDomainError, SizeGuardError
@@ -12,7 +14,6 @@ from qthermo.qsolve import (
     _neg_log_q_inv,
     _newton,
     _System,
-    _track_root,
     _trivial_c,
     a_q_transform,
     bridge_general_g,
@@ -28,7 +29,7 @@ from qthermo.qsolve import (
     two_symbol_roots,
 )
 from qthermo.ruelle import classical_pressure, equilibrium_markov, random_jacobian
-from qthermo.shift import Potential
+from qthermo.shift import Potential, prefix_index
 from qthermo.variational import q_pressure_scan
 
 JANA = Potential(d=2, memory=2, values=np.array([0.0, 2.0, 3.5, 0.0]))
@@ -349,13 +350,13 @@ def test_size_guard():
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_higher_memory_constant_direction(seed):
-    # A of memory 2, B of memory 3: the root is tracked on 2-contexts
+    # A of memory 2, B of memory 3: the root is lifted to the 2-contexts
     A = _neg_log_q_inv(random_jacobian(2, 1, seed=seed), QParam(0.5))
     b = 0.7
     B = Potential(d=2, memory=3, values=np.full(8, b))
-    assert pressure_derivative(A, B, 0.5) == pytest.approx(b, abs=1e-8)
+    assert pressure_derivative(A, B, 0.5) == pytest.approx(b, abs=1e-12)
     rep = derivative_identity_report(A, B)
-    assert rep.dPds == pytest.approx(b, abs=1e-8)
+    assert rep.dPds == pytest.approx(b, abs=1e-12)
     assert rep.quotient == pytest.approx(b, abs=1e-8)
 
 
@@ -366,10 +367,52 @@ def test_higher_memory_coboundary_direction(seed):
     g = np.random.default_rng(seed).normal(0.0, 1.0, 4)
     w = np.arange(8)
     B = Potential(d=2, memory=3, values=g[w // 2] - g[w % 4])
-    assert abs(pressure_derivative(A, B, 0.5)) <= 1e-8
+    assert abs(pressure_derivative(A, B, 0.5)) <= 1e-12
     rep = derivative_identity_report(A, B)
-    assert abs(rep.dPds) <= 1e-8
+    assert abs(rep.dPds) <= 1e-12
     assert abs(rep.quotient) <= 1e-8
+
+
+# -- Richardson oracle for dc/ds: central differences at +-h and +-h/2 of the
+# roots of A + s*B, each found by one Newton solve from the s = 0 root
+
+
+def _richardson_slope(A, B, q_tilde, root, h=1e-4):
+    k = A.context_length()
+    sys = _System(A, q_tilde, k=max(k, B.context_length()))
+    B_vals = sys.values_of(B)
+    phi = root.phi[prefix_index(np.arange(sys.n), sys.d, sys.k, k)]
+    c = {}
+    for s in (h, -h, h / 2, -h / 2):
+        _, C, ok = _newton(sys.with_values(sys.A_vals + s * B_vals), phi[None], np.array([root.c]))
+        assert ok[0]
+        c[s] = C[0]
+    d1 = (c[h] - c[-h]) / (2.0 * h)
+    d2 = (c[h / 2] - c[-h / 2]) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
+@given(
+    cell=st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]),
+    qt=st.floats(0.3, 1.7).filter(lambda x: abs(x - 1.0) >= 0.05),
+    sigma=st.floats(0.1, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_derivative_matches_richardson_oracle(cell, qt, sigma, seed, data):
+    d, memory = cell
+    memory_b = data.draw(st.integers(1, memory + 1))
+    rng = np.random.default_rng(seed)
+    A = Potential(d=d, memory=memory, values=rng.normal(0.0, sigma, d**memory))
+    B = Potential(d=d, memory=memory_b, values=rng.normal(0.0, 1.0, d**memory_b))
+    q = 2.0 - qt
+    q_tilde = QParam(q).dual  # the q-tilde pressure_derivative solves at
+    roots = qruelle_solve(A, q_tilde)
+    assume(roots)
+    branch = data.draw(st.integers(0, len(roots) - 1))
+    want = _richardson_slope(A, B, q_tilde, roots[branch])
+    assert pressure_derivative(A, B, q, branch_index=branch) == pytest.approx(want, abs=1e-8)
 
 
 # -- per-start reference: one scalar damped Newton per start, as the solver
@@ -597,21 +640,3 @@ def test_tracker_takes_few_newton_calls(monkeypatch, d, qt):
         assert len(calls) <= 10
         # the last step is polished past the 1e-12 Newton tolerance
         assert np.max(np.abs(sys.defect(phi[None], np.array([c])))) <= 1e-14
-
-
-def test_branch_tracking_is_the_same_tracker():
-    # tracking the zero potential's trivial root along s*A to s = 1 is the
-    # continuation along t*A: the same root, or the same breakdown, raised
-    qt = QParam(0.75)
-    for index, memory in ((0, 2), (4, 2)):
-        sys = _System(_grid_draw(3.0, 2, memory, 0.75, index), qt)
-        zero = sys.with_values(np.zeros_like(sys.A_vals))
-        start = (np.zeros(sys.n), _trivial_c(sys.d, qt))
-        want = _continuation_root(sys, qt)
-        if want is None:
-            with pytest.raises(NonConvergenceError):
-                _track_root(zero, sys.A_vals, *start, 1.0)
-        else:
-            phi, c = _track_root(zero, sys.A_vals, *start, 1.0)
-            assert np.array_equal(phi, want[0])
-            assert c == want[1]

@@ -1,8 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qthermo
 from qthermo.errors import QThermoError
 from qthermo.qfun import QParam, log_q
 from qthermo.staticq import (
@@ -151,6 +157,44 @@ def test_true_equilibrium_stationarity():
     assert eq.pressure >= static_q_pressure((0.5, 0.8), 1.2, 1.0 / 3.0).pressure
 
 
+# a bracket search at q > 1 that walks away from min(beta a) never returns on
+# some of these, so they run in a child interpreter with a timeout
+_Q_ABOVE_ONE = [
+    ((0.5, 0.8), 0.4, 1.5),
+    ((0.5, 0.8, -0.1), 0.4, 1.5),
+    ((0.5, 0.8, 0.0), 0.4, 1.5),
+    ((0.05, 0.08, -0.01), 0.4, 1.5),
+]
+
+
+def test_true_equilibrium_above_q_one():
+    code = (
+        "import json, sys; from qthermo.staticq import true_static_equilibrium as t; "
+        "print(json.dumps([t(*case).p_star.tolist() for case in json.loads(sys.argv[1])]))"
+    )
+    src = str(Path(qthermo.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(_Q_ABOVE_ONE)],
+        capture_output=True, text=True, timeout=60, env=env, check=True,
+    )
+    for (a, beta, q), p in zip(_Q_ABOVE_ONE, json.loads(out.stdout)):
+        pressure = q_entropy_vec(p, q) + beta * float(np.dot(a, p))
+        scan = static_q_pressure_scan(a, beta, q).pressure
+        if len(a) == 2:
+            assert pressure == pytest.approx(scan, abs=1e-9)
+        else:
+            assert stationarity_defect(p, a, beta, q) <= 1e-9
+            assert pressure >= scan
+
+
+def test_true_equilibrium_on_the_simplex_boundary_raises():
+    # sum p = 1.80 at lam = min(beta a): the scan's maximizer is the vertex (1, 0)
+    with pytest.raises(QThermoError, match="boundary of the simplex"):
+        true_static_equilibrium((2.0, -1.0), 1.2, 1.8)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the brute-force maximum of H_q(p) + beta <a,p> at q=1/3, "
@@ -235,6 +279,5 @@ def test_qparam_and_float_q_agree_bit_for_bit():
         assert renyi_from_q_entropy(0.7, qp) == renyi_from_q_entropy(0.7, q)
         assert static_q_pressure(a, 0.4, qp).pressure == static_q_pressure(a, 0.4, q).pressure
         assert beta_sweep(a, qp, [0.0, 0.4]) == beta_sweep(a, q, [0.0, 0.4])
-        if q <= 1.0:  # at q > 1 the multiplier bracket search can fail to end
-            assert (true_static_equilibrium(a, 0.4, qp).pressure
-                    == true_static_equilibrium(a, 0.4, q).pressure)
+        assert (true_static_equilibrium(a, 0.4, qp).pressure
+                == true_static_equilibrium(a, 0.4, q).pressure)
