@@ -6,15 +6,15 @@ index q-tilde, context words of length k = max(m - 1, 1), and unknowns
 
     sum_a exp_qt( A(a x) + phi(prefix_k(a x)) - phi(x) - c ) = 1
 
-for every context word x.  Roots are found by secant-predicted adaptive
-continuation from the zero potential plus a deterministic, batched
-multistart Newton lattice.  When 1/(1 - qt) is an even positive integer the
-q-exponential extends to a global polynomial and the solver also finds
-roots whose summand bases are negative or zero; otherwise evaluation is
-strict and every root keeps its arguments inside the q-exponential domain.
-The classical case qt = 1 is left to ``ruelle``.
+for every context word x.  A root with positive summands is the unique
+fixed point, T(phi) = phi + c, of a monotone cut-off map, found by relative
+value iteration.  When 1/(1 - qt) is an even positive integer the
+q-exponential extends to a global polynomial and a batched multistart Newton
+lattice also finds roots whose summand bases are negative or zero; otherwise
+evaluation is strict and the fixed point is the only root.  The classical
+case qt = 1 is left to ``ruelle``.
 
-The constant c of a branch whose summands are all strictly positive is the
+The constant c of the branch whose summands are all strictly positive is the
 dynamical q-pressure of A at q = 2 - qt, and the summands themselves form
 the Jacobian of the associated q-equilibrium Markov measure.
 
@@ -41,7 +41,6 @@ from .ruelle import (
     MarkovMeasure,
     equilibrium_markov,
     leading_eig,
-    q_entropy_markov,
     transfer_matrix,
 )
 from .shift import Potential, drop_first, drop_last, index_word, prefix_index, prepend
@@ -289,54 +288,65 @@ def _jacobian_of_root(sys: _System, phi: np.ndarray, c: float) -> Jacobian:
     return Jacobian(d=sys.d, k=sys.k, values=vals / np.tile(rows, sys.d))
 
 
-def _continuation_root(sys: _System, q_tilde: QParam) -> tuple[np.ndarray, float] | None:
-    """The root continued along t*A from the trivial root of the zero potential.
+def _cutoff_map(sys: _System, phi: np.ndarray) -> np.ndarray:
+    """T(phi)(x): the t with sum_a E(A(a x) + phi(prefix_k(a x)) - t) = 1, per context.
 
-    Secant-predicted adaptive continuation from t = 0 to t = 1: each step
-    corrects the secant through the last two points with at most 8 Newton
-    iterations, so a prediction heading for another branch fails fast; while
-    dt <= 1/64 a plain full-budget step from the last root follows (a larger
-    plain step could jump a fold onto another branch).  dt starts at 1/64,
-    doubles on success and halves on failure; below 1e-4 the path has broken
-    down (it left the domain or turned at a fold) and None is returned.  At
-    t = 1 one more full Newton step is kept unless it raises the defect.
+    E(u) = max(1 + (1-qt)u, 0)^(1/(1-qt)).  The sum is convex, decreasing in t
+    and >= 1 at t = max_a of the arguments, so Newton from there climbs
+    monotonically; it stops once no step exceeds 1e-15*max(1, |t|) or, at
+    roundoff (near qt = 1 above that tolerance), the sum stops falling.
     """
-    points = [(0.0, np.zeros((1, sys.n)), np.array([_trivial_c(sys.d, q_tilde)]))]
-    t, dt = 0.0, 1.0 / 64.0
-    while t < 1.0 - 1e-15:
-        target = min(1.0, t + dt)
-        at = sys.with_values(target * sys.A_vals)
-        _, PHI, C = points[-1]
-        starts = []
-        if len(points) > 1:
-            t0, PHI0, C0 = points[-2]
-            r = (target - t) / (t - t0)
-            starts.append((PHI + r * (PHI - PHI0), C + r * (C - C0), 8))
-        if dt <= 1.0 / 64.0:  # always so before the first accepted step
-            starts.append((PHI, C, 60))
-        for PHI_s, C_s, iters in starts:
-            PHI_t, C_t, ok = _newton(at, PHI_s, C_s, iters=iters)
+    v = sys.A_vals + phi[sys.pre_idx]
+    t = v.max(axis=1)
+    F_prev = np.inf
+    while True:
+        base = np.maximum(1.0 + (1.0 - sys.qt) * (v - t[:, None]), 0.0)
+        dE = base ** (sys.power - 1)  # minus the t-derivative of each summand
+        F = (base * dE).sum(axis=1) - 1.0
+        step = F / dE.sum(axis=1)
+        t = t + step
+        if not ((step > 1e-15 * np.maximum(1.0, np.abs(t))) & (F < F_prev)).any():
+            return t
+        F_prev = F
+
+
+def _topical_root(sys: _System) -> tuple[np.ndarray, float, bool]:
+    """(phi, c, positive) with T(phi) = phi + c, T the cut-off map.
+
+    T is monotone and commutes with constants, so lo = min(T(phi) - phi) <= c
+    <= hi = max(T(phi) - phi) for every phi.  Damped relative value iteration,
+    phi <- (phi + T(phi))/2 re-gauged to phi[0] = 0, closes the bracket; at
+    hi - lo <= 1e-3*max(1, |hi|) with every base above the margin ``_newton``
+    finishes the root, and one more Newton step is kept unless it raises the
+    defect.  Otherwise it runs to 1e-12*max(1, |hi|).  ``positive``: every
+    base clears the margin.  NonConvergenceError after 5,000 iterations.
+    """
+    phi = np.zeros(sys.n)
+    newton_tried = False
+    for _ in range(5000):
+        gap = _cutoff_map(sys, phi) - phi
+        lo, hi = float(gap.min()), float(gap.max())
+        c = 0.5 * (lo + hi)
+        width = (hi - lo) / max(1.0, abs(hi))
+        if width <= 1e-3 and not newton_tried and _classify(sys, phi, c)[0]:
+            newton_tried = True
+            PHI, C, ok = _newton(sys, phi[None], np.array([c]))
             if ok[0]:
-                break
-        else:
-            dt *= 0.5
-            if dt < 1e-4:
-                return None
-            continue
-        points = [points[-1], (target, PHI_t, C_t)]
-        t = target
-        dt *= 2.0
-    _, PHI, C = points[-1]
-    base, _ = at.domain_bases(PHI, C)
-    F = at.defect_of_bases(base)
-    step = at.newton_steps(base, F)
-    if np.isfinite(step).all():
-        PHI_t = PHI.copy()
-        PHI_t[:, 1:] += step[:, :-1]
-        C_t = C + step[:, -1]
-        if np.abs(at.defect(PHI_t, C_t)).max() <= np.abs(F).max():  # NaN: keep
-            PHI, C = PHI_t, C_t
-    return PHI[0], C[0]
+                base, _ = sys.domain_bases(PHI, C)
+                F = sys.defect_of_bases(base)
+                step = sys.newton_steps(base, F)
+                if np.isfinite(step).all():
+                    PHI_t = PHI.copy()
+                    PHI_t[:, 1:] += step[:, :-1]
+                    C_t = C + step[:, -1]
+                    if np.abs(sys.defect(PHI_t, C_t)).max() <= np.abs(F).max():  # NaN: keep
+                        PHI, C = PHI_t, C_t
+                return PHI[0], float(C[0]), _classify(sys, PHI[0], C[0])[0]
+        if width <= 1e-12:
+            return phi, c, _classify(sys, phi, c)[0]
+        phi = phi + 0.5 * gap
+        phi -= phi[0]
+    raise NonConvergenceError("relative value iteration did not close its bracket")
 
 
 def qruelle_solve(
@@ -352,35 +362,39 @@ def qruelle_solve(
     ``ruelle.classical_pressure`` and ``ruelle.equilibrium_markov`` solve;
     this raises ValueError there.
 
-    Strategy: secant-predicted adaptive continuation along t*A from the
-    trivial root (phi = 0, c solving d exp_qt(-c) = 1), then a batched
-    multistart Newton lattice with phi components in {-3, -1.5, 0, 1.5, 3}
-    and c in {c0, c0 +- 2, c0 +- 4}, capped at ``max_starts`` starts, whose
-    starts all go through one damped-Newton kernel, each row as if alone.
-    Roots are accepted at residual <= 1e-10, deduplicated at distance 1e-7,
-    and classified by the sign margin of their summand bases.  Roots with a
-    zero-base summand are reported only when ``allow_boundary`` is set.  An
-    empty list is a valid outcome.  The list does not claim exhaustiveness.
+    Strategy: the first candidate is the fixed point of the cut-off map
+    (``_topical_root``, which raises NonConvergenceError when its iteration
+    stalls).  Only where 1/(1 - qt) is an even integer does a batched
+    multistart Newton lattice follow, with phi components in
+    {-3, -1.5, 0, 1.5, 3} and c in {c0, c0 +- 2, c0 +- 4} (c0 the constant of
+    the zero potential), capped at ``max_starts`` starts.  Roots are accepted
+    at residual <= 1e-10, deduplicated at distance 1e-7, and classified by the
+    sign margin of their summand bases.  Roots with a zero-base summand are
+    reported only when ``allow_boundary`` is set.  An empty list is valid.
+
+    At every other q-tilde the list is complete: every root has positive
+    bases, so it solves T(phi) = phi + c for the cut-off map T, which is
+    monotone and commutes with constants.  T's derivative there is positive
+    on every edge of the strongly connected de Bruijn graph, so the solution
+    is unique up to constants (Gaubert & Gunawardena, Trans. AMS 356, 2004).
     """
     qp = QParam.of(q_tilde)
     if A.memory > 4:
         raise SizeGuardError(f"memory {A.memory} exceeds the solver guard (4)")
     sys = _System(A, qp)
-    c0 = _trivial_c(sys.d, qp)
-
-    cont = _continuation_root(sys, qp)
-
-    phi_levels = (-3.0, -1.5, 0.0, 1.5, 3.0)
-    c_levels = (c0, c0 + 2.0, c0 - 2.0, c0 + 4.0, c0 - 4.0)
-    lattice = itertools.product(itertools.product(phi_levels, repeat=sys.n - 1), c_levels)
-    starts = list(itertools.islice(lattice, max_starts))
-    PHI = np.zeros((len(starts), sys.n))
-    PHI[:, 1:] = [free_phi for free_phi, _ in starts]
-    PHI, C, converged = _newton(sys, PHI, np.array([c_start for _, c_start in starts]))
-    # candidates in order: the continuation root, then the lattice rows
-    PHI, C = PHI[converged], C[converged]
-    if cont is not None:
-        PHI, C = np.vstack([cont[0], PHI]), np.concatenate([[cont[1]], C])
+    phi, c, _ = _topical_root(sys)
+    PHI, C = phi[None], np.array([c])
+    if sys.order is not None:
+        c0 = _trivial_c(sys.d, qp)
+        phi_levels = (-3.0, -1.5, 0.0, 1.5, 3.0)
+        c_levels = (c0, c0 + 2.0, c0 - 2.0, c0 + 4.0, c0 - 4.0)
+        lattice = itertools.product(itertools.product(phi_levels, repeat=sys.n - 1), c_levels)
+        starts = list(itertools.islice(lattice, max_starts))
+        PHI_l = np.zeros((len(starts), sys.n))
+        PHI_l[:, 1:] = [free_phi for free_phi, _ in starts]
+        PHI_l, C_l, converged = _newton(sys, PHI_l, np.array([c_start for _, c_start in starts]))
+        # candidates in order: the topical root, then the lattice rows
+        PHI, C = np.vstack([PHI, PHI_l[converged]]), np.concatenate([C, C_l[converged]])
     residuals = np.abs(sys.defect(PHI, C)).max(axis=1)
 
     roots: list[tuple[np.ndarray, float, float]] = []
@@ -494,36 +508,18 @@ def _neg_log_q_inv(J: Jacobian, q: QParam) -> Potential:
     return Potential(d=J.d, memory=J.k + 1, values=vals)
 
 
-def q_equilibrium(
-    A: Potential, q: QParam | float
-) -> tuple[float, MarkovMeasure, SolveResult]:
-    """q-pressure, q-equilibrium Markov measure, and the selected branch.
+def q_equilibrium(A: Potential, q: QParam | float) -> tuple[float, MarkovMeasure, SolveResult]:
+    """q-pressure, q-equilibrium Markov measure, and the positive branch.
 
-    Solves at q-tilde = 2 - q and keeps the positive-summand branches; among
-    them the branch whose Jacobian equilibrium maximizes H_q(mu) + int A dmu
-    is selected (ties broken by branch_id).  As a consistency check the
-    potential -log_q(1/J) of the selected branch is re-solved and the root
-    constant nearest zero must vanish to 1e-8.
+    The branch is the one root of ``qruelle_solve`` at q-tilde = 2 - q with
+    strictly positive summands (NonConvergenceError if there is none); the
+    measure is the equilibrium of its Jacobian.
     """
-    qp = QParam.of(q)
-    qt = qp.dual
-    branches = [b for b in qruelle_solve(A, qt) if b.summands_positive]
-    if not branches:
+    branch = next((b for b in qruelle_solve(A, QParam.of(q).dual) if b.summands_positive), None)
+    if branch is None:
         raise NonConvergenceError("no branch with strictly positive summands")
-    best: tuple[float, int, MarkovMeasure, SolveResult] | None = None
-    for b in branches:
-        assert b.jacobian is not None
-        mu = equilibrium_markov(b.jacobian)
-        value = q_entropy_markov(mu, qp) + mu.integrate(A)
-        if best is None or value > best[0] + 1e-12:
-            best = (value, b.branch_id, mu, b)
-    assert best is not None
-    _, _, mu, branch = best
     assert branch.jacobian is not None
-    re_solved = qruelle_solve(_neg_log_q_inv(branch.jacobian, qp), qt)
-    if not re_solved or min(abs(r.c) for r in re_solved) > 1e-8:
-        raise NonConvergenceError("re-solve of -log_q(1/J) did not return to c = 0")
-    return branch.c, mu, branch
+    return branch.c, equilibrium_markov(branch.jacobian), branch
 
 
 def a_q_transform(A: Potential, q: QParam | float) -> Potential:

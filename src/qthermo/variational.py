@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import SizeGuardError
+from .errors import QThermoError, SizeGuardError
 from .qfun import QParam, log_q
 from .ruelle import (
     MarkovMeasure,
@@ -143,7 +143,7 @@ def q_pressure_scan(A: Potential, q: QParam | float, grid_n: int) -> ScanResult:
         method="Nelder-Mead",
         options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-13},
     )
-    refined = bool(res.success) and -res.fun >= _objective(A, qp, k, best)
+    refined = bool(res.success and -res.fun >= _objective(A, qp, k, best))
     params = np.clip(res.x, _EPS, 1.0 - _EPS) if refined else best
     mu = _measure_from_params(k, params)
     value = q_entropy_markov(mu, qp) + mu.integrate(A)
@@ -236,7 +236,8 @@ def entropy_affinity_report(
     infimum on 2-cylinder masses with identical optimizer settings; the
     comparison then tests concavity of that one functional, which holds
     because it is an infimum of mass-affine objectives.  Positive defects
-    indicate non-affinity; no strict positivity is asserted.
+    indicate non-affinity; no strict positivity is asserted.  A sample raising
+    a ``QThermoError`` counts as a failure; other exceptions propagate.
     """
     qp = QParam.of(q)
     rng = np.random.default_rng(seed)
@@ -254,7 +255,7 @@ def entropy_affinity_report(
             )
             h1 = variational_entropy_of_masses(m1, 2, u_memory, qp, seed=seed)
             h2 = variational_entropy_of_masses(m2, 2, u_memory, qp, seed=seed)
-        except Exception:
+        except QThermoError:
             failures += 1
             continue
         defects.append(h_mix - (lam * h1 + (1 - lam) * h2))

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qthermo import qsolve
 from qthermo.errors import NonConvergenceError, QExpDomainError, SizeGuardError
 from qthermo.qfun import QParam, log_q
 from qthermo.qsolve import (
-    _continuation_root,
+    _cutoff_map,
     _neg_log_q_inv,
     _newton,
     _System,
+    _topical_root,
     _trivial_c,
     a_q_transform,
     bridge_general_g,
@@ -28,7 +28,13 @@ from qthermo.qsolve import (
     supex_closed_form,
     two_symbol_roots,
 )
-from qthermo.ruelle import classical_pressure, equilibrium_markov, random_jacobian
+from qthermo.ruelle import (
+    classical_pressure,
+    equilibrium_markov,
+    leading_eig,
+    random_jacobian,
+    transfer_matrix,
+)
 from qthermo.shift import Potential, prefix_index
 from qthermo.variational import q_pressure_scan
 
@@ -477,9 +483,11 @@ def _ref_solve(A, q_tilde, max_starts=2000):
     qp = QParam.of(q_tilde)
     sys = _System(A, qp)
     c0 = _trivial_c(sys.d, qp)
-    # the continuation candidate is the library's (see test_tracker_* below)
-    cont = _continuation_root(sys, qp)
-    candidates = [] if cont is None else [cont]
+    # the fixed-point candidate is the library's; the lattice runs at every
+    # q-tilde, so at non-polynomial q-tilde it checks that the solver, which
+    # skips the lattice there, misses no root
+    phi, c, _ = _topical_root(sys)
+    candidates = [(phi, c)]
     phi_levels = (-3.0, -1.5, 0.0, 1.5, 3.0)
     c_levels = (c0, c0 + 2.0, c0 - 2.0, c0 + 4.0, c0 - 4.0)
     lattice = itertools.product(itertools.product(phi_levels, repeat=sys.n - 1), c_levels)
@@ -574,69 +582,74 @@ def test_singular_row_takes_the_least_squares_step(monkeypatch):
     assert np.array_equal(alone_c, out_c[[0, 2]])
 
 
-# -- the path tracker against the fixed-step continuation it replaced: steps
-# of at most 1/64 from the last root, no predictor, the full Newton budget
+# -- the positive branch as the fixed point of the cut-off map
 
 
-def _ref_continuation(sys, q_tilde):
-    phi, c = np.zeros((1, sys.n)), np.array([_trivial_c(sys.d, q_tilde)])
-    t, dt = 0.0, 1.0 / 64.0
-    while t < 1.0 - 1e-15:
-        target = min(1.0, t + dt)
-        phi_t, c_t, ok = _newton(sys.with_values(target * sys.A_vals), phi, c)
-        if not ok[0]:
-            dt *= 0.5
-            if dt < 1e-4:
-                return None
-            continue
-        phi, c = phi_t, c_t
-        t = target
-        dt = min(2.0 * dt, 1.0 / 64.0)
-    return phi[0], c[0]
+@given(
+    cell=st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]),
+    qt=st.one_of(
+        st.sampled_from([0.5, 0.75]),  # polynomial: the lattice runs too
+        st.floats(0.3, 1.7).filter(lambda x: abs(x - 1.0) >= 0.05),
+    ),
+    sigma=st.floats(0.1, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_positive_root_is_the_cutoff_fixed_point(cell, qt, sigma, seed):
+    d, memory = cell
+    A = Potential(d=d, memory=memory, values=np.random.default_rng(seed).normal(0.0, sigma, d**memory))
+    sys = _System(A, QParam(qt))
+    roots = qruelle_solve(A, qt)
+    positive = [r for r in roots if r.summands_positive]
+    assert len(positive) <= 1
+    if sys.order is None:
+        assert len(roots) <= 1
+        assert all(r.summands_positive for r in roots)
+    for r in positive:
+        assert np.max(np.abs(_cutoff_map(sys, r.phi) - r.phi - r.c)) <= 1e-10
+    assert _topical_root(sys)[2] == bool(positive)
 
 
-def _grid_draw(sigma, d, memory, qt, index):
-    rng = np.random.default_rng([d, memory, int(100 * qt), int(100 * sigma)])
-    for _ in range(index + 1):
-        values = rng.normal(0.0, sigma, d**memory)
-    return Potential(d=d, memory=memory, values=values)
+def test_fixed_point_certifies_a_draw_without_positive_root():
+    # the second N(0, 0.25) draw of default_rng([14, 1]) at qt = 1/2: at the
+    # fixed point the 12-summand of context 2 is cut off, so its equation is
+    # met by the 22-summand alone and c = A(22); no root has positive bases
+    rng = np.random.default_rng([14, 1])
+    rng.normal(0.0, 0.25, 4)
+    A = Potential(d=2, memory=2, values=rng.normal(0.0, 0.25, 4))
+    phi, c, positive = _topical_root(_System(A, QParam(0.5)))
+    assert abs(c - A.values[3]) <= 1e-12
+    assert not positive
+    assert not any(r.summands_positive for r in qruelle_solve(A, 0.5))
+    with pytest.raises(NonConvergenceError):
+        q_equilibrium(A, 1.5)
 
 
-_GRID_QT = (0.3, 0.5, 0.7, 0.75, 1.2, 1.5)
+@pytest.mark.parametrize("qt,seed", [(1.03, 0), (0.97, 24)])
+def test_cutoff_map_stops_at_its_roundoff_floor(qt, seed):
+    # near qt = 1 the Newton step of some context stalls above 1e-15*|t|
+    # while the sum no longer falls; a step test alone would never stop
+    A = Potential(d=3, memory=2, values=np.random.default_rng(seed).normal(0.0, 1.0, 9))
+    sys = _System(A, QParam(qt))
+    phi, c, positive = _topical_root(sys)
+    assert positive
+    assert np.max(np.abs(_cutoff_map(sys, phi) - phi - c)) <= 1e-12
+    assert np.max(np.abs(sys.defect(phi[None], np.array([c])))) <= 1e-12
 
 
-@pytest.mark.parametrize("sigma", [0.25, 0.8, 1.5, 3.0])
-def test_tracker_follows_the_fixed_step_branch(sigma):
-    # the fifth draw of each grid cell; at sigma = 3, qt = 0.75 the d = 2
-    # memory-1 draw is carried across a fold onto another branch by the
-    # fixed-step loop and the memory-2 draw breaks down at a fold, which a
-    # large plain step would jump
-    cells = [(2, 1), (2, 2)] + ([(2, 3), (3, 2), (2, 4), (3, 3)] if sigma == 0.25 else [])
-    for (d, memory), qt in itertools.product(cells, _GRID_QT):
-        sys = _System(_grid_draw(sigma, d, memory, qt, 4), QParam(qt))
-        want = _ref_continuation(sys, QParam(qt))
-        got = _continuation_root(sys, QParam(qt))
-        assert (got is None) == (want is None), (d, memory, qt)
-        if want is not None:
-            assert abs(got[1] - want[1]) <= 1e-10
-            assert np.max(np.abs(got[0] - want[0])) <= 1e-10
-
-
-@pytest.mark.parametrize("qt", [0.5, 0.7, 0.75, 1.5])
-@pytest.mark.parametrize("d", [2, 3])
-def test_tracker_takes_few_newton_calls(monkeypatch, d, qt):
-    calls = []
-
-    def counting_newton(*args, **kwargs):
-        calls.append(1)
-        return _newton(*args, **kwargs)
-
-    monkeypatch.setattr(qsolve, "_newton", counting_newton)
-    rng = np.random.default_rng([d, 2, int(100 * qt)])
-    for _ in range(3):
-        sys = _System(Potential(d=d, memory=2, values=rng.normal(0.0, 0.25, d * d)), QParam(qt))
-        calls.clear()
-        phi, c = _continuation_root(sys, QParam(qt))
-        assert len(calls) <= 10
-        # the last step is polished past the 1e-12 Newton tolerance
-        assert np.max(np.abs(sys.defect(phi[None], np.array([c])))) <= 1e-14
+@pytest.mark.parametrize("d,memory", [(2, 1), (2, 2), (3, 2), (2, 3)])
+def test_fixed_point_tends_to_the_classical_eigenfunction(d, memory):
+    # at qt = 1 - eps the fixed point is the Perron eigendata (log h, log lambda)
+    # of the classical transfer matrix up to O(eps)
+    A = Potential(d=d, memory=memory, values=np.random.default_rng([d, memory]).normal(0.0, 0.5, d**memory))
+    lam, h, _ = leading_eig(transfer_matrix(A))
+    log_h = np.log(h) - math.log(h[0])
+    gaps = []
+    for eps in (1e-2, 5e-3, 2.5e-3):
+        phi, c, positive = _topical_root(_System(A, QParam(1.0 - eps)))
+        assert positive
+        gaps.append(abs(c - math.log(lam)))
+        assert gaps[-1] <= eps
+        assert np.max(np.abs(phi - log_h)) <= 0.1 * eps
+    for wide, narrow in zip(gaps, gaps[1:]):
+        assert wide / narrow == pytest.approx(2.0, rel=1e-2)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qthermo import variational
 from qthermo.errors import SizeGuardError
 from qthermo.qfun import QParam, log_q
 from qthermo.ruelle import classical_pressure, q_entropy_markov
@@ -24,6 +25,10 @@ def test_scan_zero_potential_is_max_q_entropy():
     # tolerance of the uniform measure while the value is pinned exactly
     assert res.argmax.pi == pytest.approx([0.5, 0.5], abs=1e-6)
     assert res.refined
+
+
+def test_scan_refined_is_a_python_bool():
+    assert type(q_pressure_scan(A_01, 0.5, 40).refined) is bool
 
 
 def test_scan_classical_limit_matches_transfer_matrix():
@@ -172,3 +177,18 @@ def test_affinity_report_positive_defects():
     assert rep.failures == 0
     assert rep.min_defect > 0.0
     assert rep.min_defect <= rep.mean_defect <= rep.max_defect
+
+
+def test_affinity_report_counts_library_errors_as_failures():
+    # at q = 3/2 every functional evaluation raises QLogDomainError
+    rep = entropy_affinity_report(1.5, 4)
+    assert rep.failures == rep.samples == 4
+
+
+def test_affinity_report_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("not a library error")
+
+    monkeypatch.setattr(variational, "variational_entropy_of_masses", broken)
+    with pytest.raises(TypeError, match="not a library error"):
+        entropy_affinity_report(0.5, 2)
