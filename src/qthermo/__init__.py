@@ -2,8 +2,8 @@
 
 Deformed exponential/logarithm calculus, static and dynamical q-entropies
 and pressures, the classical and deformed transfer-operator equations, an
-asymptotic pressure from exact level-set counts, and brute-force variational
-scans used as independent cross-checks.
+asymptotic pressure from exact level-set counts, and variational scans used
+as independent cross-checks.
 """
 
 import os as _os

@@ -858,7 +858,8 @@ SUBCOMMANDS = {
         ),
     ),
     "scan": (
-        "sup of H_q(mu) + int A dmu over binary Markov measures on a transition-probability grid",
+        "sup of H_q(mu) + int A dmu over Markov measures by relative value iteration "
+        "(--grid is only echoed)",
         _cmd_scan,
         (*_Q, _OUTPUT, _POTENTIAL, _GRID),
     ),

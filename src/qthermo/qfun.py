@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QExpDomainError, QLogDomainError
+from .errors import NonConvergenceError, QExpDomainError, QLogDomainError
 
 #: |q - 1| at or below this switches to the classical exp/log branch.
 CLASSICAL_Q_TOL = 1e-8
@@ -168,6 +168,79 @@ def exp_q_base(u, q):
     """The affine base 1 + (1-q)u whose positivity defines the strict domain."""
     qp = QParam.of(q)
     return 1.0 + (1.0 - qp.q) * np.asarray(u, dtype=float)
+
+
+def _cutoff_root(v: np.ndarray, qt: float) -> np.ndarray:
+    """The t, per row of v (n, d), with sum_a E(v_a - t) = 1, E(u) = max(1 + (1-qt)u, 0)^(1/(1-qt)).
+
+    At qt = 1 (CLASSICAL_Q_TOL) t is the log-sum-exp.  The sum falls in t from
+    >= 1 at t = max v.  For qt > 0 it is convex, so Newton from max v climbs
+    monotonically until no step exceeds 1e-15*max(1, |t|) or, at roundoff,
+    the sum stops falling; within 1e-2 of qt = 1 the sum is taken in log1p
+    form, as the power 1/(1-qt) amplifies the base's rounding.  For qt <= 0
+    t is bisected in [max v, max v - log_qt(1/d)], where each summand ends <= 1/d.
+    """
+    t = v.max(axis=1)
+    if abs(qt - 1.0) <= CLASSICAL_Q_TOL:
+        return t + np.log(np.exp(v - t[:, None]).sum(axis=1))
+    if qt > 0.0:
+        power = even_power_order(qt) or 1.0 / (1.0 - qt)
+        F_prev = np.inf
+        while True:
+            y = (1.0 - qt) * (v - t[:, None])
+            base = np.maximum(1.0 + y, 0.0)
+            dE = base ** (power - 1)  # minus the t-derivative of each summand
+            if abs(1.0 - qt) < 1e-2:
+                with np.errstate(divide="ignore"):  # log1p(-1) = -inf: a cut-off summand
+                    F = np.exp(power * np.log1p(np.maximum(y, -1.0))).sum(axis=1) - 1.0
+            else:
+                F = (base * dE).sum(axis=1) - 1.0
+            step = F / dE.sum(axis=1)
+            t = t + step
+            if not ((step > 1e-15 * np.maximum(1.0, np.abs(t))) & (F < F_prev)).any():
+                return t
+            F_prev = F
+    power = 1.0 / (1.0 - qt)
+    lo, hi = t, t + (1.0 - v.shape[1] ** (qt - 1.0)) * power
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi) | (hi - lo <= 1e-16)):
+            return mid
+        F = (np.maximum(1.0 + (1.0 - qt) * (v - mid[:, None]), 0.0) ** power).sum(axis=1)
+        lo, hi = np.where(F > 1.0, mid, lo), np.where(F > 1.0, hi, mid)
+
+
+def _regularized_max(v: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """(p, S) per row of v (n, d): p maximizes <p, v> + H_q(p) over the simplex, S is the max.
+
+    With u = (v - 1)/q and t the cut-off root of u at qt = 2 - q, the KKT
+    solution is p_a = E_(2-q)(u_a - t), sparse at q > 1.  S is the objective
+    at p renormalized, so an error in t enters it only to second order.
+    """
+    u = (v - 1.0) / q
+    t = _cutoff_root(u, 2.0 - q)
+    if abs(q - 1.0) <= CLASSICAL_Q_TOL:
+        p = np.exp(u - t[:, None])
+    else:
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf: a cut-off entry
+            p = np.exp(np.log1p(np.maximum((q - 1.0) * (u - t[:, None]), -1.0)) / (q - 1.0))
+    p = p / p.sum(axis=1, keepdims=True)  # the floor keeps 1/p finite where p vanishes
+    return p, (p * (v + log_q(1.0 / np.maximum(p, 1e-300), q))).sum(axis=1)
+
+
+def _relative_value_iteration(T, n: int):
+    """Damped relative value iteration for a map T that is monotone and commutes with constants.
+
+    Yields (h, lo, hi), lo = min(Th - h) <= c <= hi = max(Th - h) for c in
+    T(h*) = h* + c, then moves h <- (h + Th)/2, h[0] = 0; NonConvergenceError at 5,000.
+    """
+    h = np.zeros(n)
+    for _ in range(5000):
+        gap = T(h) - h
+        yield h, float(gap.min()), float(gap.max())
+        h = h + 0.5 * gap
+        h -= h[0]
+    raise NonConvergenceError("relative value iteration did not close its bracket")
 
 
 # ---------------------------------------------------------------------------

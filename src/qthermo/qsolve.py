@@ -8,8 +8,9 @@ index q-tilde, context words of length k = max(m - 1, 1), and unknowns
 
 for every context word x.  A root with positive summands is the unique
 fixed point, T(phi) = phi + c, of a monotone cut-off map, found by relative
-value iteration.  When 1/(1 - qt) is an even positive integer the
-q-exponential extends to a global polynomial and a batched multistart Newton
+value iteration; T is ``qfun._cutoff_root`` per context, the kernel of the
+variational scan and the static equilibrium too.  When 1/(1 - qt) is an even
+positive integer the q-exponential extends to a global polynomial and a batched multistart Newton
 lattice also finds roots whose summand bases are negative or zero; otherwise
 evaluation is strict and the fixed point is the only root.  The classical
 case qt = 1 is left to ``ruelle``.
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError, QExpDomainError, QThermoError, SizeGuardError
-from .qfun import QParam, even_power_order, log_q
+from .qfun import QParam, _cutoff_root, _relative_value_iteration, even_power_order, log_q
 from .ruelle import (
     Jacobian,
     MarkovMeasure,
@@ -288,44 +289,22 @@ def _jacobian_of_root(sys: _System, phi: np.ndarray, c: float) -> Jacobian:
     return Jacobian(d=sys.d, k=sys.k, values=vals / np.tile(rows, sys.d))
 
 
-def _cutoff_map(sys: _System, phi: np.ndarray) -> np.ndarray:
-    """T(phi)(x): the t with sum_a E(A(a x) + phi(prefix_k(a x)) - t) = 1, per context.
-
-    E(u) = max(1 + (1-qt)u, 0)^(1/(1-qt)).  The sum is convex, decreasing in t
-    and >= 1 at t = max_a of the arguments, so Newton from there climbs
-    monotonically; it stops once no step exceeds 1e-15*max(1, |t|) or, at
-    roundoff (near qt = 1 above that tolerance), the sum stops falling.
-    """
-    v = sys.A_vals + phi[sys.pre_idx]
-    t = v.max(axis=1)
-    F_prev = np.inf
-    while True:
-        base = np.maximum(1.0 + (1.0 - sys.qt) * (v - t[:, None]), 0.0)
-        dE = base ** (sys.power - 1)  # minus the t-derivative of each summand
-        F = (base * dE).sum(axis=1) - 1.0
-        step = F / dE.sum(axis=1)
-        t = t + step
-        if not ((step > 1e-15 * np.maximum(1.0, np.abs(t))) & (F < F_prev)).any():
-            return t
-        F_prev = F
-
-
 def _topical_root(sys: _System) -> tuple[np.ndarray, float, bool]:
     """(phi, c, positive) with T(phi) = phi + c, T the cut-off map.
 
-    T is monotone and commutes with constants, so lo = min(T(phi) - phi) <= c
-    <= hi = max(T(phi) - phi) for every phi.  Damped relative value iteration,
-    phi <- (phi + T(phi))/2 re-gauged to phi[0] = 0, closes the bracket; at
+    T(phi)(x) is the t with sum_a E(A(a x) + phi(prefix_k(a x)) - t) = 1, E
+    the cut-off q-exponential.  Relative value iteration brackets c; at
     hi - lo <= 1e-3*max(1, |hi|) with every base above the margin ``_newton``
     finishes the root, and one more Newton step is kept unless it raises the
     defect.  Otherwise it runs to 1e-12*max(1, |hi|).  ``positive``: every
     base clears the margin.  NonConvergenceError after 5,000 iterations.
     """
-    phi = np.zeros(sys.n)
+
+    def T(phi: np.ndarray) -> np.ndarray:
+        return _cutoff_root(sys.A_vals + phi[sys.pre_idx], sys.qt)
+
     newton_tried = False
-    for _ in range(5000):
-        gap = _cutoff_map(sys, phi) - phi
-        lo, hi = float(gap.min()), float(gap.max())
+    for phi, lo, hi in _relative_value_iteration(T, sys.n):
         c = 0.5 * (lo + hi)
         width = (hi - lo) / max(1.0, abs(hi))
         if width <= 1e-3 and not newton_tried and _classify(sys, phi, c)[0]:
@@ -344,9 +323,6 @@ def _topical_root(sys: _System) -> tuple[np.ndarray, float, bool]:
                 return PHI[0], float(C[0]), _classify(sys, PHI[0], C[0])[0]
         if width <= 1e-12:
             return phi, c, _classify(sys, phi, c)[0]
-        phi = phi + 0.5 * gap
-        phi -= phi[0]
-    raise NonConvergenceError("relative value iteration did not close its bracket")
 
 
 def qruelle_solve(

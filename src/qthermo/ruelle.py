@@ -30,7 +30,6 @@ from .qfun import QParam, log_q
 from .shift import Potential, drop_first, drop_last, prefix_index, prepend, word_index
 
 _STATE_GUARD = 4096
-_TABLE_GUARD = 16384
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,16 @@ class TransferMatrix:
         self.matrix.setflags(write=False)
 
 
+def _guarded_context_length(A: Potential) -> int:
+    """A's context length k; SizeGuardError above memory 6 or 4096 contexts."""
+    if A.memory > 6:
+        raise SizeGuardError(f"memory {A.memory} exceeds the guard (6)")
+    k = A.context_length()
+    if A.d**k > _STATE_GUARD:
+        raise SizeGuardError(f"{A.d}**{k} states exceed the guard ({_STATE_GUARD})")
+    return k
+
+
 def transfer_matrix(A: Potential) -> TransferMatrix:
     """Build the transfer matrix of a locally constant potential.
 
@@ -60,12 +69,7 @@ def transfer_matrix(A: Potential) -> TransferMatrix:
     SizeGuardError
         when memory exceeds 6 or the state space exceeds the size guard.
     """
-    if A.memory > 6:
-        raise SizeGuardError(f"memory {A.memory} exceeds the guard (6)")
-    d, m = A.d, A.memory
-    k = A.context_length()
-    if d**k > _STATE_GUARD:
-        raise SizeGuardError(f"{d}**{k} states exceed the guard ({_STATE_GUARD})")
+    d, m, k = A.d, A.memory, _guarded_context_length(A)
     n = d**k
     x = np.arange(n)
     ax = prepend(np.arange(1, d + 1)[:, None], x, d, k)  # row a - 1: the (k+1)-words a.x
@@ -77,19 +81,23 @@ def transfer_matrix(A: Potential) -> TransferMatrix:
 
 
 def _power_iterate(M: np.ndarray, tol: float, cap: int) -> tuple[float, np.ndarray]:
+    """Leading eigenpair of M >= 0 by power iteration in the max norm.
+
+    Stops once the Collatz-Wielandt ratios (M v)_i / v_i over v_i > 0, which
+    bracket the eigenvalue, agree to a relative ``tol``; returns v.Mv / v.v.
+    """
     v = np.full(M.shape[0], 1.0 / M.shape[0])
-    lam = 0.0
     for _ in range(cap):
         w = M @ v
-        lam_new = float(v @ w) / float(v @ v)
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
+        top = float(np.max(w))
+        if top == 0.0:
             raise NonConvergenceError("transfer matrix annihilated the iterate")
-        v = w / nrm
-        resid = float(np.max(np.abs(M @ v - lam_new * v)))
-        if abs(lam_new - lam) <= tol * abs(lam_new) and resid <= tol * abs(lam_new):
-            return lam_new, v
-        lam = lam_new
+        pos = v > 0.0
+        ratio = w[pos] / v[pos]
+        lam = float(v @ w) / float(v @ v)
+        v = w / top
+        if ratio.max() - ratio.min() <= tol * ratio.max():
+            return lam, v
     raise NonConvergenceError(f"power iteration did not converge within {cap} steps")
 
 
@@ -98,9 +106,9 @@ def leading_eig(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Leading eigenvalue with right (h) and left (nu) eigenvectors.
 
-    Power iteration stops once successive Rayleigh quotients agree to a
-    relative ``tol`` and the residual is below ``5 tol lambda``.  ``nu`` is
-    normalized to total mass one and ``h`` so that ``sum(h * nu) = 1``.
+    Power iteration stops once the Collatz-Wielandt ratios agree to a
+    relative ``tol``; the eigen residuals are then checked against
+    ``10 tol lambda max(h)``.  ``nu`` has total mass one and sum(h * nu) = 1.
     """
     lam, h = _power_iterate(M.matrix, tol, cap)
     lam_left, nu = _power_iterate(M.matrix.T, tol, cap)
@@ -219,33 +227,7 @@ class MarkovMeasure:
     def from_transitions(cls, d: int, k: int, P: np.ndarray) -> "MarkovMeasure":
         """Stationary measure of a row-stochastic matrix over k-words."""
         P = np.asarray(P, dtype=float)
-        n = P.shape[0]
-        # direct solve of pi (P - I) = 0 with one row replaced by the
-        # normalization; unlike power iteration this keeps the tiny
-        # components of nearly reducible chains componentwise accurate,
-        # which the induced jacobian row sums depend on
-        M = P.T - np.eye(n)
-        M[-1, :] = 1.0
-        rhs = np.zeros(n)
-        rhs[-1] = 1.0
-        try:
-            pi = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError:
-            pi = None
-        if pi is None or not np.all(np.isfinite(pi)) or float(np.min(pi)) < -1e-9:
-            # singular or grossly non-positive: fall back to iterating on
-            # (P^T + I)/2, whose spectral gap stays bounded for nearly
-            # periodic chains
-            damped = 0.5 * (P.T + np.eye(n))
-            _, pi = _power_iterate(damped, 1e-14, 1_000_000)
-            pi = np.abs(pi)
-        pi = np.clip(pi, 0.0, None)
-        pi = pi / pi.sum()
-        # one exact-balance sweep: pi P is stationary to machine precision
-        for _ in range(4):
-            pi = pi @ P
-            pi = pi / pi.sum()
-        return cls(d=d, k=k, P=P, pi=pi)
+        return cls(d=d, k=k, P=P, pi=_stationary(P))
 
     def cylinder_masses(self, r: int) -> np.ndarray:
         """Masses of all r-cylinders, r >= 1."""
@@ -264,10 +246,12 @@ class MarkovMeasure:
     def jacobian(self) -> Jacobian:
         """Backward conditionals Q(w) = P(w[:k] -> w[1:]) pi[w[:k]] / pi[w[1:]]."""
         d, k = self.d, self.k
-        w = np.arange(d ** (k + 1))
-        a, b = drop_last(w, d), drop_first(w, d, k + 1)
-        vals = self.P[a, b] * self.pi[a] / self.pi[b]
-        return Jacobian(d=d, k=k, values=vals)
+        return Jacobian(d=d, k=k, values=self._backward(np.arange(d ** (k + 1))))
+
+    def _backward(self, w: np.ndarray) -> np.ndarray:
+        """The backward conditionals Q at the (k+1)-word indices w."""
+        a, b = drop_last(w, self.d), drop_first(w, self.d, self.k + 1)
+        return self.P[a, b] * self.pi[a] / self.pi[b]
 
     def integrate(self, A: Potential) -> float:
         """Integral of a locally constant potential."""
@@ -276,35 +260,82 @@ class MarkovMeasure:
         return float(self.cylinder_masses(A.memory) @ A.values)
 
 
+def _stationary(P: np.ndarray) -> np.ndarray:
+    """A stationary probability vector of the row-stochastic matrix P."""
+    n = P.shape[0]
+    # direct solve of pi (P - I) = 0 with one row replaced by the
+    # normalization; unlike power iteration this keeps the tiny
+    # components of nearly reducible chains componentwise accurate,
+    # which the induced jacobian row sums depend on
+    M = P.T - np.eye(n)
+    M[-1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
+        pi = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        pi = None
+    if pi is None or not np.all(np.isfinite(pi)) or float(np.min(pi)) < -1e-9:
+        # singular or grossly non-positive: fall back to iterating on
+        # (P^T + I)/2, whose spectral gap stays bounded for nearly
+        # periodic chains
+        damped = 0.5 * (P.T + np.eye(n))
+        _, pi = _power_iterate(damped, 1e-14, 1_000_000)
+        pi = np.abs(pi)
+    pi = np.clip(pi, 0.0, None)
+    pi = pi / pi.sum()
+    # one exact-balance sweep: pi P is stationary to machine precision
+    for _ in range(4):
+        pi = pi @ P
+        pi = pi / pi.sum()
+    return pi
+
+
+def _backward_matrix(d: int, k: int, values: np.ndarray) -> np.ndarray:
+    """R[x, z] = values(x . z[-1]) over the successor pairs z = x[1:].b."""
+    w = np.arange(d ** (k + 1))
+    R = np.zeros((d**k, d**k))
+    R[drop_last(w, d), drop_first(w, d, k + 1)] = values
+    return R
+
+
+def _forward_markov(d: int, k: int, R: np.ndarray, pi: np.ndarray) -> MarkovMeasure:
+    """The measure with masses pi and P(x -> z) = R[x, z] pi[z] / pi[x], R >= 0.
+
+    Roundoff mass on a state with none on its successors is dropped; massless states move uniformly.
+    """
+    while np.any((pi > 0.0) & (R @ pi == 0.0)):
+        pi = np.where(R @ pi == 0.0, 0.0, pi)
+        pi = pi / pi.sum()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        P = R * pi[None, :] / pi[:, None]
+        P = P / P.sum(axis=1, keepdims=True)
+    void = pi == 0.0
+    if void.any():
+        P[void] = _backward_matrix(d, k, np.full(d ** (k + 1), 1.0 / d))[void]
+    return MarkovMeasure(d=d, k=k, P=P, pi=pi)
+
+
 def equilibrium_markov(J: Jacobian) -> MarkovMeasure:
     """Unique stationary Markov measure whose backward conditionals equal J.
 
-    The k-word masses are the eigenvector (eigenvalue one) of the
-    column-stochastic matrix R[x, z] = J(x . z[-1]) over successor pairs;
-    forward transitions follow as P(x -> z) = R[x, z] pi[z] / pi[x].
+    The masses are the power-iterated eigenvector (eigenvalue one) of R.
     """
-    d, k = J.d, J.k
-    n = d**k
-    w = np.arange(d ** (k + 1))  # the word x.b links state x to state z = x[1:].b
-    R = np.zeros((n, n))
-    R[drop_last(w, d), drop_first(w, d, k + 1)] = J.values
+    R = _backward_matrix(J.d, J.k, J.values)
     _, pi = _power_iterate(R, 1e-14, 1_000_000)
     pi = np.abs(pi)
     pi = pi / pi.sum()
     for _ in range(4):
         pi = R @ pi
         pi = pi / pi.sum()
-    P = R * pi[None, :] / pi[:, None]
-    P = P / P.sum(axis=1, keepdims=True)
-    return MarkovMeasure(d=d, k=k, P=P, pi=pi)
+    return _forward_markov(J.d, J.k, R, pi)
 
 
 def _mass_log_weights(mu: MarkovMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """(masses, Q-values) over (k+1)-words, skipping zero-mass words."""
+    """(masses, Q-values) over the (k+1)-words of positive mass, whose tails have mass."""
     masses = mu.cylinder_masses(mu.k + 1)
-    Q = mu.jacobian().values
-    keep = masses > 0.0
-    return masses[keep], Q[keep]
+    w = np.flatnonzero(masses > 0.0)
+    return masses[w], mu._backward(w)
 
 
 def ks_entropy(mu: MarkovMeasure) -> float:
@@ -340,11 +371,9 @@ def relative_q_entropy(
         raise ValueError("measures must share alphabet and memory")
     qp = QParam.of(q)
     masses = mu1.cylinder_masses(mu1.k + 1)
-    Q1 = mu1.jacobian().values
-    Q2 = mu2.jacobian().values
-    keep = masses > 0.0
-    diff = log_q(1.0 / Q2[keep], qp) - log_q(1.0 / Q1[keep], qp)  # np.log at q = 1
-    return float(masses[keep] @ diff)
+    w = np.flatnonzero(masses > 0.0)
+    diff = log_q(1.0 / mu2._backward(w), qp) - log_q(1.0 / mu1._backward(w), qp)  # log at q = 1
+    return float(masses[w] @ diff)
 
 
 def _variational_objective(

@@ -17,9 +17,9 @@ NOT satisfy the Lagrange stationarity of the objective above (the multiplier
 is pinned to 1/(1-q) instead of being solved from the normalization, and the
 final rescaling is not a symmetry of the objective), so it generally sits
 strictly below the true supremum.  ``true_static_equilibrium`` solves the
-stationarity condition exactly and ``static_q_pressure_scan`` maximizes by
-brute force; both agree with each other and exceed the closed form whenever
-beta != 0, a is non-constant and q != 1.
+KKT conditions exactly through the cut-off root and ``static_q_pressure_scan``
+maximizes by brute force; both agree with each other and exceed the closed
+form whenever beta != 0, a is non-constant and q != 1.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ import numpy as np
 from scipy import optimize
 from scipy.special import logsumexp
 
-from .errors import QThermoError
-from .qfun import QParam, exp_q
+from .qfun import QParam, _regularized_max, exp_q
 
 
 def _check_prob(p) -> np.ndarray:
@@ -112,67 +111,15 @@ def static_q_pressure(payoff, beta: float, q: QParam | float) -> StaticEquilibri
 
 
 def true_static_equilibrium(payoff, beta: float, q: QParam | float) -> StaticEquilibrium:
-    """Exact interior maximizer of H_q(p) + beta <a, p> via the multiplier solve.
+    """Exact maximizer of H_q(p) + beta <a, p>: ``qfun._regularized_max`` of the row beta*a.
 
-    Stationarity: beta a_j + q/(1-q) p_j^(q-1) = lam for all j, with lam fixed
-    by sum p = 1 (bracketed scalar root find).  Raises QThermoError at q > 1
-    when the maximizer lies on the boundary of the simplex.
+    At q > 1 it can lie on the boundary of the simplex, some p_j = 0.
     """
     qp = QParam.of(q)
     a = np.asarray(payoff, dtype=float)
-    if qp.classical:
-        w = np.exp(beta * a - np.max(beta * a))
-        p = w / w.sum()
-        val = _objective(p, a, qp, beta)
-        return StaticEquilibrium(val, p, val, qp.q, beta, a)
-    q = qp.q
-
-    def p_of_lam(lam):
-        t = (1.0 - q) / q * (lam - beta * a)
-        with np.errstate(divide="ignore"):  # bracket endpoints may touch t=0
-            return t ** (1.0 / (q - 1.0))
-
-    # admissible lam keeps lam - beta a_j on the right side of zero: for q<1
-    # the exponent 1/(q-1) is negative so we need lam > max(beta a); for q>1
-    # positive p forces lam < min(beta a)
-    if q < 1.0:
-        lo = float(np.max(beta * a))
-        span = max(1.0, float(np.ptp(beta * a)))
-        hi = lo + span
-        while p_of_lam(hi).sum() > 1.0:
-            span *= 2.0
-            hi = lo + span
-            if span > 1e12:
-                raise RuntimeError("multiplier bracket growth failed")
-        lo_eff = lo + span * 1e-18
-        while p_of_lam(lo_eff).sum() < 1.0:
-            lo_eff = lo + (lo_eff - lo) * 8.0
-        bracket = (lo_eff, hi)
-    else:
-        # sum p falls from +inf on (-inf, min(beta a)) to its value at the end,
-        # where the smallest entry is 0; if that is >= 1, no interior p sums to 1
-        hi = float(np.min(beta * a))
-        if p_of_lam(hi).sum() >= 1.0:
-            raise QThermoError(
-                f"at q = {q} the maximizer of H_q(p) + beta <a, p> lies on the boundary "
-                "of the simplex"
-            )
-        span = max(1.0, float(np.ptp(beta * a)))
-        lo = hi - span
-        while p_of_lam(lo).sum() < 1.0:
-            span *= 2.0
-            lo = hi - span
-            if span > 1e12:
-                raise RuntimeError("multiplier bracket growth failed")
-        bracket = (lo, hi)
-
-    lam = optimize.brentq(
-        lambda t: p_of_lam(t).sum() - 1.0, *bracket, xtol=1e-300, rtol=8.9e-16, maxiter=400
-    )
-    p = p_of_lam(lam)
-    p = p / p.sum()
+    p = _regularized_max(beta * a[None, :], qp.q)[0][0]
     val = _objective(p, a, qp, beta)
-    return StaticEquilibrium(val, p, val, q, beta, a)
+    return StaticEquilibrium(val, p, val, qp.q, beta, a)
 
 
 def stationarity_defect(p, payoff, beta: float, q: QParam | float) -> float:

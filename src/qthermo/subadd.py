@@ -288,6 +288,6 @@ def variational_scan_subadd(A: Potential, q: QParam | float, grid_n: int) -> Sub
     i, j = np.unravel_index(flat, h.shape)
     return SubaddScan(
         value=float(h[i, j]),
-        argmax=_measure_from_params(1, chart.t[[i, j]]),
+        argmax=_measure_from_params(chart.t[[i, j]]),
         excluded_fraction=float(1.0 - feasible.mean()),
     )

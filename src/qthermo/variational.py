@@ -1,10 +1,10 @@
-"""Brute-force variational oracles over finite-memory Markov measures.
+"""Variational oracles over finite-memory Markov measures.
 
-These scans certify the solver constants independently: the dynamical
-q-pressure of a potential is evaluated as sup of H_q(mu) + int A dmu over a
-dense grid of Markov transition matrices (with derivative-free refinement),
-and the q-entropy itself is tabulated as a surface over the two free
-transition probabilities of a binary Markov measure.
+These certify the solver constants independently.  The dynamical q-pressure,
+sup of H_q(mu) + int A dmu, is the gain of an entropy-regularized
+average-reward problem, solved by relative value iteration with a two-sided
+bracket.  The q-entropy is tabulated over the two free transition
+probabilities of a binary Markov measure.
 """
 
 from __future__ import annotations
@@ -13,29 +13,34 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import QThermoError, SizeGuardError
-from .qfun import QParam, log_q
+from .qfun import QParam, _regularized_max, _relative_value_iteration, log_q
 from .ruelle import (
     MarkovMeasure,
+    _backward_matrix,
+    _forward_markov,
+    _guarded_context_length,
+    _stationary,
     q_entropy_markov,
     variational_entropy_of_masses,
 )
-from .shift import Potential
+from .shift import Potential, drop_last, prefix_index, prepend
 
 _EPS = 1e-4
 
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Outcome of a variational grid scan with refinement."""
+    """A scan's value and argmax, with ``bracket`` = (lo, hi) certifying lo <= sup <= hi.
+    ``grid_n`` (echoed), ``refined`` (True) and ``excluded_fraction`` (0.0) stay for readers."""
 
     value: float
     argmax: MarkovMeasure
     grid_n: int
     refined: bool
     excluded_fraction: float
+    bracket: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -77,79 +82,47 @@ class BinaryChart:
         raise SizeGuardError("potential memory above 2 is not supported")
 
 
-def _measure_from_params(k: int, params: np.ndarray) -> MarkovMeasure:
-    """Binary Markov measure from its free transition probabilities.
-
-    k = 1: params = (P(1->2), P(2->1)).  k = 2: params = probabilities of
-    appending symbol 2 after each of the four 2-word states.
-    """
+def _measure_from_params(params: np.ndarray) -> MarkovMeasure:
+    """Memory-1 binary Markov measure with params = (P(1->2), P(2->1))."""
     p = np.clip(params, _EPS, 1.0 - _EPS)
-    if k == 1:
-        P = np.array([[1.0 - p[0], p[0]], [p[1], 1.0 - p[1]]])
-        return MarkovMeasure.from_transitions(2, 1, P)
-    # states in lexicographic order 11, 12, 21, 22; state ij can only move
-    # to states j1, j2
-    s = np.arange(4)
-    P = np.zeros((4, 4))
-    P[s, 2 * (s % 2)] = 1.0 - p
-    P[s, 2 * (s % 2) + 1] = p
-    return MarkovMeasure.from_transitions(2, 2, P)
-
-
-def _objective(A: Potential, q: QParam, k: int, params: np.ndarray) -> float:
-    mu = _measure_from_params(k, params)
-    return q_entropy_markov(mu, q) + mu.integrate(A)
-
-
-def _grid_scan_k1(A: Potential, q: QParam, grid_n: int) -> tuple[float, np.ndarray]:
-    """Vectorized scan over the (P12, P21) square for memory-1 measures."""
-    chart = BinaryChart.grid(grid_n)
-    obj = chart.q_entropy(q) + chart.integral(A)
-    i, j = np.unravel_index(int(np.argmax(obj)), obj.shape)
-    return float(obj[i, j]), np.array([chart.t[i], chart.t[j]])
+    P = np.array([[1.0 - p[0], p[0]], [p[1], 1.0 - p[1]]])
+    return MarkovMeasure.from_transitions(2, 1, P)
 
 
 def q_pressure_scan(A: Potential, q: QParam | float, grid_n: int) -> ScanResult:
-    """sup of H_q(mu) + int A dmu over binary Markov measures of matching memory.
+    """sup of H_q(mu) + int A dmu over Markov measures on the contexts of A.
 
-    Grid over the free transition probabilities in (1e-4, 1 - 1e-4), then
-    Nelder-Mead refinement (400 iterations) from the best grid point.  The
-    returned value is re-evaluated through the Markov-measure entropy and
-    integration routines at the argmax, so it reproduces exactly.
+    A measure, written by its backward Jacobian Q(a | x), is a policy of an
+    average-reward problem whose gain is the sup.  The Bellman map
+    T(h)(x) = max_Q sum_a Q_a (v_a + log_q(1/Q_a)), v_a = A(a x) + h(prefix_k(a x)),
+    is ``qfun._regularized_max``, monotone and commuting with constants, so
+    relative value iteration (Puterman 1994, 8.5.5) brackets the sup and runs
+    to hi - lo <= 1e-12*max(1, |hi|).  ``argmax`` is the stationary measure of
+    the last maximizing Jacobian (sparse at q > 1); ``value``, its objective,
+    reproduces exactly.  ``grid_n`` is only echoed.  Size guards as for
+    ``ruelle.transfer_matrix``; NonConvergenceError after 5,000 iterations.
     """
     qp = QParam.of(q)
-    if A.d != 2:
-        raise SizeGuardError("the scan is implemented for d = 2")
-    k = A.context_length()
-    if k > 2:
-        raise SizeGuardError("scan parameter space limited to memory <= 3 potentials")
-    if grid_n ** (2 * k) > 40_000_000:
-        raise SizeGuardError("grid too large; lower grid_n")
-    if k == 1:
-        _, best = _grid_scan_k1(A, qp, grid_n)
-    else:
-        t = np.linspace(_EPS, 1.0 - _EPS, grid_n)
-        best, best_val = None, -np.inf
-        for idx in np.ndindex((grid_n,) * 4):
-            params = t[list(idx)]
-            v = _objective(A, qp, k, params)
-            if v > best_val:
-                best_val, best = v, params
-        assert best is not None
+    d, k = A.d, _guarded_context_length(A)
+    words = prepend(np.arange(1, d + 1), np.arange(d**k)[:, None], d, k)  # [x, a - 1]: a.x
+    pre_idx = drop_last(words, d)
+    A_vals = A.values[prefix_index(words, d, k + 1, A.memory)]
 
-    res = minimize(
-        lambda x: -_objective(A, qp, k, x),
-        best,
-        method="Nelder-Mead",
-        options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-13},
-    )
-    refined = bool(res.success and -res.fun >= _objective(A, qp, k, best))
-    params = np.clip(res.x, _EPS, 1.0 - _EPS) if refined else best
-    mu = _measure_from_params(k, params)
-    value = q_entropy_markov(mu, qp) + mu.integrate(A)
-    return ScanResult(
-        value=float(value), argmax=mu, grid_n=grid_n, refined=refined, excluded_fraction=0.0
-    )
+    def bellman(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _regularized_max(A_vals + h[pre_idx], qp.q)
+
+    for h, lo, hi in _relative_value_iteration(lambda h: bellman(h)[1], d**k):
+        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
+            break
+    vals = np.empty(d ** (k + 1))
+    vals[words] = bellman(h)[0]
+    R = _backward_matrix(d, k, vals)
+    # zeros can make the chain periodic or partly transient, where power
+    # iteration stalls, so its masses are solved for directly
+    mu = _forward_markov(d, k, R, _stationary(R.T))
+    value = float(q_entropy_markov(mu, qp) + mu.integrate(A))
+    return ScanResult(value, mu, grid_n=grid_n, refined=True, excluded_fraction=0.0,
+                      bracket=(lo, hi))
 
 
 @dataclass(frozen=True)
@@ -200,7 +173,7 @@ def midpoint_concavity_report(
     rng = np.random.default_rng(seed)
 
     def hq_of(params: np.ndarray) -> float:
-        mu = _measure_from_params(1, params)
+        mu = _measure_from_params(params)
         return q_entropy_markov(mu, qp)
 
     gaps = np.empty(segments)
@@ -247,8 +220,8 @@ def entropy_affinity_report(
         prm1 = rng.uniform(0.1, 0.9, 2)
         prm2 = rng.uniform(0.1, 0.9, 2)
         lam = rng.uniform(0.1, 0.9)
-        m1 = _measure_from_params(1, prm1).cylinder_masses(u_memory)
-        m2 = _measure_from_params(1, prm2).cylinder_masses(u_memory)
+        m1 = _measure_from_params(prm1).cylinder_masses(u_memory)
+        m2 = _measure_from_params(prm2).cylinder_masses(u_memory)
         try:
             h_mix = variational_entropy_of_masses(
                 lam * m1 + (1 - lam) * m2, 2, u_memory, qp, seed=seed

@@ -18,6 +18,7 @@ import pytest
 
 from qthermo import cli, subadd
 from qthermo.shift import Potential
+from qthermo.variational import q_pressure_scan
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracer  # noqa: E402
@@ -67,3 +68,11 @@ def test_traced_run_records_subadd_and_restores_originals():
 def test_each_criterion_has_one_wall_clock_gate(fn):
     source = inspect.getsource(fn.__wrapped__)
     assert len(re.findall(r"\bdt < ([0-9.eE+-]+)", source)) == 1
+
+
+def test_scan_keeps_the_call_shape_the_workload_uses():
+    # perfbench/workloads.py passes the grid size positionally and the tracer
+    # counts res.refined; the scan no longer grids, but both stay readable
+    res = q_pressure_scan(A_01, 0.5, 8)
+    assert res.grid_n == 8
+    assert type(res.refined) is bool

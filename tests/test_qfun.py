@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qthermo.errors import QExpDomainError, QLogDomainError
 from qthermo.qfun import (
     QParam,
+    _cutoff_root,
     dexp_q,
     dlog_q,
     even_power_order,
@@ -219,3 +220,17 @@ def test_qparam_of_passes_qparam_through_and_validates_numbers():
     assert QParam.of(2).q == 2.0 and isinstance(QParam.of(2).q, float)
     with pytest.raises(ValueError):
         QParam.of(-0.5)
+
+
+@pytest.mark.parametrize("qt", [-2.0, -0.5, 0.0, 0.3, 1.0 - 1e-6, 1.0, 1.5])
+def test_cutoff_root_solves_its_equation(qt):
+    # qt <= 0 runs the bracketed Newton, where the sum is not convex in t
+    v = np.random.default_rng(0).normal(0.0, 2.0, (50, 3))
+    t = _cutoff_root(v, qt)
+    if qt == 1.0:
+        E = np.exp(v - t[:, None])
+    else:
+        E = np.maximum(1.0 + (1.0 - qt) * (v - t[:, None]), 0.0) ** (1.0 / (1.0 - qt))
+    tol = 1e-9 if qt == 1.0 - 1e-6 else 1e-13  # the power 1e6 amplifies the base's rounding
+    assert np.max(np.abs(E.sum(axis=1) - 1.0)) <= tol
+    assert np.all(t >= v.max(axis=1))

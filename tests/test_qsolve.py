@@ -7,9 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qthermo.errors import NonConvergenceError, QExpDomainError, SizeGuardError
-from qthermo.qfun import QParam, log_q
+from qthermo.qfun import QParam, _cutoff_root, log_q
 from qthermo.qsolve import (
-    _cutoff_map,
     _neg_log_q_inv,
     _newton,
     _System,
@@ -606,7 +605,8 @@ def test_positive_root_is_the_cutoff_fixed_point(cell, qt, sigma, seed):
         assert len(roots) <= 1
         assert all(r.summands_positive for r in roots)
     for r in positive:
-        assert np.max(np.abs(_cutoff_map(sys, r.phi) - r.phi - r.c)) <= 1e-10
+        T = _cutoff_root(sys.A_vals + r.phi[sys.pre_idx], sys.qt)
+        assert np.max(np.abs(T - r.phi - r.c)) <= 1e-10
     assert _topical_root(sys)[2] == bool(positive)
 
 
@@ -633,7 +633,8 @@ def test_cutoff_map_stops_at_its_roundoff_floor(qt, seed):
     sys = _System(A, QParam(qt))
     phi, c, positive = _topical_root(sys)
     assert positive
-    assert np.max(np.abs(_cutoff_map(sys, phi) - phi - c)) <= 1e-12
+    T = _cutoff_root(sys.A_vals + phi[sys.pre_idx], sys.qt)
+    assert np.max(np.abs(T - phi - c)) <= 1e-12
     assert np.max(np.abs(sys.defect(phi[None], np.array([c])))) <= 1e-12
 
 

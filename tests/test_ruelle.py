@@ -63,6 +63,30 @@ def test_normalize_rows_and_rohklin():
         assert abs(classical_pressure(logJ)) <= 1e-10
 
 
+@pytest.mark.parametrize("draw", [8, 11])
+def test_normalize_closes_the_eigen_residual_at_1024_states(draw):
+    # the 20 d=4 memory-6 draws of default_rng(1): Collatz-Wielandt stopping
+    # leaves a residual inside the post-check on every one
+    rng = np.random.default_rng(1)
+    for _ in range(draw):
+        rng.normal(0.0, 0.5, 4**6)
+    logJ, _, _ = normalize(Potential(d=4, memory=6, values=rng.normal(0.0, 0.5, 4**6)))
+    rows = np.exp(logJ.values).reshape(4, -1).sum(axis=0)
+    assert np.max(np.abs(rows - 1.0)) <= 1e-10
+
+
+def test_entropies_of_a_measure_with_a_zero_transition():
+    # pi = (1/3, 2/3); the word 11 has no mass, Q(12) = Q(22) = 1/2, Q(21) = 1
+    mu = MarkovMeasure.from_transitions(2, 1, [[0.0, 1.0], [0.5, 0.5]])
+    masses, Q = np.array([1.0, 1.0, 1.0]) / 3.0, np.array([0.5, 1.0, 0.5])
+    assert ks_entropy(mu) == pytest.approx(-(masses @ np.log(Q)), abs=1e-15)
+    assert ks_entropy(mu) == pytest.approx(2.0 / 3.0 * math.log(2.0), abs=1e-15)
+    assert q_entropy_markov(mu, 0.5) == pytest.approx(
+        masses @ log_q(1.0 / Q, 0.5), abs=1e-15
+    )
+    assert relative_q_entropy(mu, mu, 0.5) == 0.0
+
+
 def test_pressure_coboundary_invariance():
     rng = np.random.default_rng(2)
     A = Potential(d=2, memory=2, values=rng.normal(0.0, 1.0, 4))

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from qthermo import variational
 from qthermo.errors import SizeGuardError
@@ -9,6 +12,8 @@ from qthermo.qfun import QParam, log_q
 from qthermo.ruelle import classical_pressure, q_entropy_markov
 from qthermo.shift import Potential, all_words
 from qthermo.variational import (
+    BinaryChart,
+    _measure_from_params,
     entropy_affinity_report,
     entropy_surface,
     midpoint_concavity_report,
@@ -16,6 +21,29 @@ from qthermo.variational import (
 )
 
 A_01 = Potential(d=2, memory=1, values=np.array([0.0, 1.0]))
+
+
+def _ref_scan(A, q, grid_n=100):
+    """The former brute-force scan: the best point of a grid over the memory-1
+    binary Markov measures (P(1->2), P(2->1)) in (1e-4, 1 - 1e-4), polished by
+    Nelder-Mead.  A has d = 2 and memory <= 2."""
+    qp = QParam.of(q)
+    chart = BinaryChart.grid(grid_n)
+    obj = chart.q_entropy(qp) + chart.integral(A)
+    i, j = np.unravel_index(int(np.argmax(obj)), obj.shape)
+
+    def objective(params):
+        mu = _measure_from_params(params)
+        return q_entropy_markov(mu, qp) + mu.integrate(A)
+
+    best = np.array([chart.t[i], chart.t[j]])
+    res = minimize(
+        lambda x: -objective(x),
+        best,
+        method="Nelder-Mead",
+        options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-13},
+    )
+    return max(objective(best), objective(res.x))
 
 
 def test_scan_zero_potential_is_max_q_entropy():
@@ -112,9 +140,56 @@ def test_scan_memory3_reduces_to_memory1():
 
 def test_scan_guards():
     with pytest.raises(SizeGuardError):
-        q_pressure_scan(Potential.constant(3, 0.0), 0.5, 10)
-    with pytest.raises(SizeGuardError):
-        q_pressure_scan(Potential.constant(2, 0.0, memory=3), 0.5, 300)
+        q_pressure_scan(Potential.constant(2, 0.0, memory=7), 0.5, 10)
+    with pytest.raises(SizeGuardError):  # 5**6 contexts
+        q_pressure_scan(Potential.constant(5, 0.0, memory=7), 0.5, 10)
+
+
+@given(
+    d_memory=st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]),
+    q=st.one_of(st.just(1.0), st.floats(0.2, 3.0)),
+    sigma=st.floats(0.1, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_scan_value_lies_in_its_closed_bracket(d_memory, q, sigma, seed):
+    d, memory = d_memory
+    A = Potential(
+        d=d, memory=memory, values=np.random.default_rng(seed).normal(0.0, sigma, d**memory)
+    )
+    res = q_pressure_scan(A, q, 8)
+    lo, hi = res.bracket
+    assert lo - 1e-11 <= res.value <= hi + 1e-11
+    assert hi - lo <= 1e-12 * max(1.0, abs(hi))
+    # H_q >= h for q < 1 and H_q <= h for q > 1 on every measure
+    P = classical_pressure(A)
+    if QParam(q).classical:
+        assert res.value == pytest.approx(P, abs=1e-12)
+    elif q < 1.0:
+        assert res.value >= P - 1e-10
+    else:
+        assert res.value <= P + 1e-10
+    if d == 2 and memory <= 2:
+        assert res.value >= _ref_scan(A, q) - 1e-10
+
+
+def test_scan_finds_a_sparse_maximizer_on_the_boundary():
+    # at q = 4 the words 11 and 22 get no mass: the maximizer alternates 1212...,
+    # with zero entropy and mean (1 + 2)/2, which the interior grid only approaches
+    A = Potential(d=2, memory=2, values=np.array([0.0, 1.0, 2.0, 0.0]))
+    res = q_pressure_scan(A, 4.0, 8)
+    assert res.argmax.P[0, 0] == 0.0 and res.argmax.P[1, 1] == 0.0
+    assert res.value == pytest.approx(1.5, abs=1e-12)
+    again = q_entropy_markov(res.argmax, QParam(4.0)) + res.argmax.integrate(A)
+    assert again == res.value
+    assert res.value >= _ref_scan(A, 4.0)
+
+
+def test_scan_matches_the_reference_above_q_two():
+    A = Potential(d=2, memory=2, values=np.array([0.0, 1.5, -1.0, 0.5]))
+    res = q_pressure_scan(A, 2.5, 8)
+    assert res.value == pytest.approx(_ref_scan(A, 2.5), abs=1e-9)
+    assert res.value == pytest.approx(0.7163796831419573, abs=1e-12)
 
 
 @pytest.mark.parametrize("q", [0.5, 0.9])
