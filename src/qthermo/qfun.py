@@ -170,6 +170,12 @@ def exp_q_base(u, q):
     return 1.0 + (1.0 - qp.q) * np.asarray(u, dtype=float)
 
 
+def _logsumexp(x: np.ndarray) -> float:
+    """log(sum(exp(x))) for finite x, shifted by the maximum."""
+    m = x.max()
+    return float(m + np.log(np.exp(x - m).sum()))
+
+
 def _cutoff_root(v: np.ndarray, qt: float) -> np.ndarray:
     """The t, per row of v (n, d), with sum_a E(v_a - t) = 1, E(u) = max(1 + (1-qt)u, 0)^(1/(1-qt)).
 

@@ -15,6 +15,8 @@ matrix ``M[x, y] = e^{A(prefix_m(y1 x))}`` over pairs of k-words with the
 overlap condition ``y[1:] == x[:k-1]``.  The Jacobian of the associated
 equilibrium state lives on (k+1)-words and is the backward conditional
 probability of the first symbol given the tail.
+
+Imports numpy only: the brute-force variational q-entropy loads scipy (BFGS).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NonConvergenceError, QLogDomainError, SizeGuardError
 from .qfun import QParam, log_q
@@ -433,6 +434,8 @@ def _variational_entropy_from_masses(
 ) -> float:
     if q.q > 1.0 and not q.classical:
         raise QLogDomainError(f"variational q-entropy is -inf for q = {q.q} > 1")
+
+    from scipy.optimize import minimize  # brute-force oracle only: off the import path
 
     def objective(t: np.ndarray) -> float:
         return _variational_objective(np.concatenate(([0.0], t)), masses, d, r, q)

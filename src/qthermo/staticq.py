@@ -20,6 +20,8 @@ strictly below the true supremum.  ``true_static_equilibrium`` solves the
 KKT conditions exactly through the cut-off root and ``static_q_pressure_scan``
 maximizes by brute force; both agree with each other and exceed the closed
 form whenever beta != 0, a is non-constant and q != 1.
+
+Imports numpy only: the brute-force ``static_q_pressure_scan`` loads scipy.
 """
 
 from __future__ import annotations
@@ -28,10 +30,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.special import logsumexp
 
-from .qfun import QParam, _regularized_max, exp_q
+from .qfun import QParam, _logsumexp, _regularized_max, exp_q
 
 
 def _check_prob(p) -> np.ndarray:
@@ -139,6 +139,8 @@ def static_q_pressure_scan(
     Barycentric stride 1/grid_n, then one coordinate-wise golden-section pass
     around the best grid point.
     """
+    from scipy.optimize import minimize_scalar  # brute-force oracle only: off the import path
+
     qp = QParam.of(q)
     a = np.asarray(payoff, dtype=float)
     d = a.size
@@ -177,8 +179,8 @@ def static_q_pressure_scan(
 
         lo = max(1e-12, best[axis] - 2.0 / grid_n)
         hi = min(1.0 - rest - 1e-12, best[axis] + 2.0 / grid_n)
-        res = optimize.minimize_scalar(f, bracket=None, bounds=(lo, hi), method="bounded",
-                                       options={"xatol": 1e-13})
+        res = minimize_scalar(f, bracket=None, bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-13})
         if -res.fun > _objective(best, a, qp, beta):
             best[axis] = res.x
             best[-1] = 1.0 - rest - res.x
@@ -217,7 +219,7 @@ def meson_vericat_bernoulli(p, q: QParam | float, check_up_to: int = 8) -> float
     logmass = np.zeros(1)
     for n in range(1, check_up_to + 1):
         logmass = (logmass[:, None] + logp[None, :]).ravel()
-        block = float(logsumexp(q * logmass)) / n
+        block = _logsumexp(q * logmass) / n
         if abs(block - target) > 1e-12 * max(1.0, abs(target)):
             raise AssertionError(f"block value at n={n} drifted: {block} vs {target}")
     return target

@@ -24,18 +24,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import QExpDomainError, QLogDomainError, QThermoError, SizeGuardError
-from .qfun import QParam, exp_q
+from .qfun import QParam, _logsumexp, exp_q
 from .ruelle import MarkovMeasure
 from .shift import Potential, all_words
 from .variational import BinaryChart, _measure_from_params
 
 _QUANTUM = 1e-9
-
-
-def _logsumexp(x: np.ndarray) -> float:
-    """log(sum(exp(x))) for finite x, shifted by the maximum."""
-    m = x.max()
-    return float(m + np.log(np.exp(x - m).sum()))
 
 
 def phi_n(A: Potential, q: QParam | float, w: tuple[int, ...], tail: tuple[int, ...]) -> float:

@@ -348,6 +348,39 @@ def test_solve_at_classical_q_tilde_exits_2(jana_file, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "entry", [["-c", "import qthermo.cli"], ["-m", "qthermo", "--help"]], ids=["import", "help"]
+)
+def test_import_path_is_numpy_only(entry, tmp_path):
+    # scipy loads only inside the brute-force oracles, never at import
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *entry],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    timings = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert any(line.endswith("| qthermo.cli") for line in timings)
+    assert [line for line in timings if "scipy" in line] == []
+
+
+def test_scipy_loads_lazily_from_cold_start(tmp_path):
+    code = (
+        "import json, sys; import qthermo; before = 'scipy' in sys.modules; "
+        "p = qthermo.static_q_pressure_scan((0.5, 0.8), 1.2, 1 / 3).pressure; "
+        "print(json.dumps([before, 'scipy' in sys.modules, p]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after, pressure = json.loads(proc.stdout)
+    assert (before, after) == (False, True)
+    assert pressure == staticq.static_q_pressure_scan((0.5, 0.8), 1.2, 1 / 3).pressure
+
+
 def test_console_script_entry_point(monkeypatch):
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

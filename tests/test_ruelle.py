@@ -274,7 +274,7 @@ def test_variational_entropy_rejects_q_above_one(monkeypatch):
     def no_optimizer(*args, **kwargs):
         raise AssertionError("optimizer reached")
 
-    monkeypatch.setattr(ruelle, "minimize", no_optimizer)
+    monkeypatch.setattr("scipy.optimize.minimize", no_optimizer)
     mu = MarkovMeasure.from_transitions(2, 1, np.array([[0.7, 0.3], [0.6, 0.4]]))
     with pytest.raises(QLogDomainError):
         q_entropy_variational(mu, 1.5)
