@@ -40,11 +40,12 @@ from .qfun import QParam, _cutoff_root, _relative_value_iteration, even_power_or
 from .ruelle import (
     Jacobian,
     MarkovMeasure,
+    _context_tables,
+    _guarded_context_length,
+    _log_fixed_point,
     equilibrium_markov,
-    leading_eig,
-    transfer_matrix,
 )
-from .shift import Potential, drop_first, drop_last, index_word, prefix_index, prepend
+from .shift import Potential, drop_first, drop_last, index_word, prefix_index
 
 _ACCEPT_TOL = 1e-10
 _DEDUP_TOL = 1e-7
@@ -93,10 +94,8 @@ class _System:
         self.qt = float(q_tilde.q)
         self.order = even_power_order(q_tilde)
         self.power = self.order if self.order is not None else 1.0 / (1.0 - self.qt)
-        self.words = prepend(np.arange(1, self.d + 1), np.arange(self.n)[:, None], self.d, self.k)
-        self.pre_idx = drop_last(self.words, self.d)
+        self.words, self.pre_idx, self.A_vals = _context_tables(A, self.k)
         self.diag = np.arange(self.n)
-        self.A_vals = self.values_of(A)
 
     def values_of(self, A: Potential) -> np.ndarray:
         """The table of A over the words a.x."""
@@ -552,7 +551,8 @@ def bridge_half(A: Potential) -> tuple[Potential, np.ndarray, float]:
     """Bridge a potential into the 3/2-deformed equation via its classical data.
 
     Transforms A at q = 1/2, takes the classical eigendata of the transformed
-    potential (phi_B = log h, c_B = log lambda), and builds the
+    potential (phi_B = log h in the gauge phi_B(first context) = 0, c_B = log
+    lambda, the q-tilde = 1 fixed point ``ruelle._log_fixed_point``), and builds the
     memory-(k+1) potential B(w) = g(phi_B(w[:k]), phi_B(w[1:]), c_B, A(w)).
     The pair (phi_B, c_B) then solves the q-tilde = 3/2 equation for B; the
     residual is verified to 1e-9 on every context.
@@ -563,12 +563,9 @@ def bridge_half(A: Potential) -> tuple[Potential, np.ndarray, float]:
             f"entry {float(vals.min())} must exceed -2 for the q = 1/2 transform",
             argument=float(vals.min()),
         )
-    A_half = a_q_transform(A, 0.5)
-    M = transfer_matrix(A_half)
-    lam, h, _ = leading_eig(M)
-    phi_B = np.log(h)
-    c_B = math.log(lam)
-    d, k = M.d, M.k
+    d, k = A.d, _guarded_context_length(A)
+    _, pre_idx, A_vals = _context_tables(a_q_transform(A, 0.5), k)
+    phi_B, c_B = _log_fixed_point(A_vals, pre_idx)
     w = np.arange(d ** (k + 1))
     heads, tails = phi_B[drop_last(w, d)], phi_B[drop_first(w, d, k + 1)]
     args = zip(heads, tails, A.values[prefix_index(w, d, k + 1, A.memory)])

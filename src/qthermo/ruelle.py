@@ -1,7 +1,9 @@
 """Classical (extensive) thermodynamic formalism on the full shift.
 
-Transfer matrices for locally constant potentials, leading eigendata by
-power iteration, normalization to a Jacobian, stationary Markov equilibrium
+Transfer matrices for locally constant potentials, leading eigendata as
+the q-tilde = 1 fixed point of the cut-off map (``qfun._cutoff_root`` under
+``qfun._relative_value_iteration``, the kernel of the deformed solver and the
+q-pressure scan), normalization to a Jacobian, stationary Markov equilibrium
 states, and the entropy zoo: Kolmogorov-Shannon entropy, dynamical q-entropy,
 relative q-entropy, and the variational (infimum) form of the q-entropy.
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError, QLogDomainError, SizeGuardError
-from .qfun import QParam, log_q
+from .qfun import QParam, _cutoff_root, _relative_value_iteration, log_q
 from .shift import Potential, drop_first, drop_last, prefix_index, prepend, word_index
 
 _STATE_GUARD = 4096
@@ -62,6 +64,17 @@ def _guarded_context_length(A: Potential) -> int:
     return k
 
 
+def _context_tables(A: Potential, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(words, pre_idx, A_vals) over the k-contexts: entry [x, a - 1] belongs to the word a.x.
+
+    ``words`` is its (k+1)-word index, ``pre_idx`` its k-prefix index and
+    ``A_vals`` the potential on it; k >= A.memory - 1.
+    """
+    d = A.d
+    words = prepend(np.arange(1, d + 1), np.arange(d**k)[:, None], d, k)
+    return words, drop_last(words, d), A.values[prefix_index(words, d, k + 1, A.memory)]
+
+
 def transfer_matrix(A: Potential) -> TransferMatrix:
     """Build the transfer matrix of a locally constant potential.
 
@@ -71,68 +84,58 @@ def transfer_matrix(A: Potential) -> TransferMatrix:
         when memory exceeds 6 or the state space exceeds the size guard.
     """
     d, m, k = A.d, A.memory, _guarded_context_length(A)
-    n = d**k
-    x = np.arange(n)
-    ax = prepend(np.arange(1, d + 1)[:, None], x, d, k)  # row a - 1: the (k+1)-words a.x
+    _, pre_idx, A_vals = _context_tables(A, k)
     # math.exp per entry: np.exp may differ from it in the last bit
-    entries = [math.exp(v) for v in A.values[prefix_index(ax, d, k + 1, m)].ravel().tolist()]
-    M = np.zeros((n, n))
-    M[x, drop_last(ax, d)] = np.reshape(entries, ax.shape)
+    entries = [math.exp(v) for v in A_vals.ravel().tolist()]
+    M = np.zeros((d**k, d**k))
+    M[np.arange(d**k)[:, None], pre_idx] = np.reshape(entries, A_vals.shape)
     return TransferMatrix(d=d, k=k, m=m, matrix=M)
 
 
-def _power_iterate(M: np.ndarray, tol: float, cap: int) -> tuple[float, np.ndarray]:
-    """Leading eigenpair of M >= 0 by power iteration in the max norm.
+def _log_fixed_point(vals: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, float]:
+    """(f, c) with T(f) = f + c, f[0] = 0, for T(f)(x) = log sum_j exp(vals[x, j] + f[idx[x, j]]).
 
-    Stops once the Collatz-Wielandt ratios (M v)_i / v_i over v_i > 0, which
-    bracket the eigenvalue, agree to a relative ``tol``; returns v.Mv / v.v.
+    T is the cut-off map at q-tilde = 1, so e^f is the leading eigenvector
+    and e^c the leading eigenvalue of the matrix with entries e^vals.
+    Relative value iteration brackets c and stops at hi - lo <= 1e-14*max(1, |hi|);
+    c is the bracket's midpoint.  NonConvergenceError after 5,000 iterations.
     """
-    v = np.full(M.shape[0], 1.0 / M.shape[0])
-    for _ in range(cap):
-        w = M @ v
-        top = float(np.max(w))
-        if top == 0.0:
-            raise NonConvergenceError("transfer matrix annihilated the iterate")
-        pos = v > 0.0
-        ratio = w[pos] / v[pos]
-        lam = float(v @ w) / float(v @ v)
-        v = w / top
-        if ratio.max() - ratio.min() <= tol * ratio.max():
-            return lam, v
-    raise NonConvergenceError(f"power iteration did not converge within {cap} steps")
+    for f, lo, hi in _relative_value_iteration(lambda f: _cutoff_root(vals + f[idx], 1.0), len(vals)):
+        if hi - lo <= 1e-14 * max(1.0, abs(hi)):
+            return f, 0.5 * (lo + hi)
 
 
-def leading_eig(
-    M: TransferMatrix, tol: float = 1e-13, cap: int = 1_000_000
-) -> tuple[float, np.ndarray, np.ndarray]:
+def leading_eig(M: TransferMatrix) -> tuple[float, np.ndarray, np.ndarray]:
     """Leading eigenvalue with right (h) and left (nu) eigenvectors.
 
-    Power iteration stops once the Collatz-Wielandt ratios agree to a
-    relative ``tol``; the eigen residuals are then checked against
-    ``10 tol lambda max(h)``.  ``nu`` has total mass one and sum(h * nu) = 1.
+    Reads M on the transfer-matrix pattern: row x holds M[x, prefix_k(a x)]
+    and column y holds M[(y b)[1:], y].  Each eigenvector is the fixed point
+    of ``_log_fixed_point`` on the logs of those entries; the eigen residuals
+    are then checked against ``1e-12 lambda max(1, max(h))``.  ``nu`` has
+    total mass one and sum(h * nu) = 1.
     """
-    lam, h = _power_iterate(M.matrix, tol, cap)
-    lam_left, nu = _power_iterate(M.matrix.T, tol, cap)
-    lam = 0.5 * (lam + lam_left)
-    h = np.abs(h)
-    nu = np.abs(nu)
+    d, k, A = M.d, M.k, M.matrix
+    rows = np.arange(d**k)[:, None]
+    right = drop_last(prepend(np.arange(1, d + 1), rows, d, k), d)
+    left = drop_first(rows * d + np.arange(d), d, k + 1)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: an entry off the pattern's support
+        f, c = _log_fixed_point(np.log(A[rows, right]), right)
+        g, _ = _log_fixed_point(np.log(A[left, rows]), left)
+    lam, h, nu = math.exp(c), np.exp(f), np.exp(g)
     nu = nu / nu.sum()
     h = h / float(h @ nu)
     if lam <= 0.0 or np.any(h <= 0.0) or np.any(nu <= 0.0):
         raise NonConvergenceError("leading eigendata is not strictly positive")
-    for resid in (
-        np.max(np.abs(M.matrix @ h - lam * h)),
-        np.max(np.abs(M.matrix.T @ nu - lam * nu)),
-    ):
-        if resid > 10.0 * tol * lam * max(1.0, float(np.max(h))):
+    for resid in (np.max(np.abs(A @ h - lam * h)), np.max(np.abs(A.T @ nu - lam * nu))):
+        if resid > 1e-12 * lam * max(1.0, float(np.max(h))):
             raise NonConvergenceError("eigen residual above tolerance after convergence")
     return lam, h, nu
 
 
 def classical_pressure(A: Potential) -> float:
     """log of the leading transfer-operator eigenvalue."""
-    lam, _, _ = leading_eig(transfer_matrix(A))
-    return math.log(lam)
+    _, pre_idx, A_vals = _context_tables(A, _guarded_context_length(A))
+    return _log_fixed_point(A_vals, pre_idx)[1]
 
 
 def normalize(A: Potential) -> tuple[Potential, float, np.ndarray]:
@@ -140,20 +143,14 @@ def normalize(A: Potential) -> tuple[Potential, float, np.ndarray]:
 
     Returns ``(logJ, lambda, h)`` where ``logJ = A + log h - log h o sigma
     - log lambda`` as a memory-(k+1) table; ``exp(logJ)`` sums to one over
-    the first symbol for every context.
+    the first symbol for every context.  h is in the gauge h(first context) = 1.
     """
-    M = transfer_matrix(A)
-    lam, h, _ = leading_eig(M)
-    d, k = M.d, M.k
-    log_h = np.log(h)
-    w = np.arange(d ** (k + 1))
-    vals = (
-        A.values[prefix_index(w, d, k + 1, A.memory)]
-        + log_h[drop_last(w, d)]
-        - log_h[drop_first(w, d, k + 1)]
-        - math.log(lam)
-    )
-    return Potential(d=d, memory=k + 1, values=vals), lam, h
+    d, k = A.d, _guarded_context_length(A)
+    words, pre_idx, A_vals = _context_tables(A, k)
+    log_h, c = _log_fixed_point(A_vals, pre_idx)
+    vals = np.empty(d ** (k + 1))
+    vals[words] = A_vals + log_h[pre_idx] - log_h[:, None] - c
+    return Potential(d=d, memory=k + 1, values=vals), math.exp(c), np.exp(log_h)
 
 
 @dataclass(frozen=True)
@@ -265,9 +262,9 @@ def _stationary(P: np.ndarray) -> np.ndarray:
     """A stationary probability vector of the row-stochastic matrix P."""
     n = P.shape[0]
     # direct solve of pi (P - I) = 0 with one row replaced by the
-    # normalization; unlike power iteration this keeps the tiny
-    # components of nearly reducible chains componentwise accurate,
-    # which the induced jacobian row sums depend on
+    # normalization; it keeps the tiny components of nearly reducible
+    # chains componentwise accurate, which the induced jacobian row sums
+    # depend on
     M = P.T - np.eye(n)
     M[-1, :] = 1.0
     rhs = np.zeros(n)
@@ -277,12 +274,9 @@ def _stationary(P: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         pi = None
     if pi is None or not np.all(np.isfinite(pi)) or float(np.min(pi)) < -1e-9:
-        # singular or grossly non-positive: fall back to iterating on
-        # (P^T + I)/2, whose spectral gap stays bounded for nearly
-        # periodic chains
-        damped = 0.5 * (P.T + np.eye(n))
-        _, pi = _power_iterate(damped, 1e-14, 1_000_000)
-        pi = np.abs(pi)
+        # singular or grossly non-positive: the minimum-norm solution weights
+        # each closed class's stationary law by 1/|pi_i|^2, so stays >= 0
+        pi = np.linalg.lstsq(M, rhs, rcond=None)[0]
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
     # one exact-balance sweep: pi P is stationary to machine precision
@@ -320,16 +314,10 @@ def _forward_markov(d: int, k: int, R: np.ndarray, pi: np.ndarray) -> MarkovMeas
 def equilibrium_markov(J: Jacobian) -> MarkovMeasure:
     """Unique stationary Markov measure whose backward conditionals equal J.
 
-    The masses are the power-iterated eigenvector (eigenvalue one) of R.
+    The masses solve R pi = pi directly (``_stationary`` of the row-stochastic R^T).
     """
     R = _backward_matrix(J.d, J.k, J.values)
-    _, pi = _power_iterate(R, 1e-14, 1_000_000)
-    pi = np.abs(pi)
-    pi = pi / pi.sum()
-    for _ in range(4):
-        pi = R @ pi
-        pi = pi / pi.sum()
-    return _forward_markov(J.d, J.k, R, pi)
+    return _forward_markov(J.d, J.k, R, _stationary(R.T))
 
 
 def _mass_log_weights(mu: MarkovMeasure) -> tuple[np.ndarray, np.ndarray]:

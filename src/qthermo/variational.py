@@ -19,13 +19,14 @@ from .qfun import QParam, _regularized_max, _relative_value_iteration, log_q
 from .ruelle import (
     MarkovMeasure,
     _backward_matrix,
+    _context_tables,
     _forward_markov,
     _guarded_context_length,
     _stationary,
     q_entropy_markov,
     variational_entropy_of_masses,
 )
-from .shift import Potential, drop_last, prefix_index, prepend
+from .shift import Potential
 
 _EPS = 1e-4
 
@@ -104,9 +105,7 @@ def q_pressure_scan(A: Potential, q: QParam | float, grid_n: int) -> ScanResult:
     """
     qp = QParam.of(q)
     d, k = A.d, _guarded_context_length(A)
-    words = prepend(np.arange(1, d + 1), np.arange(d**k)[:, None], d, k)  # [x, a - 1]: a.x
-    pre_idx = drop_last(words, d)
-    A_vals = A.values[prefix_index(words, d, k + 1, A.memory)]
+    words, pre_idx, A_vals = _context_tables(A, k)
 
     def bellman(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _regularized_max(A_vals + h[pre_idx], qp.q)
@@ -117,8 +116,8 @@ def q_pressure_scan(A: Potential, q: QParam | float, grid_n: int) -> ScanResult:
     vals = np.empty(d ** (k + 1))
     vals[words] = bellman(h)[0]
     R = _backward_matrix(d, k, vals)
-    # zeros can make the chain periodic or partly transient, where power
-    # iteration stalls, so its masses are solved for directly
+    # zeros can make the chain periodic or partly transient, so its masses
+    # are solved for directly
     mu = _forward_markov(d, k, R, _stationary(R.T))
     value = float(q_entropy_markov(mu, qp) + mu.integrate(A))
     return ScanResult(value, mu, grid_n=grid_n, refined=True, excluded_fraction=0.0,

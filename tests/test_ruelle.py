@@ -1,10 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from qthermo import ruelle
-from qthermo.errors import QLogDomainError
+from qthermo.errors import NonConvergenceError, QLogDomainError
 from qthermo.qfun import QParam, log_q
 from qthermo.qsolve import _System
 from qthermo.ruelle import (
@@ -65,14 +66,72 @@ def test_normalize_rows_and_rohklin():
 
 @pytest.mark.parametrize("draw", [8, 11])
 def test_normalize_closes_the_eigen_residual_at_1024_states(draw):
-    # the 20 d=4 memory-6 draws of default_rng(1): Collatz-Wielandt stopping
-    # leaves a residual inside the post-check on every one
+    # two of the 20 d=4 memory-6 draws of default_rng(1) whose power-iterated
+    # eigendata once failed the eigen post-check
     rng = np.random.default_rng(1)
     for _ in range(draw):
         rng.normal(0.0, 0.5, 4**6)
     logJ, _, _ = normalize(Potential(d=4, memory=6, values=rng.normal(0.0, 0.5, 4**6)))
     rows = np.exp(logJ.values).reshape(4, -1).sum(axis=0)
     assert np.max(np.abs(rows - 1.0)) <= 1e-10
+
+
+def _eigvals_pressure(A):
+    return math.log(np.max(np.abs(np.linalg.eigvals(transfer_matrix(A).matrix))))
+
+
+@pytest.mark.parametrize("sigma", [0.5, 3.0])
+@pytest.mark.parametrize(
+    "d, memory", [(d, m) for d in (2, 3, 4) for m in range(1, 7) if d ** max(m - 1, 1) <= 256]
+)
+def test_classical_pressure_matches_eigvals(d, memory, sigma):
+    rng = np.random.default_rng([d, memory, int(10 * sigma)])
+    A = Potential(d=d, memory=memory, values=rng.normal(0.0, sigma, d**memory))
+    c = classical_pressure(A)
+    assert abs(c - _eigvals_pressure(A)) <= 1e-12 * max(1.0, abs(c))
+    rows = np.exp(normalize(A)[0].values).reshape(d, -1).sum(axis=0)
+    assert np.max(np.abs(rows - 1.0)) <= 1e-12
+
+
+def _wide_draws():
+    """Three N(0, 5) draws each at (d, memory) = (2, 5), (2, 6), (3, 4), (4, 3), in that order."""
+    rng = np.random.default_rng(0)
+    return [
+        Potential(d=d, memory=m, values=rng.normal(0.0, 5.0, d**m))
+        for d, m in ((2, 5), (2, 6), (3, 4), (4, 3))
+        for _ in range(3)
+    ]
+
+
+@pytest.mark.parametrize("draw", [i for i in range(12) if i != 1])
+def test_classical_pressure_of_a_wide_draw(draw):
+    # |lambda_2 / lambda_1| is near 1 on most of these, where power iteration
+    # needs far more than 20,000 steps
+    A = _wide_draws()[draw]
+    start = time.perf_counter()
+    c = classical_pressure(A)
+    assert time.perf_counter() - start < 1.0
+    assert abs(c - _eigvals_pressure(A)) <= 1e-10
+
+
+def test_nearly_reducible_wide_draw_raises_quickly():
+    # the second (2, 5) draw: |lambda_3 / lambda_1| = 0.9984
+    A = _wide_draws()[1]
+    start = time.perf_counter()
+    with pytest.raises(NonConvergenceError):
+        classical_pressure(A)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_stationary_of_a_reducible_chain():
+    # two closed classes: the bordered system is singular, and its
+    # minimum-norm solution is the uniform law
+    mu = MarkovMeasure.from_transitions(2, 1, np.eye(2))
+    assert np.allclose(mu.pi, [0.5, 0.5], rtol=0.0, atol=1e-15)
+    P = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+    mu = MarkovMeasure.from_transitions(3, 1, P)
+    assert np.allclose(mu.pi, [1.0 / 3.0] * 3, rtol=0.0, atol=1e-15)
+    assert np.max(np.abs(mu.pi @ P - mu.pi)) <= 1e-12
 
 
 def test_entropies_of_a_measure_with_a_zero_transition():
@@ -301,9 +360,8 @@ def _ref_transfer_matrix(A):
 
 
 def _ref_normalized_values(A):
-    lam, h, _ = leading_eig(transfer_matrix(A))
+    log_h, c = ruelle._log_fixed_point(*_ref_system_tables(A))
     d, k = A.d, max(A.memory - 1, 1)
-    log_h = np.log(h)
     words = all_words(d, k + 1)
     vals = np.empty(len(words))
     for i, w in enumerate(words):
@@ -311,7 +369,7 @@ def _ref_normalized_values(A):
             A.value(w)
             + log_h[word_index(w[:k], d)]
             - log_h[word_index(w[1:], d)]
-            - math.log(lam)
+            - c
         )
     return vals
 
@@ -323,12 +381,7 @@ def _ref_equilibrium(J):
     for ix, x in enumerate(words):
         for b in range(1, d + 1):
             R[ix, word_index(x[1:] + (b,), d)] = J.value(x + (b,))
-    _, pi = ruelle._power_iterate(R, 1e-14, 1_000_000)
-    pi = np.abs(pi)
-    pi = pi / pi.sum()
-    for _ in range(4):
-        pi = R @ pi
-        pi = pi / pi.sum()
+    pi = ruelle._stationary(R.T)
     P = R * pi[None, :] / pi[:, None]
     return P / P.sum(axis=1, keepdims=True), pi
 
