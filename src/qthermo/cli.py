@@ -879,8 +879,7 @@ SUBCOMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qthermo",
-        description="Deformed thermodynamic formalism on the full shift. "
-        "QTHERMO_THREADS caps numeric-library parallelism when set before launch.",
+        description="Deformed thermodynamic formalism on the full shift.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (doc, _, options) in SUBCOMMANDS.items():

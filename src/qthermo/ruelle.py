@@ -5,7 +5,8 @@ the q-tilde = 1 fixed point of the cut-off map (``qfun._cutoff_root`` under
 ``qfun._relative_value_iteration``, the kernel of the deformed solver and the
 q-pressure scan), normalization to a Jacobian, stationary Markov equilibrium
 states, and the entropy zoo: Kolmogorov-Shannon entropy, dynamical q-entropy,
-relative q-entropy, and the variational (infimum) form of the q-entropy.
+relative q-entropy, and the variational (infimum) form of the q-entropy,
+a convex program for q <= 1.
 
 Conventions.  A potential of memory ``m`` acts on states that are words of
 length ``k = max(m - 1, 1)``.  The transfer operator
@@ -18,7 +19,7 @@ overlap condition ``y[1:] == x[:k-1]``.  The Jacobian of the associated
 equilibrium state lives on (k+1)-words and is the backward conditional
 probability of the first symbol given the tail.
 
-Imports numpy only: the brute-force variational q-entropy loads scipy (BFGS).
+Imports numpy only: the variational q-entropy loads scipy (one BFGS run).
 """
 
 from __future__ import annotations
@@ -367,7 +368,8 @@ def relative_q_entropy(
 
 def _variational_objective(
     t: np.ndarray, masses: np.ndarray, d: int, r: int, q: QParam
-) -> float:
+) -> tuple[float, np.ndarray]:
+    """(value, gradient in t) of sum masses * log_q(sum_a u(a x) / u(x)), u = exp(t)."""
     # u = exp(t) stays in log space: exp(t - max t) underflows to 0 once the
     # spread of t passes about 745
     t = t.reshape(d, -1)  # major axis: first symbol of the r-word
@@ -378,24 +380,28 @@ def _variational_objective(
     # index i // d, so the log-ratio table is repeat(log_s, d) - t
     log_ratio = (log_s[0] if r == 1 else np.repeat(log_s, d)) - t.reshape(-1)
     if q.classical:
-        return float(masses @ log_ratio)
-    return float(masses @ (np.expm1((1.0 - q.q) * log_ratio) / (1.0 - q.q)))
+        value, weight = masses @ log_ratio, masses
+    else:
+        value = masses @ (np.expm1((1.0 - q.q) * log_ratio) / (1.0 - q.q))
+        # d/dy log_q(e^y) = e^{(1-q) y} at each word
+        weight = masses * np.exp((1.0 - q.q) * log_ratio)
+    # t[a, j] enters log_s[j], which every word with prefix j shares
+    c = weight.sum(keepdims=True) if r == 1 else weight.reshape(-1, d).sum(axis=1)
+    return float(value), (np.exp(t - log_s) * c).ravel() - weight
 
 
-def q_entropy_variational(
-    mu: MarkovMeasure,
-    q: QParam | float,
-    u_memory: int = 2,
-    restarts: int = 20,
-    seed: int = 0,
-) -> float:
+def q_entropy_variational(mu: MarkovMeasure, q: QParam | float, u_memory: int = 2) -> float:
     """Infimum of int log_q(sum_a u(a x) / u(x)) dmu over memory-r test functions.
 
     The candidate u runs over strictly positive locally constant functions of
-    memory ``u_memory`` (parameterized by the exponential of a real table; the
-    objective is scale invariant).  Minimization is quasi-Newton from the flat
-    table, from the Jacobian when shapes allow, and from seeded random
-    restarts; the smallest value found is returned.
+    memory ``u_memory`` (u = exp(t) for a real table t; the objective is
+    scale invariant, so t is pinned to 0 on the first word).  For q <= 1 the
+    objective is convex in t: log_q(e^y) = expm1((1-q) y)/(1-q) is convex
+    and nondecreasing in y, the log-ratio is a log-sum-exp minus a linear
+    term, and the masses are nonnegative (Boyd & Vandenberghe, Convex
+    Optimization, 2004, section 3.2.4).  Every local minimum is then global,
+    so one quasi-Newton run from the flat table with the exact gradient
+    returns the infimum.
 
     For q <= 1 the value is bounded between the Kolmogorov-Shannon entropy
     and the closed-form q-entropy, but for a generic Gibbs measure with q < 1
@@ -406,50 +412,11 @@ def q_entropy_variational(
     """
     if u_memory < 1 or u_memory > 4:
         raise SizeGuardError("u_memory must be between 1 and 4")
-    qp = QParam.of(q)
-    masses = mu.cylinder_masses(u_memory)
-    return _variational_entropy_from_masses(masses, mu.d, u_memory, qp, restarts, seed, mu)
-
-
-def _variational_entropy_from_masses(
-    masses: np.ndarray,
-    d: int,
-    r: int,
-    q: QParam,
-    restarts: int,
-    seed: int,
-    mu: MarkovMeasure | None = None,
-) -> float:
-    if q.q > 1.0 and not q.classical:
-        raise QLogDomainError(f"variational q-entropy is -inf for q = {q.q} > 1")
-
-    from scipy.optimize import minimize  # brute-force oracle only: off the import path
-
-    def objective(t: np.ndarray) -> float:
-        return _variational_objective(np.concatenate(([0.0], t)), masses, d, r, q)
-
-    n_free = d**r - 1
-    starts = [np.zeros(n_free)]
-    if mu is not None and r == mu.k + 1:
-        logQ = np.log(mu.jacobian().values)
-        starts.append(logQ[1:] - logQ[0])
-    rng = np.random.default_rng(seed)
-    starts.extend(rng.normal(0.0, 1.5, size=n_free) for _ in range(restarts))
-    best = math.inf
-    for t0 in starts:
-        res = minimize(objective, t0, method="BFGS", options={"maxiter": 500})
-        if res.fun < best:
-            best = float(res.fun)
-    return best
+    return variational_entropy_of_masses(mu.cylinder_masses(u_memory), mu.d, u_memory, q)
 
 
 def variational_entropy_of_masses(
-    masses: np.ndarray,
-    d: int,
-    u_memory: int,
-    q: QParam | float,
-    restarts: int = 20,
-    seed: int = 0,
+    masses: np.ndarray, d: int, u_memory: int, q: QParam | float
 ) -> float:
     """Same infimum evaluated directly on r-cylinder masses.
 
@@ -461,4 +428,20 @@ def variational_entropy_of_masses(
     masses = np.asarray(masses, dtype=float)
     if masses.shape != (d**u_memory,):
         raise ValueError("mass vector must enumerate all u_memory-cylinders")
-    return _variational_entropy_from_masses(masses, d, u_memory, qp, restarts, seed)
+    if qp.q > 1.0 and not qp.classical:
+        raise QLogDomainError(f"variational q-entropy is -inf for q = {qp.q} > 1")
+
+    from scipy.optimize import minimize  # brute-force oracle only: off the import path
+
+    def objective(t: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad = _variational_objective(np.concatenate(([0.0], t)), masses, d, u_memory, qp)
+        return value, grad[1:]
+
+    res = minimize(
+        objective,
+        np.zeros(d**u_memory - 1),
+        jac=True,
+        method="BFGS",
+        options={"maxiter": 500, "gtol": 1e-10},
+    )
+    return float(res.fun)

@@ -30,6 +30,9 @@ from .shift import Potential, all_words
 from .variational import BinaryChart, _measure_from_params
 
 _QUANTUM = 1e-9
+# distinct sums stay polynomial in n on lattice-valued potentials but not on
+# generic ones (a d = 3 memory-2 draw passes 2.6 million buckets by n = 40)
+_BUCKET_GUARD = 2**20
 
 
 def phi_n(A: Potential, q: QParam | float, w: tuple[int, ...], tail: tuple[int, ...]) -> float:
@@ -96,6 +99,8 @@ class SumBuckets:
         """Prepend one symbol to every counted word."""
         if (self.n + 1) * self._inc_max >= 2**62:
             raise SizeGuardError("quantized Birkhoff sums would overflow int64")
+        if sum(len(keys) for keys in self.buckets.values()) > _BUCKET_GUARD:
+            raise SizeGuardError(f"more than {_BUCKET_GUARD} distinct sums at n = {self.n}")
         parts: dict[tuple[int, ...], tuple[list, list]] = {}
         for state, keys in self.buckets.items():
             lc = self.log_counts[state]

@@ -205,7 +205,7 @@ def entropy_affinity_report(
 
     A convex mixture of Markov measures is generally not Markov, so every
     term (mixture and both endpoints) is evaluated through the variational
-    infimum on 2-cylinder masses with identical optimizer settings; the
+    infimum on 2-cylinder masses with the same single minimization; the
     comparison then tests concavity of that one functional, which holds
     because it is an infimum of mass-affine objectives.  Positive defects
     indicate non-affinity; no strict positivity is asserted.  A sample raising
@@ -222,11 +222,9 @@ def entropy_affinity_report(
         m1 = _measure_from_params(prm1).cylinder_masses(u_memory)
         m2 = _measure_from_params(prm2).cylinder_masses(u_memory)
         try:
-            h_mix = variational_entropy_of_masses(
-                lam * m1 + (1 - lam) * m2, 2, u_memory, qp, seed=seed
-            )
-            h1 = variational_entropy_of_masses(m1, 2, u_memory, qp, seed=seed)
-            h2 = variational_entropy_of_masses(m2, 2, u_memory, qp, seed=seed)
+            h_mix = variational_entropy_of_masses(lam * m1 + (1 - lam) * m2, 2, u_memory, qp)
+            h1 = variational_entropy_of_masses(m1, 2, u_memory, qp)
+            h2 = variational_entropy_of_masses(m2, 2, u_memory, qp)
         except QThermoError:
             failures += 1
             continue

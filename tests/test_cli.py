@@ -403,22 +403,6 @@ def test_installed_console_script_runs():
     assert_qfun_exp_ran(proc)
 
 
-def test_threads_env_is_mirrored(tmp_path):
-    code = (
-        "import os; os.environ['QTHERMO_THREADS'] = '1'; import qthermo; "
-        "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"
-    )
-    # knobs already set in the parent would be kept, not mirrored
-    env = child_env()
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env.pop(var, None)
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=env
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.split() == ["1", "1"]
-
-
 def test_regression_gate_passes():
     report = cli.run_regression()
     assert report["ok"] is True

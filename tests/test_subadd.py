@@ -1,9 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from qthermo.errors import QExpDomainError, QLogDomainError
+from qthermo.errors import QExpDomainError, QLogDomainError, SizeGuardError
 from qthermo.qfun import QParam
 from qthermo.shift import Potential
 from qthermo.subadd import (
@@ -141,6 +142,16 @@ def test_asymptotic_pressure_rejects_negative():
     A = Potential(d=2, memory=1, values=np.array([-0.1, 0.4]))
     with pytest.raises(ValueError):
         asymptotic_pressure(A, 0.5, (), 100)
+
+
+def test_bucket_count_guard_stops_a_generic_potential():
+    # irregular values make the distinct sums grow far faster than n^2; the
+    # guard must raise long before n = 2000 exhausts memory
+    A = Potential(d=3, memory=2, values=np.random.default_rng(3).uniform(0, 1.5, 9))
+    t0 = time.perf_counter()
+    with pytest.raises(SizeGuardError):
+        asymptotic_pressure(A, 0.5, (2,), 2000)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_weak_subadditivity_of_log_sequence():
