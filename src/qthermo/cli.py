@@ -289,7 +289,7 @@ def _cmd_entropy_surface(args: argparse.Namespace) -> dict:
     path = args.sequence_csv or "entropy_surface.csv"
     surf.to_csv(path)
     p12, p21, mx = surf.max_point()
-    report = midpoint_concavity_report(qp, segments=1000, seed=args.seed)
+    report = midpoint_concavity_report(qp, seed=args.seed)
     return {
         "q": qp.q,
         "grid_n": len(surf.probs),

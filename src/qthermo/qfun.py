@@ -129,14 +129,14 @@ def dlog_q(u, q):
 # each base was strictly positive.  The public exp_q above stays strict.
 # ---------------------------------------------------------------------------
 
-def even_power_order(q, tol: float = 1e-9):
-    """Return N when 1/(1-q) is an even positive integer N (else None)."""
+def even_power_order(q):
+    """Return N when 1/(1-q) is an even positive integer N to 1e-9 relative (else None)."""
     qp = QParam.of(q)
     if qp.classical or qp.q >= 1.0:
         return None
     n = 1.0 / (1.0 - qp.q)
     rounded = round(n)
-    if rounded >= 2 and rounded % 2 == 0 and abs(n - rounded) <= tol * max(1.0, n):
+    if rounded >= 2 and rounded % 2 == 0 and abs(n - rounded) <= 1e-9 * max(1.0, n):
         return int(rounded)
     return None
 

@@ -50,6 +50,8 @@ from .shift import Potential, drop_first, drop_last, index_word, prefix_index
 _ACCEPT_TOL = 1e-10
 _DEDUP_TOL = 1e-7
 _BOUNDARY_MARGIN = 1e-12
+_NEWTON_TOL = 1e-12
+_NEWTON_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,8 @@ class _System:
     ``words`` is its (k+1)-word index, ``pre_idx`` its k-prefix index and
     ``A_vals`` the potential on it.  The evaluations take a batch of S rows,
     phi as an (S, n) array and c as an (S,) array, and return arrays whose
-    leading axis is the row.
+    leading axis is the row.  ``bases`` sets every row outside the strict
+    domain to NaN, so the defects and summands built on it are NaN there too.
     """
 
     def __init__(self, A: Potential, q_tilde: QParam, k: int | None = None):
@@ -111,30 +114,20 @@ class _System:
         return self.A_vals + PHI[:, self.pre_idx] - PHI[:, :, None] - C[:, None, None]
 
     def bases(self, PHI: np.ndarray, C: np.ndarray) -> np.ndarray:
-        return 1.0 + (1.0 - self.qt) * self.arguments(PHI, C)
-
-    def domain_bases(self, PHI: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The bases with every row outside the domain set to NaN, and the inside mask.
+        """The bases 1 + (1 - qt)*argument, (S, n, d); NaN on rows outside the domain.
 
         Only the strict case has a domain: a row leaves it when any base is at
         or below 1e-300.  The row is masked before a power of it is taken, so
         its summands are NaN rather than an overflow.
         """
-        base = self.bases(PHI, C)
+        base = 1.0 + (1.0 - self.qt) * self.arguments(PHI, C)
         if self.order is None:
-            outside = (base <= 1e-300).any(axis=(1, 2))
-            if outside.any():
-                base[outside] = np.nan
-                return base, ~outside
-        return base, np.ones(len(base), dtype=bool)
-
-    def evaluate(self, PHI: np.ndarray, C: np.ndarray) -> np.ndarray:
-        """Summand values exp_qt(argument), (S, n, d); NaN on rows outside the domain."""
-        return self.domain_bases(PHI, C)[0] ** self.power
+            base[(base <= 1e-300).any(axis=(1, 2))] = np.nan
+        return base
 
     def defect(self, PHI: np.ndarray, C: np.ndarray) -> np.ndarray:
         """Per-context defect, (S, n); NaN on rows outside the domain."""
-        return self.defect_of_bases(self.domain_bases(PHI, C)[0])
+        return self.defect_of_bases(self.bases(PHI, C))
 
     def defect_of_bases(self, base: np.ndarray) -> np.ndarray:
         """Per-context defect, (S, n), from the bases."""
@@ -191,12 +184,12 @@ def qruelle_residual(
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (sys.n,):
         raise ValueError(f"phi must have one entry per length-{sys.k} context")
-    PHI, C = phi[None], np.array([float(c)])
-    base = sys.bases(PHI, C)
+    args = sys.arguments(phi[None], np.array([float(c)]))
+    base = 1.0 + (1.0 - sys.qt) * args
     if sys.order is None and np.any(base <= 0.0):
         _, j, a = map(int, np.argwhere(base <= 0.0)[0])
         ctx = "".join(map(str, index_word(j, sys.d, sys.k)))
-        arg = float(sys.arguments(PHI, C)[0, j, a])
+        arg = float(args[0, j, a])
         raise QExpDomainError(
             f"exp_q domain violated at summand a={a + 1}, context {ctx} (u={arg})",
             argument=arg,
@@ -205,68 +198,56 @@ def qruelle_residual(
 
 
 def _newton(
-    sys: _System, PHI: np.ndarray, C: np.ndarray, tol: float = 1e-12, iters: int = 60
+    sys: _System, PHI: np.ndarray, C: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton on the free unknowns (phi[1:], c) of every row of a batch.
 
-    Each row runs as it would alone: its own convergence test at ``tol``, its
-    own backtracking step length (halved only when its own trial is rejected,
-    at most 30 times) and its own failure (a start outside the domain, a
-    non-finite step, or an exhausted line search).  Returns the final (PHI, C)
-    and the mask of converged rows; failed rows keep their start.
+    Each row runs as it would alone: its own convergence test at
+    ``_NEWTON_TOL``, its own backtracking step length (halved only when its
+    own trial is rejected, at most 30 times) and its own failure (a start
+    outside the domain, a non-finite step, or an exhausted line search).  The
+    rows stay in place; ``live`` marks those still iterating.  Returns the
+    final (PHI, C) and the mask of converged rows; a row that did not converge
+    holds its last iterate.
     """
     PHI = np.array(PHI, dtype=float)
     C = np.array(C, dtype=float)
-    converged = np.zeros(len(C), dtype=bool)
-    base, inside = sys.domain_bases(PHI, C)
-    # only the rows still iterating are carried; live maps them to the batch
-    live = np.flatnonzero(inside)
-    state = [live, PHI[live], C[live], base[live]]
-    F = sys.defect_of_bases(state[3])
-    state += [F, np.abs(F).max(axis=1)]
-    for it in range(iters + 1):
-        live, phi, c, base, F, fnorm = state
-        done = fnorm <= tol
-        if done.any():
-            rows = live[done]
-            converged[rows] = True
-            PHI[rows], C[rows] = phi[done], c[done]
-            if done.all():
-                break
-            state = [x[~done] for x in state]
-            live, phi, c, base, F, fnorm = state
-        if not live.size or it == iters:  # the last pass only records convergence
+    base = sys.bases(PHI, C)
+    F = sys.defect_of_bases(base)
+    fnorm = np.abs(F).max(axis=1)
+    converged = fnorm <= _NEWTON_TOL
+    live = ~(converged | np.isnan(fnorm))
+    for _ in range(_NEWTON_ITERS):
+        rows = np.flatnonzero(live)
+        if not rows.size:
             break
-        step = sys.newton_steps(base, F)
+        step = sys.newton_steps(base[rows], F[rows])
         finite = np.isfinite(step).all(axis=1)
-        if not finite.all():
-            state = [x[finite] for x in state]
-            live, phi, c, base, F, fnorm = state
-            step = step[finite]
+        live[rows[~finite]] = False
+        rows, step = rows[finite], step[finite]
         # line search: the rows still pending in a round share one lam
         lam = 1.0
-        pending = np.arange(len(live))
         for _ in range(30):
-            full = len(pending) == len(live)  # basic slicing then spares the gathers
-            sel = slice(None) if full else pending
-            phi_t = phi.copy() if full else phi[pending]
-            phi_t[:, 1:] += lam * step[sel, :-1]
-            c_t = c[sel] + lam * step[sel, -1]
-            base_t, _ = sys.domain_bases(phi_t, c_t)
+            phi_t = PHI[rows]
+            phi_t[:, 1:] += lam * step[:, :-1]
+            c_t = C[rows] + lam * step[:, -1]
+            base_t = sys.bases(phi_t, c_t)
             F_t = sys.defect_of_bases(base_t)
             fn_t = np.abs(F_t).max(axis=1)  # NaN outside the domain: rejected
-            accept = (fn_t < fnorm[sel]) | (fn_t <= tol)
-            if full and accept.all():
-                state = [live, phi_t, c_t, base_t, F_t, fn_t]
+            accept = (fn_t < fnorm[rows]) | (fn_t <= _NEWTON_TOL)
+            if accept.all():
+                PHI[rows], C[rows], base[rows] = phi_t, c_t, base_t
+                F[rows], fnorm[rows] = F_t, fn_t
                 break
-            for x, x_t in zip(state[1:], (phi_t, c_t, base_t, F_t, fn_t)):
-                x[pending[accept]] = x_t[accept]
-            pending = pending[~accept]
-            if not pending.size:
-                break
+            done = rows[accept]
+            PHI[done], C[done], base[done] = phi_t[accept], c_t[accept], base_t[accept]
+            F[done], fnorm[done] = F_t[accept], fn_t[accept]
+            rows, step = rows[~accept], step[~accept]
             lam *= 0.5
         else:
-            state = [np.delete(x, pending, axis=0) for x in state]
+            live[rows] = False
+        converged |= fnorm <= _NEWTON_TOL
+        live &= ~converged
     return PHI, C, converged
 
 
@@ -280,7 +261,7 @@ def _classify(sys: _System, phi: np.ndarray, c: float) -> tuple[bool, bool]:
 
 
 def _jacobian_of_root(sys: _System, phi: np.ndarray, c: float) -> Jacobian:
-    E = sys.evaluate(phi[None], np.array([c]))
+    E = sys.bases(phi[None], np.array([c])) ** sys.power
     vals = np.empty(sys.d ** (sys.k + 1))
     vals[sys.words] = E[0]
     # row sums are 1 + residual; renormalize so Jacobian validation is exact
@@ -310,7 +291,7 @@ def _topical_root(sys: _System) -> tuple[np.ndarray, float, bool]:
             newton_tried = True
             PHI, C, ok = _newton(sys, phi[None], np.array([c]))
             if ok[0]:
-                base, _ = sys.domain_bases(PHI, C)
+                base = sys.bases(PHI, C)
                 F = sys.defect_of_bases(base)
                 step = sys.newton_steps(base, F)
                 if np.isfinite(step).all():

@@ -202,11 +202,11 @@ def beta_sweep(payoff, q: QParam | float, betas) -> list[tuple[float, float | No
     return out
 
 
-def meson_vericat_bernoulli(p, q: QParam | float, check_up_to: int = 8) -> float:
+def meson_vericat_bernoulli(p, q: QParam | float) -> float:
     """Block growth rate (1/n) log sum_{|w|=n} mu(w)^q of a Bernoulli measure.
 
     Cylinder masses factorize, so the quotient is constant in n and equals
-    log(sum p_i^q); the first ``check_up_to`` block values are enumerated and
+    log(sum p_i^q); the first 8 block values are enumerated and
     verified constant to 1e-12 before returning.
     """
     arr = _check_prob(p)
@@ -217,7 +217,7 @@ def meson_vericat_bernoulli(p, q: QParam | float, check_up_to: int = 8) -> float
     pos = arr[arr > 0.0]
     logp = np.log(pos)
     logmass = np.zeros(1)
-    for n in range(1, check_up_to + 1):
+    for n in range(1, 9):
         logmass = (logmass[:, None] + logp[None, :]).ravel()
         block = _logsumexp(q * logmass) / n
         if abs(block - target) > 1e-12 * max(1.0, abs(target)):

@@ -12,8 +12,8 @@ window's value is rounded to that quantum, so a bucket's S_n is off by at
 most n * 5e-10 (nothing for values on the quantum), and the counts carry
 float rounding of about 1e-16 relative per step.  The growth exponent
 (1/n) log L_n(1)(x0) converges; ``asymptotic_pressure`` estimates the limit
-with a tail fit, and ``variational_scan_subadd`` realizes the variational
-side over memory-1 Markov measures.
+with a tail fit, and ``variational_scan_subadd`` gives the variational side
+in closed form: log d, attained by the uniform Bernoulli measure.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import numpy as np
 from .errors import QExpDomainError, QLogDomainError, QThermoError, SizeGuardError
 from .qfun import QParam, _logsumexp, exp_q
 from .ruelle import MarkovMeasure
-from .shift import Potential, all_words
-from .variational import BinaryChart, _measure_from_params
+from .shift import Potential, all_words, drop_last, prepend, word_index
 
 _QUANTUM = 1e-9
 # distinct sums stay polynomial in n on lattice-valued potentials but not on
@@ -60,13 +59,13 @@ def phi_n(A: Potential, q: QParam | float, w: tuple[int, ...], tail: tuple[int, 
 class SumBuckets:
     """Path counts per state and quantized Birkhoff sum, held as log-counts.
 
-    ``state`` is the leading memory-1 symbols of the grown word (empty for
-    memory-1 potentials).  ``buckets[state]`` is the sorted ``int64`` array of
-    the distinct sums in units of the 1e-9 quantum and ``log_counts[state]``
-    the float64 log of the number of words at each sum, so no count
-    overflows or underflows whatever n.  For table potentials the distinct
-    sums form a lattice, so bucket counts stay polynomial in n while the total
-    count is d^n.
+    ``state`` is the index of the leading memory-1 symbols of the grown word
+    (0 for memory-1 potentials).  ``buckets[state]`` is the sorted ``int64``
+    array of the distinct sums in units of the 1e-9 quantum and
+    ``log_counts[state]`` the float64 log of the number of words at each sum,
+    so no count overflows or underflows whatever n.  For table potentials the
+    distinct sums form a lattice, so bucket counts stay polynomial in n while
+    the total count is d^n.
     """
 
     def __init__(self, A: Potential, x0_prefix: tuple[int, ...]):
@@ -74,26 +73,18 @@ class SumBuckets:
             raise ValueError("x0_prefix shorter than memory - 1")
         self.A, self.d = A, A.d
         self.n = 0
-        m = A.memory
-        # prepending a to a word in ``state`` moves it to ``dest`` and adds inc
-        self._moves = {
-            state: [
-                (((a,) + state)[: m - 1], self._key(A.value((a,) + state)))
-                for a in range(1, A.d + 1)
-            ]
-            for state in all_words(A.d, m - 1)
-        }
-        self._inc_max = max(abs(inc) for moves in self._moves.values() for _, inc in moves)
+        d, r = A.d, A.memory - 1
+        # prepending a to a word in state j moves it to _dest[a-1, j] and adds _inc[a-1, j]
+        words = prepend(np.arange(1, d + 1)[:, None], np.arange(d**r), d, r)
+        self._dest = drop_last(words, d)
+        quanta = np.rint(A.values[words] / _QUANTUM)
+        self._inc_max = float(np.abs(quanta).max())
+        # clipped so the cast is defined; step refuses increments this large
+        self._inc = np.clip(quanta, -(2.0**62), 2.0**62).astype(np.int64)
         # before any step the only word is empty, sitting at sum zero
-        state0 = tuple(x0_prefix[: m - 1])
-        if state0 not in self._moves:
-            raise ValueError(f"x0_prefix symbols outside 1..{A.d}: {state0}")
-        self.buckets: dict[tuple[int, ...], np.ndarray] = {state0: np.zeros(1, np.int64)}
-        self.log_counts: dict[tuple[int, ...], np.ndarray] = {state0: np.zeros(1)}
-
-    @staticmethod
-    def _key(s: float) -> int:
-        return round(s / _QUANTUM)
+        state0 = word_index(x0_prefix[:r], d)
+        self.buckets: dict[int, np.ndarray] = {state0: np.zeros(1, np.int64)}
+        self.log_counts: dict[int, np.ndarray] = {state0: np.zeros(1)}
 
     def step(self) -> None:
         """Prepend one symbol to every counted word."""
@@ -101,10 +92,10 @@ class SumBuckets:
             raise SizeGuardError("quantized Birkhoff sums would overflow int64")
         if sum(len(keys) for keys in self.buckets.values()) > _BUCKET_GUARD:
             raise SizeGuardError(f"more than {_BUCKET_GUARD} distinct sums at n = {self.n}")
-        parts: dict[tuple[int, ...], tuple[list, list]] = {}
+        parts: dict[int, tuple[list, list]] = {}
         for state, keys in self.buckets.items():
             lc = self.log_counts[state]
-            for dest, inc in self._moves[state]:
+            for dest, inc in zip(self._dest[:, state].tolist(), self._inc[:, state]):
                 ks, ls = parts.setdefault(dest, ([], []))
                 ks.append(keys + inc)
                 ls.append(lc)
@@ -255,38 +246,23 @@ def asymptotic_pressure(
 
 
 class SubaddScan(NamedTuple):
-    """Result of the variational scan for the asymptotic pressure."""
+    """The variational side of the asymptotic pressure and a measure attaining it."""
 
     value: float
     argmax: MarkovMeasure
-    excluded_fraction: float
 
 
-def variational_scan_subadd(A: Potential, q: QParam | float, grid_n: int) -> SubaddScan:
-    """max of h(nu) over memory-1 Markov nu with int A dnu > 0 (else excluded).
+def variational_scan_subadd(A: Potential) -> SubaddScan:
+    """sup of h(nu) over invariant nu with int A dnu > 0, in closed form.
 
     Along any measure with positive mean potential the n-term deformed
     weights grow logarithmically, so their per-step limit vanishes and the
-    variational sum reduces to the entropy alone; measures with
-    nonpositive mean are excluded rather than assigned minus infinity.
+    variational sum reduces to the entropy alone.  The uniform Bernoulli
+    measure has the largest entropy, log d; when the uniform mean of A's table
+    is positive it is feasible and attains the sup.  It is returned as a
+    memory-1 Markov measure.  QThermoError when that mean is not positive.
     """
-    if A.d != 2:
-        raise SizeGuardError("the scan is implemented for d = 2")
-    chart = BinaryChart.grid(grid_n)
-
-    def hb(x):
-        return -(x * np.log(x) + (1.0 - x) * np.log1p(-x))
-
-    h = chart.pi1 * hb(chart.p) + chart.pi2 * hb(chart.r)
-    mean_A = chart.integral(A)
-    feasible = mean_A > 0.0
-    if not np.any(feasible):
-        raise QThermoError("no grid measure has positive mean potential")
-    h_masked = np.where(feasible, h, -np.inf)
-    flat = int(np.argmax(h_masked))
-    i, j = np.unravel_index(flat, h.shape)
-    return SubaddScan(
-        value=float(h[i, j]),
-        argmax=_measure_from_params(chart.t[[i, j]]),
-        excluded_fraction=float(1.0 - feasible.mean()),
-    )
+    if not float(np.mean(A.values)) > 0.0:
+        raise QThermoError("the uniform measure has nonpositive mean potential")
+    u = np.full(A.d, 1.0 / A.d)
+    return SubaddScan(math.log(A.d), MarkovMeasure(d=A.d, k=1, P=np.tile(u, (A.d, 1)), pi=u))

@@ -159,14 +159,13 @@ def entropy_surface(q: QParam | float, grid_n: int) -> EntropySurface:
     return EntropySurface(q=qp.q, probs=chart.t, values=chart.q_entropy(qp))
 
 
-def midpoint_concavity_report(
-    q: QParam | float, segments: int = 1000, seed: int = 0
-) -> dict[str, float]:
+def midpoint_concavity_report(q: QParam | float, seed: int = 0) -> dict[str, float]:
     """Random midpoint gaps H((x+y)/2) - (H(x)+H(y))/2 in coordinate space.
 
-    Reports the minimum and mean gap; no sign is asserted here because
-    concavity of the entropy in the measure does not imply concavity in the
-    transition-probability coordinates for every q (the chart is nonlinear).
+    Reports the minimum and mean gap over 1,000 random segments; no sign is
+    asserted here because concavity of the entropy in the measure does not
+    imply concavity in the transition-probability coordinates for every q
+    (the chart is nonlinear).
     """
     qp = QParam.of(q)
     rng = np.random.default_rng(seed)
@@ -175,8 +174,8 @@ def midpoint_concavity_report(
         mu = _measure_from_params(params)
         return q_entropy_markov(mu, qp)
 
-    gaps = np.empty(segments)
-    for s in range(segments):
+    gaps = np.empty(1000)
+    for s in range(1000):
         x = rng.uniform(0.05, 0.95, 2)
         y = rng.uniform(0.05, 0.95, 2)
         gaps[s] = hq_of((x + y) / 2.0) - 0.5 * (hq_of(x) + hq_of(y))

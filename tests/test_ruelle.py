@@ -392,6 +392,19 @@ def test_variational_entropy_rejects_q_above_one(monkeypatch):
         variational_entropy_of_masses(mu.cylinder_masses(2), 2, 2, 1.5)
 
 
+def test_variational_entropy_refuses_an_unconverged_minimizer(monkeypatch):
+    # the final gradient decides, not scipy's success flag
+    from types import SimpleNamespace
+
+    def stalled(fun, x0, **kwargs):
+        return SimpleNamespace(fun=0.0, jac=np.full_like(x0, 1e-3), success=True)
+
+    monkeypatch.setattr("scipy.optimize.minimize", stalled)
+    mu = MarkovMeasure.from_transitions(2, 1, np.array([[0.7, 0.3], [0.6, 0.4]]))
+    with pytest.raises(NonConvergenceError):
+        variational_entropy_of_masses(mu.cylinder_masses(2), 2, 2, 0.5)
+
+
 # -- the word-index tables against tuple enumeration --------------------------
 #
 # Each reference below walks all_words tuples and looks indices up with

@@ -4,8 +4,9 @@ import time
 import numpy as np
 import pytest
 
-from qthermo.errors import QExpDomainError, QLogDomainError, SizeGuardError
+from qthermo.errors import QExpDomainError, QLogDomainError, QThermoError, SizeGuardError
 from qthermo.qfun import QParam
+from qthermo.ruelle import ks_entropy
 from qthermo.shift import Potential
 from qthermo.subadd import (
     SumBuckets,
@@ -88,6 +89,13 @@ def test_bucket_counts_are_exact_integers():
         sb.step()
     assert sb.total_count() == 2**30  # exact arbitrary-precision count
 
+
+
+def test_sums_beyond_int64_hit_the_size_guard():
+    # 1e10 is 1e19 quanta, past int64: refused by the guard, not wrapped
+    sb = SumBuckets(Potential(d=2, memory=1, values=np.array([0.0, 1e10])), ())
+    with pytest.raises(SizeGuardError):
+        sb.step()
 
 def test_log_sequence_matches_pointwise():
     seq = log_frak_L_sequence(A_01, 0.5, (1,), 12)
@@ -210,22 +218,28 @@ def test_shifted_comparison_sequence():
 
 
 def test_scan_const_potential():
-    res = variational_scan_subadd(A_CONST, 0.5, 60)
+    res = variational_scan_subadd(A_CONST)
     assert res.value == pytest.approx(math.log(2.0), abs=1e-3)
-    assert res.excluded_fraction == 0.0
 
 
 def test_scan_two_level_potential():
-    res = variational_scan_subadd(A_01, 0.5, 60)
+    res = variational_scan_subadd(A_01)
     assert res.value == pytest.approx(math.log(2.0), abs=1e-3)
-    # every interior Markov measure gives symbol 2 positive mass
-    assert res.excluded_fraction == 0.0
+    # the uniform measure is feasible on three symbols too, and attains log 3
+    A3 = Potential(d=3, memory=2, values=np.arange(9.0) - 3.0)
+    res = variational_scan_subadd(A3)
+    assert res.value == math.log(3.0)
+    assert np.allclose(res.argmax.P, 1.0 / 3.0)
+    assert ks_entropy(res.argmax) == pytest.approx(math.log(3.0), abs=1e-12)
+    # a nonpositive uniform mean is refused
+    with pytest.raises(QThermoError):
+        variational_scan_subadd(Potential(d=2, memory=1, values=np.array([-1.0, 0.5])))
 
 
 def test_scan_agrees_with_sequence_limit():
     A = Potential(d=2, memory=1, values=np.array([0.6, 1.3]))
     est, _ = asymptotic_pressure(A, 0.5, (), 800)
-    res = variational_scan_subadd(A, 0.5, 80)
+    res = variational_scan_subadd(A)
     assert est == pytest.approx(res.value, abs=5e-3)
 
 
