@@ -10,10 +10,8 @@ map word indices, single or numpy arrays, by integer arithmetic.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,39 +108,34 @@ class Potential:
 
     # -- evaluation ---------------------------------------------------------
 
-    @functools.cached_property
-    def _value_list(self) -> list[float]:
-        # built on first use: workloads that never sum windows skip the copy
-        return self.values.tolist()
-
     def value(self, word: tuple[int, ...]) -> float:
         """Value on any word with len(word) >= memory (uses the prefix)."""
         if len(word) < self.memory:
             raise ValueError(f"word shorter than memory {self.memory}: {word}")
         return float(self.values[word_index(word[: self.memory], self.d)])
 
-    def birkhoff_sum(self, word: tuple[int, ...]) -> float:
+    def birkhoff_sum(self, word):
         """Sum of the potential along the orbit prefix of a length-n word.
 
         Requires len(word) >= memory + n - 1 shifts to stay inside the word;
         here the convention is the n = len(word) - memory + 1 term sum, i.e.
-        every window of length ``memory`` contributes once.
+        every window of length ``memory`` contributes once.  An (N, L)
+        integer array of words gives the (N,) array of their sums.
         """
         m, d = self.memory, self.d
-        if len(word) < m:
+        words = np.asarray(word)
+        single = words.ndim == 1
+        words = np.atleast_2d(words)
+        n = words.shape[1] - m + 1
+        if n < 1:
             raise ValueError("word shorter than memory")
-        # roll the window index one symbol at a time: drop the oldest symbol
-        # (mod d^(m-1)) and append the next; adds run in window order
-        vals, wrap = self._value_list, d ** (m - 1)
-        word = list(map(operator.index, word))  # numpy integer symbols to int
-        idx = word_index(word[: m - 1], d)
-        total = 0.0
-        for s in word[m - 1 :]:
-            if not 1 <= s <= d:
-                raise ValueError(f"symbol {s} outside 1..{d}")
-            idx = idx % wrap * d + (s - 1)
-            total += vals[idx]
-        return total
+        if words.size and not (words.dtype.kind in "iu" and words.min() >= 1 and words.max() <= d):
+            raise ValueError(f"symbols must be integers in 1..{d}")
+        # the index of every window, then its values added in window order:
+        # cumsum accumulates sequentially, as a loop from 0.0 would
+        idx = sum((words[:, i : i + n] - 1) * d ** (m - 1 - i) for i in range(m))
+        total = np.cumsum(self.values[idx], axis=1)[:, -1]
+        return float(total[0]) if single else total
 
     def birkhoff_table(self, n: int) -> np.ndarray:
         """Birkhoff sums over all words of length n + memory - 1 (n windows)."""

@@ -4,16 +4,27 @@ The n-step operator applied to the constant function 1 at a base point x is
 
     L_n(1)(x) = sum over the d^n preimage words w of exp_q(S_n A(w x)),
 
-with S_n the n-term Birkhoff sum.  Because A is locally constant, the d^n
-sums take polynomially many distinct values; ``SumBuckets`` carries float64
-log path counts per distinct sum, quantized to 1e-9, so that L_n is
-evaluated for n in the thousands without overflow or underflow.  Each
-window's value is rounded to that quantum, so a bucket's S_n is off by at
-most n * 5e-10 (nothing for values on the quantum), and the counts carry
-float rounding of about 1e-16 relative per step.  The growth exponent
-(1/n) log L_n(1)(x0) converges; ``asymptotic_pressure`` estimates the limit
-with a tail fit, and ``variational_scan_subadd`` gives the variational side
-in closed form: log d, attained by the uniform Bernoulli measure.
+with S_n the n-term Birkhoff sum.  ``log_frak_L_sequence`` evaluates it
+exactly for n <= 5000 along one of two paths.
+
+Moments.  When 0 < q < 1, p = 1/(1-q) is an integer P and min A >= 0, every
+base Y = 1 + (1-q) S_n is >= 1 and L_n = d^n E[Y^P] over uniform words.
+Prepending a to a word in context x adds v = A(a.x) to S_n, so by
+(Y + (1-q)v)^j = sum_i C(j, i) ((1-q)v)^(j-i) Y^i the moments
+M_i(x) = d^-n sum of Y^i over the words in context x, i <= P, map linearly
+into context prefix_k(a.x), with nonnegative terms only.  This path serves
+any d and memory within the context guards, for P <= 16 and moments inside
+the float range.
+
+Buckets, otherwise (memory <= 2, d <= 3; ``frak_L_n`` always).
+``SumBuckets`` carries float64 log path counts per distinct sum, quantized
+to 1e-9; on lattice potentials the d^n sums take polynomially many values.
+A bucket's S_n is off by at most n * 5e-10 (nothing for values on the
+quantum), and the counts carry float rounding of about 1e-16 relative per
+step.  The growth exponent (1/n) log L_n(1)(x0) converges;
+``asymptotic_pressure`` estimates the limit with a tail fit, and
+``variational_scan_subadd`` gives the variational side in closed form:
+log d, attained by the uniform Bernoulli measure.
 """
 
 from __future__ import annotations
@@ -25,35 +36,46 @@ import numpy as np
 
 from .errors import QExpDomainError, QLogDomainError, QThermoError, SizeGuardError
 from .qfun import QParam, _logsumexp, exp_q
-from .ruelle import MarkovMeasure
-from .shift import Potential, all_words, drop_last, prepend, word_index
+from .ruelle import MarkovMeasure, _context_tables, _guarded_context_length
+from .shift import Potential, drop_last, prepend, word_index
 
 _QUANTUM = 1e-9
 # distinct sums stay polynomial in n on lattice-valued potentials but not on
 # generic ones (a d = 3 memory-2 draw passes 2.6 million buckets by n = 40)
 _BUCKET_GUARD = 2**20
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+# the transform holds d^(k+1) (P+1)^2 floats
+_MOMENT_ORDER_GUARD = 16
 
 
-def phi_n(A: Potential, q: QParam | float, w: tuple[int, ...], tail: tuple[int, ...]) -> float:
+def phi_n(A: Potential, q: QParam | float, w, tail):
     """log exp_q of the n-term Birkhoff sum along w extended by tail, n = len(w).
 
-    Raises QLogDomainError when 1 + (1-q) S_n <= 0, which signals the
-    sign-changing-potential regime where the deformed weight is undefined.
+    w and tail are tuples, or (N, n) and (N, memory-1) integer arrays of
+    words for the (N,) array of their values.  Raises QLogDomainError
+    when 1 + (1-q) S_n <= 0, which signals the sign-changing-potential
+    regime where the deformed weight is undefined.
     """
     qp = QParam.of(q)
     m = A.memory
-    if len(tail) < m - 1:
+    if np.shape(tail)[-1] < m - 1:
         raise ValueError(f"tail must supply at least memory-1 = {m - 1} symbols")
-    n = len(w)
+    batched = np.ndim(w) == 2
+    n = np.shape(w)[-1]
     if n == 0:
-        return 0.0
-    s = A.birkhoff_sum((w + tail)[: n + m - 1])
+        return np.zeros(len(w)) if batched else 0.0
+    if batched:
+        s = A.birkhoff_sum(np.concatenate((w, tail), axis=1)[:, : n + m - 1])
+    else:
+        s = A.birkhoff_sum((w + tail)[: n + m - 1])
     if qp.classical:
         return s
     base = 1.0 + (1.0 - qp.q) * s
-    if base <= 0.0:
-        raise QLogDomainError(f"1 + (1-q) S_n = {base} <= 0 along {w}")
-    return math.log(base) / (1.0 - qp.q)
+    bad = np.flatnonzero(np.ravel(base) <= 0.0)
+    if bad.size:
+        where = f"row {bad[0]} of w" if batched else f"{w}"
+        raise QLogDomainError(f"1 + (1-q) S_n = {np.ravel(base)[bad[0]]} <= 0 along {where}")
+    return np.log(base) / (1.0 - qp.q) if batched else math.log(base) / (1.0 - qp.q)
 
 
 class SumBuckets:
@@ -158,10 +180,45 @@ class SumBuckets:
 
 
 def _check_bucket_sizes(A: Potential, n: int) -> None:
+    if n > 5000:
+        raise SizeGuardError("n > 5000 exceeds the evaluation guard")
     if A.memory > 2 or A.d > 3:
         raise SizeGuardError("bucketed evaluation supports memory <= 2, d <= 3")
-    if n > 5000:
-        raise SizeGuardError("n > 5000 exceeds the bucketed-evaluation guard")
+
+
+def _moment_order(A: Potential, q: QParam, n_max: int) -> int | None:
+    """P when the moment recursion serves (A, q) up to n_max, else None."""
+    if q.classical or q.q >= 1.0 or float(np.min(A.values)) < 0.0:
+        return None
+    p = 1.0 / (1.0 - q.q)
+    P = round(p)
+    # every base is at most 1 + (1-q) n_max max A, so no moment passes its P-th power
+    top = P * math.log1p((1.0 - q.q) * n_max * float(np.max(A.values)))
+    ok = abs(p - P) <= 1e-9 * p and P <= _MOMENT_ORDER_GUARD and top < _LOG_FLOAT_MAX
+    return P if ok else None
+
+
+def _moment_log_sequence(
+    A: Potential, q: QParam, P: int, x0_prefix: tuple[int, ...], n_max: int
+) -> np.ndarray:
+    """a_n = n log d + log sum_x M_P(x) for n = 1..n_max, by the binomial moment transform."""
+    if len(x0_prefix) < A.memory - 1:
+        raise ValueError("x0_prefix shorter than memory - 1")
+    d, r, k = A.d, A.memory - 1, _guarded_context_length(A)
+    _, pre_idx, A_vals = _context_tables(A, k)
+    # T[x, a-1, j, i] = C(j, i) ((1-q) A(a.x))^(j-i) / d, zero above the diagonal
+    j = np.arange(P + 1)
+    binom = np.array([[math.comb(a, b) for b in j] for a in j], dtype=float)
+    T = binom * ((1.0 - q.q) * A_vals[..., None, None]) ** np.maximum(j[:, None] - j, 0) / d
+    M = np.zeros((d**k, P + 1))
+    M[word_index(x0_prefix[:r], d) * d ** (k - r)] = 1.0
+    out = np.empty(n_max)
+    for n in range(n_max):
+        moved = np.einsum("xaji,xi->xaj", T, M)
+        M = np.zeros_like(M)
+        np.add.at(M, pre_idx, moved)
+        out[n] = M[:, P].sum()
+    return np.arange(1, n_max + 1) * math.log(d) + np.log(out)
 
 
 def frak_L_n(A: Potential, q: QParam | float, x0_prefix: tuple[int, ...], n: int) -> float:
@@ -179,26 +236,31 @@ def frak_L_n(A: Potential, q: QParam | float, x0_prefix: tuple[int, ...], n: int
 def frak_L_n_enumerate(
     A: Potential, q: QParam | float, x0_prefix: tuple[int, ...], n: int
 ) -> float:
-    """Direct enumeration over all d^n preimage words (oracle for n <= 20)."""
+    """Direct enumeration over all d^n preimage words (oracle for n <= 20).
+
+    The words are rows of ``A.birkhoff_table(n)``, under its size guard.
+    """
     qp = QParam.of(q)
     if n > 20:
         raise SizeGuardError("direct enumeration capped at n = 20")
     if n == 0:
         return 1.0
     m = A.memory
-    pad = tuple(x0_prefix) + (1,) * max(0, m - 1 - len(x0_prefix))
-    total = 0.0
-    for w in all_words(A.d, n):
-        s = A.birkhoff_sum((w + pad)[: n + m - 1])
-        total += float(exp_q(s, qp))
-    return total
+    pad = (tuple(x0_prefix) + (1,) * m)[: m - 1]
+    # the rows of the table whose last m - 1 symbols are the base point's
+    rows = np.arange(A.d**n) * A.d ** (m - 1) + word_index(pad, A.d)
+    return math.fsum(exp_q(A.birkhoff_table(n)[rows], qp))
 
 
 def log_frak_L_sequence(
     A: Potential, q: QParam | float, x0_prefix: tuple[int, ...], n_max: int
 ) -> np.ndarray:
-    """a_n = log L_n(1)(x0) for n = 1..n_max in one incremental DP pass."""
+    """a_n = log L_n(1)(x0) for n = 1..n_max in one incremental pass, by the
+    moments or the buckets (module docstring), n_max <= 5000."""
     qp = QParam.of(q)
+    P = _moment_order(A, qp, n_max)
+    if P is not None and n_max <= 5000:
+        return _moment_log_sequence(A, qp, P, x0_prefix, n_max)
     _check_bucket_sizes(A, n_max)
     sb = SumBuckets(A, x0_prefix)
     out = np.empty(n_max)

@@ -48,7 +48,8 @@ def test_traced_run_records_subadd_and_restores_originals():
     tr.install(targets)
     try:
         subadd.frak_L_n(A_01, 0.5, (), 5)
-        subadd.asymptotic_pressure(A_CONST, 0.5, (), 20)
+        # q = 0.6 (p = 2.5) takes the bucket DP; integer p takes the moment recursion
+        subadd.asymptotic_pressure(A_CONST, 0.6, (), 20)
     finally:
         tr.uninstall()
     summary = tr.summary()

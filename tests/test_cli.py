@@ -227,6 +227,43 @@ def test_asym_pressure_output_is_frozen(case, tmp_path, monkeypatch):
     assert hashlib.sha256(Path("seq.csv").read_bytes()).hexdigest() == want_csv
 
 
+def test_csv_only_with_its_flag(tmp_path, monkeypatch):
+    # without --csv / --sequence-csv the subcommands write no file
+    potential = tmp_path / "A.json"
+    potential.write_text(Potential(d=2, memory=1, values=np.array([0.0, 1.0])).to_json())
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    sweep = run_json(["sweep-beta", "--a", "0.5,0.8", "--q", "0.5", "--beta-steps", "3"])
+    asym = run_json(["asym-pressure", "--potential", str(potential), "--q", "0.5", "--n-max", "20"])
+    surface = run_json(["entropy-surface", "--q", "0.5", "--grid", "5"])
+    assert sweep["csv_path"] is None and surface["csv_path"] is None
+    assert asym["sequence_csv_path"] is None
+    assert list(run_dir.iterdir()) == []
+
+
+def test_criterion_10_single_draw_is_the_per_row_stream():
+    # criterion 10 draws each potential's words at once; on PCG64 that is the
+    # stream of one draw per row, and it leaves the generator in the same state
+    def per_row(rng, lens, m_pot):
+        return np.concatenate([rng.integers(1, 3, int(mm + nn) + m_pot - 1) for mm, nn in lens])
+
+    def single(rng, lens, m_pot):
+        return rng.integers(1, 3, int((lens.sum(axis=1) + m_pot - 1).sum()))
+
+    runs = []
+    for draw in (per_row, single):
+        rng = np.random.default_rng(0)
+        words = []
+        for _ in range(5):
+            m_pot = int(rng.integers(1, 3))
+            rng.uniform(0.0, 1.5, 2**m_pot)
+            words.append(draw(rng, rng.integers(1, 13, size=(10_000, 2)), m_pot))
+        runs.append((np.concatenate(words), rng.bit_generator.state))
+    np.testing.assert_array_equal(runs[0][0], runs[1][0])
+    assert runs[0][1] == runs[1][1]
+
+
 def test_solve_branches(jana_file):
     payload = run_json(["solve", "--potential", jana_file, "--q-tilde", "0.5", "--all-branches"])
     assert payload["branch_count"] == len(payload["branches"]) == 2

@@ -379,14 +379,19 @@ def test_higher_memory_coboundary_direction(seed):
 
 
 # -- Richardson oracle for dc/ds: central differences at +-h and +-h/2 of the
-# roots of A + s*B, each found by one Newton solve from the s = 0 root
+# roots of A + s*B, each found by one Newton solve from the s = 0 root; in the
+# strict case h is at most a tenth of the root's smallest base, so the shifted
+# systems stay well inside the domain
 
 
-def _richardson_slope(A, B, q_tilde, root, h=1e-4):
+def _richardson_slope(A, B, q_tilde, root):
     k = A.context_length()
     sys = _System(A, q_tilde, k=max(k, B.context_length()))
     B_vals = sys.values_of(B)
     phi = root.phi[prefix_index(np.arange(sys.n), sys.d, sys.k, k)]
+    h = 1e-4
+    if sys.order is None:
+        h = min(h, 0.1 * float(sys.bases(phi[None], np.array([root.c])).min()))
     c = {}
     for s in (h, -h, h / 2, -h / 2):
         _, C, ok = _newton(sys.with_values(sys.A_vals + s * B_vals), phi[None], np.array([root.c]))

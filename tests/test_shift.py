@@ -89,6 +89,24 @@ def test_birkhoff_sum_equals_window_sum_exactly(d, m):
             assert A.birkhoff_sum(w) == direct
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_batched_birkhoff_rows_equal_scalar_sums(d, m):
+    # each row must equal the window-order loop over that word, bit for bit
+    rng = np.random.default_rng(100 + 10 * d + m)
+    A = Potential(d=d, memory=m, values=rng.normal(0.0, 1.0, d**m))
+    for length in (m, m + 1, m + 17):
+        words = rng.integers(1, d + 1, size=(300, length))
+        batched = A.birkhoff_sum(words)
+        assert batched.shape == (300,)
+        for w, got in zip(words, batched.tolist()):
+            total = 0.0  # a plain loop: sum() compensates from Python 3.12 on
+            for i in range(length - m + 1):
+                total += A.value(tuple(w[i : i + m]))
+            assert got == total
+        assert batched.tolist() == [A.birkhoff_sum(tuple(w)) for w in words]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_birkhoff_sum_rejects_bad_symbol_in_later_window(m):
     A = Potential(d=2, memory=m, values=np.arange(2.0**m))
@@ -98,6 +116,10 @@ def test_birkhoff_sum_rejects_bad_symbol_in_later_window(m):
             A.birkhoff_sum(good + (bad,) + good)
         with pytest.raises(ValueError):
             A.birkhoff_sum(good + (bad,))
+        with pytest.raises(ValueError):
+            A.birkhoff_sum(np.array([good + good, good + (bad,) + good[1:]]))
+    with pytest.raises(ValueError):
+        A.birkhoff_sum(np.ones((2, m - 1), dtype=int))
 
 
 def test_birkhoff_memory1_is_plain_sum():

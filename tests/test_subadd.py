@@ -51,6 +51,20 @@ def test_phi_n_domain_error():
     A = Potential(d=2, memory=1, values=np.array([-3.0, 0.0]))
     with pytest.raises(QLogDomainError):
         phi_n(A, 0.5, (1,), ())
+    with pytest.raises(QLogDomainError, match="row 1 of w"):
+        phi_n(A, 0.5, np.array([[2, 2], [2, 1], [1, 1]]), np.zeros((3, 0), dtype=int))
+
+
+@pytest.mark.parametrize("q", [0.5, 0.7, 1.0])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_phi_n_array_form_matches_tuple_form(q, m):
+    rng = np.random.default_rng(7 + m)
+    A = Potential(d=2, memory=m, values=rng.uniform(0.0, 1.5, 2**m))
+    for n in (0, 1, 9):
+        words = rng.integers(1, 3, size=(200, n + m - 1))
+        got = phi_n(A, q, words[:, :n], words[:, n:])
+        want = [phi_n(A, q, tuple(w[:n]), tuple(w[n:])) for w in words]
+        np.testing.assert_array_max_ulp(got, np.array(want), maxulp=1)
 
 
 def test_constant_closed_form():
@@ -152,13 +166,77 @@ def test_asymptotic_pressure_rejects_negative():
         asymptotic_pressure(A, 0.5, (), 100)
 
 
+def _bucket_log_sequence(A, q, x0_prefix, n_max):
+    # the bucket DP alone, step by step: the reference for the moment recursion
+    sb = SumBuckets(A, x0_prefix)
+    out = np.empty(n_max)
+    for i in range(n_max):
+        sb.step()
+        out[i] = sb.log_value(QParam(q))
+    return out
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0 / 3.0, 0.75])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_moment_recursion_equals_enumeration(q, d, m):
+    # integer p and A >= 0 take the moment recursion at any d and memory
+    rng = np.random.default_rng(100 * d + 10 * m + round(1.0 / (1.0 - q)))
+    A = Potential(d=d, memory=m, values=rng.uniform(0.0, 1.5, d**m))
+    x0 = (2, 1)[: m - 1]
+    n_max = 12 if d == 2 else 7
+    seq = log_frak_L_sequence(A, q, x0, n_max)
+    for n in range(1, n_max + 1):
+        brute = frak_L_n_enumerate(A, q, x0, n)
+        assert math.exp(seq[n - 1]) == pytest.approx(brute, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "d, m, q",
+    [(2, 1, 0.5), (2, 2, 2.0 / 3.0), (3, 1, 0.75), (3, 2, 0.5)],
+)
+def test_moment_recursion_equals_bucket_dp_on_lattices(d, m, q):
+    # lattice values sit on the bucket quantum, so the DP is exact up to rounding
+    rng = np.random.default_rng(d + 10 * m)
+    A = Potential(d=d, memory=m, values=rng.permutation(d**m) % 3 * 0.5)
+    x0 = (2,)[: m - 1]
+    np.testing.assert_allclose(
+        log_frak_L_sequence(A, q, x0, 2000),
+        _bucket_log_sequence(A, q, x0, 2000),
+        rtol=1e-12,
+        atol=0.0,
+    )
+
+
+def test_negative_potential_at_integer_p_takes_the_bucket_dp():
+    # a negative value leaves the moment recursion's hypotheses: the DP runs
+    # and refuses the buckets that leave the exp_q domain, as it always did
+    A = Potential(d=2, memory=1, values=np.array([-0.1, 0.5]))
+    seq = log_frak_L_sequence(A, 0.5, (), 19)
+    np.testing.assert_array_equal(seq, _bucket_log_sequence(A, 0.5, (), 19))
+    with pytest.raises(QExpDomainError):
+        log_frak_L_sequence(A, 0.5, (), 40)
+
+
+def test_moment_recursion_beyond_its_range_takes_the_bucket_dp():
+    # P = 20 exceeds the moment order guard; at P = 16 a sum of 5000 * 1e20
+    # would overflow the moments, and the DP's int64 guard refuses it
+    np.testing.assert_array_equal(
+        log_frak_L_sequence(A_01, 0.95, (), 50), _bucket_log_sequence(A_01, 0.95, (), 50)
+    )
+    with pytest.raises(SizeGuardError):
+        log_frak_L_sequence(Potential(d=2, memory=1, values=[0.0, 1e20]), 15.0 / 16.0, (), 5000)
+
+
 def test_bucket_count_guard_stops_a_generic_potential():
-    # irregular values make the distinct sums grow far faster than n^2; the
-    # guard must raise long before n = 2000 exhausts memory
+    # irregular values make the distinct sums grow far faster than n^2; at a
+    # non-integer p the bucket DP's guard must raise long before n = 2000
+    # exhausts memory, while at p = 2 the moment recursion returns
     A = Potential(d=3, memory=2, values=np.random.default_rng(3).uniform(0, 1.5, 9))
+    assert np.all(np.isfinite(log_frak_L_sequence(A, 0.5, (2,), 2000)))
     t0 = time.perf_counter()
     with pytest.raises(SizeGuardError):
-        asymptotic_pressure(A, 0.5, (2,), 2000)
+        asymptotic_pressure(A, 0.6, (2,), 2000)
     assert time.perf_counter() - t0 < 5.0
 
 
