@@ -5,24 +5,17 @@ The n-step operator applied to the constant function 1 at a base point x is
     L_n(1)(x) = sum over the d^n preimage words w of exp_q(S_n A(w x)),
 
 with S_n the n-term Birkhoff sum.  ``log_frak_L_sequence`` evaluates it
-exactly for n <= 5000 along one of two paths.
-
-Moments.  When 0 < q < 1, p = 1/(1-q) is an integer P and min A >= 0, every
-base Y = 1 + (1-q) S_n is >= 1 and L_n = d^n E[Y^P] over uniform words.
-Prepending a to a word in context x adds v = A(a.x) to S_n, so by
-(Y + (1-q)v)^j = sum_i C(j, i) ((1-q)v)^(j-i) Y^i the moments
-M_i(x) = d^-n sum of Y^i over the words in context x, i <= P, map linearly
-into context prefix_k(a.x), with nonnegative terms only.  This path serves
-any d and memory within the context guards, for P <= 16 and moments inside
-the float range.
-
-Buckets, otherwise (memory <= 2, d <= 3; ``frak_L_n`` always).
-``SumBuckets`` carries float64 log path counts per distinct sum, quantized
-to 1e-9; on lattice potentials the d^n sums take polynomially many values.
-A bucket's S_n is off by at most n * 5e-10 (nothing for values on the
-quantum), and the counts carry float rounding of about 1e-16 relative per
-step.  The growth exponent (1/n) log L_n(1)(x0) converges;
-``asymptotic_pressure`` estimates the limit with a tail fit, and
+exactly for n <= 5000.  When 0 < q < 1, p = 1/(1-q) is an integer P and
+min A >= 0, L_n = d^n E[Y^P] over uniform words, Y = 1 + (1-q) S_n >= 1.
+Prepending a to a word in context x adds v = A(a.x) to S_n, so the moments
+M_i(x) = d^-n sum of Y^i over the words in context x, i <= P, map into
+context prefix_k(a.x) by M'_j += C(j, i) ((1-q)v)^(j-i) M_i, at any d and
+memory.  Otherwise, also for P > 16 or moments past the float range and
+always in ``frak_L_n``, ``SumBuckets`` (memory <= 2, d <= 3) carries log
+path counts per distinct sum, quantized to 1e-9; lattice potentials give
+polynomially many sums.  A bucket's S_n is off by at most n * 5e-10, and
+the counts carry rounding of about 1e-16 relative per step.
+``asymptotic_pressure`` fits the tail of (1/n) log L_n(1)(x0), and
 ``variational_scan_subadd`` gives the variational side in closed form:
 log d, attained by the uniform Bernoulli measure.
 """
@@ -58,24 +51,21 @@ def phi_n(A: Potential, q: QParam | float, w, tail):
     """
     qp = QParam.of(q)
     m = A.memory
-    if np.shape(tail)[-1] < m - 1:
+    words, tail = np.atleast_2d(w), np.atleast_2d(tail)
+    if tail.shape[1] < m - 1:
         raise ValueError(f"tail must supply at least memory-1 = {m - 1} symbols")
-    batched = np.ndim(w) == 2
-    n = np.shape(w)[-1]
-    if n == 0:
-        return np.zeros(len(w)) if batched else 0.0
-    if batched:
-        s = A.birkhoff_sum(np.concatenate((w, tail), axis=1)[:, : n + m - 1])
-    else:
-        s = A.birkhoff_sum((w + tail)[: n + m - 1])
-    if qp.classical:
-        return s
-    base = 1.0 + (1.0 - qp.q) * s
-    bad = np.flatnonzero(np.ravel(base) <= 0.0)
-    if bad.size:
-        where = f"row {bad[0]} of w" if batched else f"{w}"
-        raise QLogDomainError(f"1 + (1-q) S_n = {np.ravel(base)[bad[0]]} <= 0 along {where}")
-    return np.log(base) / (1.0 - qp.q) if batched else math.log(base) / (1.0 - qp.q)
+    out = np.zeros(len(words))  # S_0 = 0, and log_q of base 1 is 0
+    if words.shape[1] > 0:
+        # an empty tail may be a float array; memory 1 needs none
+        out = A.birkhoff_sum(np.hstack((words, tail[:, : m - 1])) if m > 1 else words)
+    if not qp.classical:
+        base = 1.0 + (1.0 - qp.q) * out
+        bad = np.flatnonzero(base <= 0.0)
+        if bad.size:
+            i = bad[0]
+            raise QLogDomainError(f"1 + (1-q) S_n = {base[i]} <= 0 along row {i} of w, {words[i]}")
+        out = np.log(base) / (1.0 - qp.q)
+    return float(out[0]) if np.ndim(w) == 1 else out
 
 
 class SumBuckets:
@@ -179,10 +169,10 @@ class SumBuckets:
         return _logsumexp(terms[~bad]), dropped
 
 
-def _check_bucket_sizes(A: Potential, n: int) -> None:
+def _check_sizes(A: Potential, n: int, buckets: bool = True) -> None:
     if n > 5000:
         raise SizeGuardError("n > 5000 exceeds the evaluation guard")
-    if A.memory > 2 or A.d > 3:
+    if buckets and (A.memory > 2 or A.d > 3):
         raise SizeGuardError("bucketed evaluation supports memory <= 2, d <= 3")
 
 
@@ -224,7 +214,7 @@ def _moment_log_sequence(
 def frak_L_n(A: Potential, q: QParam | float, x0_prefix: tuple[int, ...], n: int) -> float:
     """The n-step operator sum at the base point, via buckets (sums on the 1e-9 quantum)."""
     qp = QParam.of(q)
-    _check_bucket_sizes(A, n)
+    _check_sizes(A, n)
     if n == 0:
         return 1.0
     sb = SumBuckets(A, x0_prefix)
@@ -236,32 +226,29 @@ def frak_L_n(A: Potential, q: QParam | float, x0_prefix: tuple[int, ...], n: int
 def frak_L_n_enumerate(
     A: Potential, q: QParam | float, x0_prefix: tuple[int, ...], n: int
 ) -> float:
-    """Direct enumeration over all d^n preimage words (oracle for n <= 20).
-
-    The words are rows of ``A.birkhoff_table(n)``, under its size guard.
-    """
+    """Direct enumeration over all d^n preimage words (oracle for n <= 20)."""
     qp = QParam.of(q)
     if n > 20:
         raise SizeGuardError("direct enumeration capped at n = 20")
     if n == 0:
         return 1.0
-    m = A.memory
-    pad = (tuple(x0_prefix) + (1,) * m)[: m - 1]
-    # the rows of the table whose last m - 1 symbols are the base point's
-    rows = np.arange(A.d**n) * A.d ** (m - 1) + word_index(pad, A.d)
-    return math.fsum(exp_q(A.birkhoff_table(n)[rows], qp))
+    pad = np.array((tuple(x0_prefix) + (1,) * A.memory)[: A.memory - 1], dtype=np.int64)
+    digits, terms = A.d ** np.arange(n - 1, -1, -1), []
+    for start in range(0, A.d**n, 2**16):  # 2^16 words, with the base point's tail, at a time
+        w = np.arange(start, min(start + 2**16, A.d**n))[:, None] // digits % A.d + 1
+        terms.append(exp_q(A.birkhoff_sum(np.hstack((w, np.tile(pad, (len(w), 1))))), qp))
+    return math.fsum(np.concatenate(terms))
 
 
 def log_frak_L_sequence(
     A: Potential, q: QParam | float, x0_prefix: tuple[int, ...], n_max: int
 ) -> np.ndarray:
-    """a_n = log L_n(1)(x0) for n = 1..n_max in one incremental pass, by the
-    moments or the buckets (module docstring), n_max <= 5000."""
+    """a_n = log L_n(1)(x0), n = 1..n_max <= 5000, by moments or buckets (module docstring)."""
     qp = QParam.of(q)
     P = _moment_order(A, qp, n_max)
-    if P is not None and n_max <= 5000:
+    _check_sizes(A, n_max, buckets=P is None)
+    if P is not None:
         return _moment_log_sequence(A, qp, P, x0_prefix, n_max)
-    _check_bucket_sizes(A, n_max)
     sb = SumBuckets(A, x0_prefix)
     out = np.empty(n_max)
     for i in range(n_max):

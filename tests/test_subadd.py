@@ -97,6 +97,13 @@ def test_bucket_dp_equals_enumeration():
             assert dp == pytest.approx(brute, rel=5e-8)
 
 
+def test_enumeration_serves_more_words_than_a_birkhoff_table():
+    # 3^13 words with a memory-2 tail: past birkhoff_table's 4,000,000-word guard
+    A = Potential(d=3, memory=2, values=np.arange(9) % 3 * 0.5)
+    brute = frak_L_n_enumerate(A, 0.6, (2,), 13)
+    assert brute == pytest.approx(frak_L_n(A, 0.6, (2,), 13), rel=1e-12)
+
+
 def test_bucket_counts_are_exact_integers():
     sb = SumBuckets(A_01, (1,))
     for _ in range(30):
