@@ -40,6 +40,7 @@ from .qsolve import (
     q_equilibrium,
     qruelle_residual,
     qruelle_solve,
+    supex_closed_form,
 )
 from .ruelle import (
     Jacobian,
@@ -404,7 +405,6 @@ def criterion_2():
 @_criterion(3, "memory-1 closed form and pressure derivative")
 def criterion_3():
     """Memory-1 closed form plus directional derivative of the constant."""
-    from .qsolve import supex_closed_form
 
     def run():
         phi2, c = supex_closed_form(2.0, 5.5, 0.0, 0.0, 0.0)

@@ -6,14 +6,15 @@ index q-tilde, context words of length k = max(m - 1, 1), and unknowns
 
     sum_a exp_qt( A(a x) + phi(prefix_k(a x)) - phi(x) - c ) = 1
 
-for every context word x.  A root with positive summands is the unique
-fixed point, T(phi) = phi + c, of a monotone cut-off map, found by relative
-value iteration; T is ``qfun._cutoff_root`` per context, the kernel of the
-variational scan and the static equilibrium too.  When 1/(1 - qt) is an even
-positive integer the q-exponential extends to a global polynomial and a batched multistart Newton
+for every context word x; at qt = 1 exp_qt is exp and the equation is the
+classical eigen-equation.  A root with positive summands is the unique
+fixed point, T(phi) = phi + c, of a monotone cut-off map, found by
+``ruelle._topical_root``, the one root kernel at every qt; T is
+``qfun._cutoff_root`` per context, the kernel of the variational scan and
+the static equilibrium too.  When 1/(1 - qt) is an even positive integer the
+q-exponential extends to a global polynomial and a batched multistart Newton
 lattice also finds roots whose summand bases are negative or zero; otherwise
-evaluation is strict and the fixed point is the only root.  The classical
-case qt = 1 is left to ``ruelle``.
+evaluation is strict and the fixed point is the only root.
 
 The constant c of the branch whose summands are all strictly positive is the
 dynamical q-pressure of A at q = 2 - qt, and the summands themselves form
@@ -28,7 +29,6 @@ quotient, with phidot from a central difference of Newton roots.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,22 +36,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError, QExpDomainError, QThermoError, SizeGuardError
-from .qfun import QParam, _cutoff_root, _relative_value_iteration, even_power_order, log_q
+from .qfun import QParam, log_q
 from .ruelle import (
     Jacobian,
     MarkovMeasure,
-    _context_tables,
+    _classify,
     _guarded_context_length,
-    _log_fixed_point,
+    _newton,
+    _System,
+    _topical_root,
     equilibrium_markov,
 )
 from .shift import Potential, drop_first, drop_last, index_word, prefix_index
 
 _ACCEPT_TOL = 1e-10
 _DEDUP_TOL = 1e-7
-_BOUNDARY_MARGIN = 1e-12
-_NEWTON_TOL = 1e-12
-_NEWTON_ITERS = 60
+_MAX_STARTS = 2000
 
 
 @dataclass(frozen=True)
@@ -74,94 +74,6 @@ class SolveResult:
     boundary: bool = False
 
 
-class _System:
-    """Index tables for one (potential, q-tilde) instance.
-
-    Entry [j, a - 1] belongs to the word a.x, x the j-th length-k context:
-    ``words`` is its (k+1)-word index, ``pre_idx`` its k-prefix index and
-    ``A_vals`` the potential on it.  The evaluations take a batch of S rows,
-    phi as an (S, n) array and c as an (S,) array, and return arrays whose
-    leading axis is the row.  ``bases`` sets every row outside the strict
-    domain to NaN, so the defects and summands built on it are NaN there too.
-    """
-
-    def __init__(self, A: Potential, q_tilde: QParam, k: int | None = None):
-        if q_tilde.classical:
-            raise ValueError(
-                "the deformed equation needs q-tilde != 1; at q-tilde = 1 (q = 1) use "
-                "ruelle.classical_pressure and ruelle.equilibrium_markov"
-            )
-        self.d = A.d
-        self.k = A.context_length() if k is None else k
-        self.n = self.d**self.k
-        self.qt = float(q_tilde.q)
-        self.order = even_power_order(q_tilde)
-        self.power = self.order if self.order is not None else 1.0 / (1.0 - self.qt)
-        self.words, self.pre_idx, self.A_vals = _context_tables(A, self.k)
-        self.diag = np.arange(self.n)
-
-    def values_of(self, A: Potential) -> np.ndarray:
-        """The table of A over the words a.x."""
-        return A.values[prefix_index(self.words, self.d, self.k + 1, A.memory)]
-
-    def with_values(self, A_vals: np.ndarray) -> "_System":
-        """The same tables carrying another potential table."""
-        out = copy.copy(self)
-        out.A_vals = A_vals
-        return out
-
-    def arguments(self, PHI: np.ndarray, C: np.ndarray) -> np.ndarray:
-        return self.A_vals + PHI[:, self.pre_idx] - PHI[:, :, None] - C[:, None, None]
-
-    def bases(self, PHI: np.ndarray, C: np.ndarray) -> np.ndarray:
-        """The bases 1 + (1 - qt)*argument, (S, n, d); NaN on rows outside the domain.
-
-        Only the strict case has a domain: a row leaves it when any base is at
-        or below 1e-300.  The row is masked before a power of it is taken, so
-        its summands are NaN rather than an overflow.
-        """
-        base = 1.0 + (1.0 - self.qt) * self.arguments(PHI, C)
-        if self.order is None:
-            base[(base <= 1e-300).any(axis=(1, 2))] = np.nan
-        return base
-
-    def defect(self, PHI: np.ndarray, C: np.ndarray) -> np.ndarray:
-        """Per-context defect, (S, n); NaN on rows outside the domain."""
-        return self.defect_of_bases(self.bases(PHI, C))
-
-    def defect_of_bases(self, base: np.ndarray) -> np.ndarray:
-        """Per-context defect, (S, n), from the bases."""
-        return (base**self.power).sum(axis=2) - 1.0
-
-    def newton_steps(self, base: np.ndarray, F: np.ndarray) -> np.ndarray:
-        """Newton steps on the free unknowns (phi[1:], c) of every row, (S, n).
-
-        phi[0] stays 0 (the gauge).  One singular matrix makes the stacked
-        solve raise for all of them; the rows are then solved one at a time,
-        each falling back to least squares when its own matrix is singular.
-        """
-        n, diag = self.n, self.diag
-        dE = base ** (self.power - 1)
-        dsum = dE.sum(axis=2)
-        Jfull = np.zeros((len(F), n, n + 1))
-        # the k-prefixes of a.x are distinct over a, so assignment is the sum
-        Jfull[:, diag[:, None], self.pre_idx] = dE
-        Jfull[:, diag, diag] -= dsum
-        Jfull[:, :, n] = -dsum
-        Jmat = Jfull[:, :, 1:]
-        try:
-            return np.linalg.solve(Jmat, -F[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            return np.array([_solve_or_lstsq(J, -f) for J, f in zip(Jmat, F)])
-
-
-def _solve_or_lstsq(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(J, rhs)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(J, rhs, rcond=None)[0]
-
-
 def _trivial_c(d: int, q_tilde: QParam) -> float:
     return -log_q(1.0 / d, q_tilde)
 
@@ -173,8 +85,6 @@ def qruelle_residual(
 
     Raises
     ------
-    ValueError
-        at q-tilde = 1, as ``qruelle_solve`` does.
     QExpDomainError
         naming the offending (symbol, context) when a summand argument falls
         outside the q-exponential domain and no even-power extension applies.
@@ -186,7 +96,7 @@ def qruelle_residual(
         raise ValueError(f"phi must have one entry per length-{sys.k} context")
     args = sys.arguments(phi[None], np.array([float(c)]))
     base = 1.0 + (1.0 - sys.qt) * args
-    if sys.order is None and np.any(base <= 0.0):
+    if sys.order is None and not sys.classical and np.any(base <= 0.0):
         _, j, a = map(int, np.argwhere(base <= 0.0)[0])
         ctx = "".join(map(str, index_word(j, sys.d, sys.k)))
         arg = float(args[0, j, a])
@@ -194,74 +104,11 @@ def qruelle_residual(
             f"exp_q domain violated at summand a={a + 1}, context {ctx} (u={arg})",
             argument=arg,
         )
-    return sys.defect_of_bases(base)[0]
-
-
-def _newton(
-    sys: _System, PHI: np.ndarray, C: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Newton on the free unknowns (phi[1:], c) of every row of a batch.
-
-    Each row runs as it would alone: its own convergence test at
-    ``_NEWTON_TOL``, its own backtracking step length (halved only when its
-    own trial is rejected, at most 30 times) and its own failure (a start
-    outside the domain, a non-finite step, or an exhausted line search).  The
-    rows stay in place; ``live`` marks those still iterating.  Returns the
-    final (PHI, C) and the mask of converged rows; a row that did not converge
-    holds its last iterate.
-    """
-    PHI = np.array(PHI, dtype=float)
-    C = np.array(C, dtype=float)
-    base = sys.bases(PHI, C)
-    F = sys.defect_of_bases(base)
-    fnorm = np.abs(F).max(axis=1)
-    converged = fnorm <= _NEWTON_TOL
-    live = ~(converged | np.isnan(fnorm))
-    for _ in range(_NEWTON_ITERS):
-        rows = np.flatnonzero(live)
-        if not rows.size:
-            break
-        step = sys.newton_steps(base[rows], F[rows])
-        finite = np.isfinite(step).all(axis=1)
-        live[rows[~finite]] = False
-        rows, step = rows[finite], step[finite]
-        # line search: the rows still pending in a round share one lam
-        lam = 1.0
-        for _ in range(30):
-            phi_t = PHI[rows]
-            phi_t[:, 1:] += lam * step[:, :-1]
-            c_t = C[rows] + lam * step[:, -1]
-            base_t = sys.bases(phi_t, c_t)
-            F_t = sys.defect_of_bases(base_t)
-            fn_t = np.abs(F_t).max(axis=1)  # NaN outside the domain: rejected
-            accept = (fn_t < fnorm[rows]) | (fn_t <= _NEWTON_TOL)
-            if accept.all():
-                PHI[rows], C[rows], base[rows] = phi_t, c_t, base_t
-                F[rows], fnorm[rows] = F_t, fn_t
-                break
-            done = rows[accept]
-            PHI[done], C[done], base[done] = phi_t[accept], c_t[accept], base_t[accept]
-            F[done], fnorm[done] = F_t[accept], fn_t[accept]
-            rows, step = rows[~accept], step[~accept]
-            lam *= 0.5
-        else:
-            live[rows] = False
-        converged |= fnorm <= _NEWTON_TOL
-        live &= ~converged
-    return PHI, C, converged
-
-
-def _classify(sys: _System, phi: np.ndarray, c: float) -> tuple[bool, bool]:
-    base = sys.bases(phi[None], np.array([c]))
-    positive = float(np.min(base)) > _BOUNDARY_MARGIN
-    # a root touches the boundary when any single base sits at zero, even if
-    # other summands have gone negative through the even-power extension
-    boundary = bool(np.any(np.abs(base) <= _BOUNDARY_MARGIN))
-    return positive, boundary
+    return sys.defect(phi[None], np.array([float(c)]))[0]
 
 
 def _jacobian_of_root(sys: _System, phi: np.ndarray, c: float) -> Jacobian:
-    E = sys.bases(phi[None], np.array([c])) ** sys.power
+    E = sys.summands(phi[None], np.array([c]))[0]
     vals = np.empty(sys.d ** (sys.k + 1))
     vals[sys.words] = E[0]
     # row sums are 1 + residual; renormalize so Jacobian validation is exact
@@ -269,61 +116,23 @@ def _jacobian_of_root(sys: _System, phi: np.ndarray, c: float) -> Jacobian:
     return Jacobian(d=sys.d, k=sys.k, values=vals / np.tile(rows, sys.d))
 
 
-def _topical_root(sys: _System) -> tuple[np.ndarray, float, bool]:
-    """(phi, c, positive) with T(phi) = phi + c, T the cut-off map.
-
-    T(phi)(x) is the t with sum_a E(A(a x) + phi(prefix_k(a x)) - t) = 1, E
-    the cut-off q-exponential.  Relative value iteration brackets c; at
-    hi - lo <= 1e-3*max(1, |hi|) with every base above the margin ``_newton``
-    finishes the root, and one more Newton step is kept unless it raises the
-    defect.  Otherwise it runs to 1e-12*max(1, |hi|).  ``positive``: every
-    base clears the margin.  NonConvergenceError after 5,000 iterations.
-    """
-
-    def T(phi: np.ndarray) -> np.ndarray:
-        return _cutoff_root(sys.A_vals + phi[sys.pre_idx], sys.qt)
-
-    newton_tried = False
-    for phi, lo, hi in _relative_value_iteration(T, sys.n):
-        c = 0.5 * (lo + hi)
-        width = (hi - lo) / max(1.0, abs(hi))
-        if width <= 1e-3 and not newton_tried and _classify(sys, phi, c)[0]:
-            newton_tried = True
-            PHI, C, ok = _newton(sys, phi[None], np.array([c]))
-            if ok[0]:
-                base = sys.bases(PHI, C)
-                F = sys.defect_of_bases(base)
-                step = sys.newton_steps(base, F)
-                if np.isfinite(step).all():
-                    PHI_t = PHI.copy()
-                    PHI_t[:, 1:] += step[:, :-1]
-                    C_t = C + step[:, -1]
-                    if np.abs(sys.defect(PHI_t, C_t)).max() <= np.abs(F).max():  # NaN: keep
-                        PHI, C = PHI_t, C_t
-                return PHI[0], float(C[0]), _classify(sys, PHI[0], C[0])[0]
-        if width <= 1e-12:
-            return phi, c, _classify(sys, phi, c)[0]
-
-
 def qruelle_solve(
     A: Potential,
     q_tilde: QParam | float,
     allow_boundary: bool = False,
-    max_starts: int = 2000,
 ) -> list[SolveResult]:
     """All distinct roots found, sorted by c descending.
 
-    Domain: q-tilde > 0 and q-tilde != 1 (outside ``qfun.CLASSICAL_Q_TOL`` of 1).
-    At q-tilde = 1 the equation is the classical eigen-equation, which
-    ``ruelle.classical_pressure`` and ``ruelle.equilibrium_markov`` solve;
-    this raises ValueError there.
+    Domain: q-tilde > 0.  Within ``qfun.CLASSICAL_Q_TOL`` of 1 the equation is
+    the classical eigen-equation, and its one root is (log h, log lambda) of
+    the transfer matrix, as ``ruelle.classical_pressure`` finds it.
 
     Strategy: the first candidate is the fixed point of the cut-off map
     (``_topical_root``, which raises NonConvergenceError when its iteration
     stalls).  Only where 1/(1 - qt) is an even integer does a batched
     multistart Newton lattice follow, with phi components in
     {-3, -1.5, 0, 1.5, 3} and c in {c0, c0 +- 2, c0 +- 4} (c0 the constant of
-    the zero potential), capped at ``max_starts`` starts.  Roots are accepted
+    the zero potential), capped at ``_MAX_STARTS`` starts.  Roots are accepted
     at residual <= 1e-10, deduplicated at distance 1e-7, and classified by the
     sign margin of their summand bases.  Roots with a zero-base summand are
     reported only when ``allow_boundary`` is set.  An empty list is valid.
@@ -345,7 +154,7 @@ def qruelle_solve(
         phi_levels = (-3.0, -1.5, 0.0, 1.5, 3.0)
         c_levels = (c0, c0 + 2.0, c0 - 2.0, c0 + 4.0, c0 - 4.0)
         lattice = itertools.product(itertools.product(phi_levels, repeat=sys.n - 1), c_levels)
-        starts = list(itertools.islice(lattice, max_starts))
+        starts = list(itertools.islice(lattice, _MAX_STARTS))
         PHI_l = np.zeros((len(starts), sys.n))
         PHI_l[:, 1:] = [free_phi for free_phi, _ in starts]
         PHI_l, C_l, converged = _newton(sys, PHI_l, np.array([c_start for _, c_start in starts]))
@@ -533,7 +342,7 @@ def bridge_half(A: Potential) -> tuple[Potential, np.ndarray, float]:
 
     Transforms A at q = 1/2, takes the classical eigendata of the transformed
     potential (phi_B = log h in the gauge phi_B(first context) = 0, c_B = log
-    lambda, the q-tilde = 1 fixed point ``ruelle._log_fixed_point``), and builds the
+    lambda, the q-tilde = 1 root of ``ruelle._topical_root``), and builds the
     memory-(k+1) potential B(w) = g(phi_B(w[:k]), phi_B(w[1:]), c_B, A(w)).
     The pair (phi_B, c_B) then solves the q-tilde = 3/2 equation for B; the
     residual is verified to 1e-9 on every context.
@@ -545,8 +354,7 @@ def bridge_half(A: Potential) -> tuple[Potential, np.ndarray, float]:
             argument=float(vals.min()),
         )
     d, k = A.d, _guarded_context_length(A)
-    _, pre_idx, A_vals = _context_tables(a_q_transform(A, 0.5), k)
-    phi_B, c_B = _log_fixed_point(A_vals, pre_idx)
+    phi_B, c_B, _ = _topical_root(_System(a_q_transform(A, 0.5), QParam(1.0), k))
     w = np.arange(d ** (k + 1))
     heads, tails = phi_B[drop_last(w, d)], phi_B[drop_first(w, d, k + 1)]
     args = zip(heads, tails, A.values[prefix_index(w, d, k + 1, A.memory)])
@@ -567,7 +375,7 @@ def _branch_slope(
     Differentiating the deformed equation in s at the root gives, for every
     context x, the cohomological equation
         sum_a E'(u_a(x)) (B(a x) + phidot(prefix_k(a x)) - phidot(x) - cdot) = 0
-    with E'(u) = base^(power - 1).  Its matrix is the Newton matrix, so one
+    with E' the summand derivative.  Its matrix is the Newton matrix, so one
     ``newton_steps`` call with F(x) = sum_a E'(u_a(x)) B(a x) returns
     (phidot[1:], cdot).  Also returns the system of A on the common context
     length, the table of B and the root's phi on it.
@@ -584,9 +392,9 @@ def _branch_slope(
     sys = _System(A, q_tilde, k=max(k, B.context_length()))
     B_vals = sys.values_of(B)
     phi = root.phi[prefix_index(np.arange(sys.n), sys.d, sys.k, k)]
-    bases = sys.bases(phi[None], np.array([root.c]))
-    rhs = (bases ** (sys.power - 1) * B_vals).sum(axis=2)
-    return root, sys, B_vals, phi, float(sys.newton_steps(bases, rhs)[0, -1])
+    _, dE = sys.summands(phi[None], np.array([root.c]))
+    rhs = (dE * B_vals).sum(axis=2)
+    return root, sys, B_vals, phi, float(sys.newton_steps(dE, rhs)[0, -1])
 
 
 def pressure_derivative(
@@ -596,7 +404,7 @@ def pressure_derivative(
 
     The branch is root ``branch_index`` of ``qruelle_solve`` at q-tilde = 2 - q,
     of any sign pattern; the derivative is one linear solve of the
-    cohomological equation at it (implicit-function theorem).
+    cohomological equation at it (implicit-function theorem); int B dmu_A at q = 1.
     """
     return _branch_slope(A, B, QParam.of(q).dual, branch_index)[-1]
 

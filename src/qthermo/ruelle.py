@@ -1,12 +1,11 @@
 """Classical (extensive) thermodynamic formalism on the full shift.
 
-Transfer matrices for locally constant potentials, leading eigendata as
-the q-tilde = 1 fixed point of the cut-off map (``qfun._cutoff_root`` under
-``qfun._relative_value_iteration``, the kernel of the deformed solver and the
-q-pressure scan), normalization to a Jacobian, stationary Markov equilibrium
-states, and the entropy zoo: Kolmogorov-Shannon entropy, dynamical q-entropy,
-relative q-entropy, and the variational (infimum) form of the q-entropy,
-a convex program for q <= 1.
+Transfer matrices for locally constant potentials; the root kernel of the
+equation of ``qsolve`` at every q-tilde (``_System``, ``_topical_root``),
+whose q-tilde = 1 case gives the leading eigendata; normalization to a
+Jacobian, stationary Markov equilibrium states, and the entropy zoo:
+Kolmogorov-Shannon entropy, dynamical q-entropy, relative q-entropy, and the
+variational (infimum) form of the q-entropy, a convex program for q <= 1.
 
 Conventions.  A potential of memory ``m`` acts on states that are words of
 length ``k = max(m - 1, 1)``.  The transfer operator
@@ -24,13 +23,14 @@ Imports numpy only: the variational q-entropy loads scipy (one BFGS run).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonConvergenceError, QLogDomainError, SizeGuardError
-from .qfun import QParam, _cutoff_root, _relative_value_iteration, log_q
+from .qfun import QParam, _cutoff_root, _relative_value_iteration, even_power_order, log_q
 from .shift import Potential, drop_first, drop_last, prefix_index, prepend, word_index
 
 _STATE_GUARD = 4096
@@ -93,36 +93,221 @@ def transfer_matrix(A: Potential) -> TransferMatrix:
     return TransferMatrix(d=d, k=k, m=m, matrix=M)
 
 
-def _log_fixed_point(vals: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, float]:
-    """(f, c) with T(f) = f + c, f[0] = 0, for T(f)(x) = log sum_j exp(vals[x, j] + f[idx[x, j]]).
+_BOUNDARY_MARGIN = 1e-12
+_NEWTON_TOL = 1e-12
+_NEWTON_ITERS = 60
+_NEWTON_CONTEXTS = 256  # above it a dense Newton solve costs more than the RVI it cuts short
 
-    T is the cut-off map at q-tilde = 1, so e^f is the leading eigenvector
-    and e^c the leading eigenvalue of the matrix with entries e^vals.
-    Relative value iteration brackets c and stops at hi - lo <= 1e-14*max(1, |hi|);
-    c is the bracket's midpoint.  NonConvergenceError after 5,000 iterations.
+
+class _System:
+    """Index tables for one (potential, q-tilde) instance; E = exp at q-tilde = 1.
+
+    Entry [j, a - 1] belongs to the word a.x, x the j-th length-k context:
+    ``words`` is its (k+1)-word index, ``pre_idx`` its k-prefix index and
+    ``A_vals`` the potential on it.  The evaluations take a batch of S rows,
+    phi as an (S, n) array and c as an (S,) array, and return arrays whose
+    leading axis is the row.  ``bases`` sets every row outside the strict
+    domain to NaN, so the defects and summands built on it are NaN there too.
     """
-    for f, lo, hi in _relative_value_iteration(lambda f: _cutoff_root(vals + f[idx], 1.0), len(vals)):
-        if hi - lo <= 1e-14 * max(1.0, abs(hi)):
-            return f, 0.5 * (lo + hi)
+
+    def __init__(self, A: Potential, q_tilde: QParam, k: int | None = None):
+        self.d = A.d
+        self.k = A.context_length() if k is None else k
+        self.n = self.d**self.k
+        self.qt = float(q_tilde.q)
+        self.classical = q_tilde.classical
+        self.order = even_power_order(q_tilde)
+        self.power = None if self.classical else self.order or 1.0 / (1.0 - self.qt)
+        self.words, self.pre_idx, self.A_vals = _context_tables(A, self.k)
+        self.diag = np.arange(self.n)
+
+    def values_of(self, A: Potential) -> np.ndarray:
+        """The table of A over the words a.x."""
+        return A.values[prefix_index(self.words, self.d, self.k + 1, A.memory)]
+
+    def with_values(self, A_vals: np.ndarray) -> "_System":
+        """The same tables carrying another potential table."""
+        out = copy.copy(self)
+        out.A_vals = A_vals
+        return out
+
+    def arguments(self, PHI: np.ndarray, C: np.ndarray) -> np.ndarray:
+        return self.A_vals + PHI[:, self.pre_idx] - PHI[:, :, None] - C[:, None, None]
+
+    def bases(self, PHI: np.ndarray, C: np.ndarray) -> np.ndarray:
+        """The bases 1 + (1 - qt)*argument, (S, n, d); NaN on rows outside the domain.
+
+        At q-tilde = 1 every base is 1.  Only the strict case has a domain: a
+        row leaves it when any base is at or below 1e-300.  The row is masked
+        before a power of it is taken, so its summands are NaN rather than an
+        overflow.
+        """
+        if self.classical:
+            return np.ones((len(PHI), self.n, self.d))
+        base = 1.0 + (1.0 - self.qt) * self.arguments(PHI, C)
+        if self.order is None:
+            base[(base <= 1e-300).any(axis=(1, 2))] = np.nan
+        return base
+
+    def summands(self, PHI: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Summands E and derivatives E', (S, n, d): exp at q-tilde = 1, else base**power."""
+        if self.classical:
+            E = np.exp(self.arguments(PHI, C))
+            return E, E
+        base = self.bases(PHI, C)
+        return base**self.power, base ** (self.power - 1)
+
+    def defect(self, PHI: np.ndarray, C: np.ndarray) -> np.ndarray:
+        """Per-context defect, (S, n); NaN on rows outside the domain."""
+        return self.summands(PHI, C)[0].sum(axis=2) - 1.0
+
+    def newton_steps(self, dE: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """Newton steps on the free unknowns (phi[1:], c) of every row, (S, n).
+
+        ``dE`` holds the summand derivatives E' and ``F`` the defects.  phi[0]
+        stays 0 (the gauge).  One singular matrix makes the stacked solve
+        raise for all of them; the rows are then solved one at a time, each
+        falling back to least squares when its own matrix is singular.
+        """
+        n, diag = self.n, self.diag
+        dsum = dE.sum(axis=2)
+        Jfull = np.zeros((len(F), n, n + 1))
+        # the k-prefixes of a.x are distinct over a, so assignment is the sum
+        Jfull[:, diag[:, None], self.pre_idx] = dE
+        Jfull[:, diag, diag] -= dsum
+        Jfull[:, :, n] = -dsum
+        Jmat = Jfull[:, :, 1:]
+        try:
+            return np.linalg.solve(Jmat, -F[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            return np.array([_solve_or_lstsq(J, -f) for J, f in zip(Jmat, F)])
+
+
+def _solve_or_lstsq(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(J, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(J, rhs, rcond=None)[0]
+
+
+def _newton(
+    sys: _System, PHI: np.ndarray, C: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Newton on the free unknowns (phi[1:], c) of every row of a batch.
+
+    Each row runs as it would alone: its own convergence test at
+    ``_NEWTON_TOL``, its own backtracking step length (halved only when its
+    own trial is rejected, at most 30 times) and its own failure (a start
+    outside the domain, a non-finite step, or an exhausted line search).  The
+    rows stay in place; ``live`` marks those still iterating.  Returns the
+    final (PHI, C) and the mask of converged rows; a row that did not converge
+    holds its last iterate.
+    """
+    PHI = np.array(PHI, dtype=float)
+    C = np.array(C, dtype=float)
+    E, dE = sys.summands(PHI, C)
+    F = E.sum(axis=2) - 1.0
+    fnorm = np.abs(F).max(axis=1)
+    converged = fnorm <= _NEWTON_TOL
+    live = ~(converged | np.isnan(fnorm))
+    for _ in range(_NEWTON_ITERS):
+        rows = np.flatnonzero(live)
+        if not rows.size:
+            break
+        step = sys.newton_steps(dE[rows], F[rows])
+        finite = np.isfinite(step).all(axis=1)
+        live[rows[~finite]] = False
+        rows, step = rows[finite], step[finite]
+        # line search: the rows still pending in a round share one lam
+        lam = 1.0
+        for _ in range(30):
+            phi_t = PHI[rows]
+            phi_t[:, 1:] += lam * step[:, :-1]
+            c_t = C[rows] + lam * step[:, -1]
+            E_t, dE_t = sys.summands(phi_t, c_t)
+            F_t = E_t.sum(axis=2) - 1.0
+            fn_t = np.abs(F_t).max(axis=1)  # NaN outside the domain: rejected
+            accept = (fn_t < fnorm[rows]) | (fn_t <= _NEWTON_TOL)
+            if accept.all():
+                PHI[rows], C[rows], dE[rows] = phi_t, c_t, dE_t
+                F[rows], fnorm[rows] = F_t, fn_t
+                break
+            done = rows[accept]
+            PHI[done], C[done], dE[done] = phi_t[accept], c_t[accept], dE_t[accept]
+            F[done], fnorm[done] = F_t[accept], fn_t[accept]
+            rows, step = rows[~accept], step[~accept]
+            lam *= 0.5
+        else:
+            live[rows] = False
+        converged |= fnorm <= _NEWTON_TOL
+        live &= ~converged
+    return PHI, C, converged
+
+
+def _classify(sys: _System, phi: np.ndarray, c: float) -> tuple[bool, bool]:
+    base = sys.bases(phi[None], np.array([c]))
+    positive = float(np.min(base)) > _BOUNDARY_MARGIN
+    # a root touches the boundary when any single base sits at zero, even if
+    # other summands have gone negative through the even-power extension
+    boundary = bool(np.any(np.abs(base) <= _BOUNDARY_MARGIN))
+    return positive, boundary
+
+
+def _topical_root(sys: _System) -> tuple[np.ndarray, float, bool]:
+    """(phi, c, positive) with T(phi) = phi + c, T the cut-off map.
+
+    T(phi)(x) is the t with sum_a E(A(a x) + phi(prefix_k(a x)) - t) = 1, E
+    the cut-off q-exponential (exp at q-tilde = 1).  Relative value iteration
+    brackets c.  On at most ``_NEWTON_CONTEXTS`` contexts, at hi - lo <=
+    1e-3*max(1, |hi|) with every base above the margin ``_newton`` finishes
+    the root, and one more Newton step is kept unless it raises the defect; a
+    failed finish is tried again each time the bracket has halved since.
+    Otherwise it runs to 1e-12*max(1, |hi|).  ``positive``: every base clears
+    the margin.  NonConvergenceError after 5,000 iterations.
+    """
+
+    def T(phi: np.ndarray) -> np.ndarray:
+        return _cutoff_root(sys.A_vals + phi[sys.pre_idx], sys.qt)
+
+    finish = sys.n <= _NEWTON_CONTEXTS
+    retry = 1e-3  # the relative width at which the finish is (next) tried
+    for phi, lo, hi in _relative_value_iteration(T, sys.n):
+        c = 0.5 * (lo + hi)
+        width = (hi - lo) / max(1.0, abs(hi))
+        if finish and width <= retry and _classify(sys, phi, c)[0]:
+            PHI, C, ok = _newton(sys, phi[None], np.array([c]))
+            if ok[0]:
+                E, dE = sys.summands(PHI, C)
+                F = E.sum(axis=2) - 1.0
+                step = sys.newton_steps(dE, F)
+                if np.isfinite(step).all():
+                    PHI_t = PHI.copy()
+                    PHI_t[:, 1:] += step[:, :-1]
+                    C_t = C + step[:, -1]
+                    if np.abs(sys.defect(PHI_t, C_t)).max() <= np.abs(F).max():  # NaN: keep
+                        PHI, C = PHI_t, C_t
+                return PHI[0], float(C[0]), _classify(sys, PHI[0], C[0])[0]
+            retry = 0.5 * width
+        if width <= 1e-12:
+            return phi, c, _classify(sys, phi, c)[0]
 
 
 def leading_eig(M: TransferMatrix) -> tuple[float, np.ndarray, np.ndarray]:
     """Leading eigenvalue with right (h) and left (nu) eigenvectors.
 
-    Reads M on the transfer-matrix pattern: row x holds M[x, prefix_k(a x)]
-    and column y holds M[(y b)[1:], y].  Each eigenvector is the fixed point
-    of ``_log_fixed_point`` on the logs of those entries; the eigen residuals
-    are then checked against ``1e-12 lambda max(1, max(h))``.  ``nu`` has
-    total mass one and sum(h * nu) = 1.
+    Reads M on the transfer-matrix pattern, row x holding M[x, prefix_k(a x)]:
+    (log h, log lambda) is the q-tilde = 1 root of the logs of those entries.
+    nu = pi/h, pi the stationary law of the stochastic M[x, y] h(y)/(lambda
+    h(x)).  The eigen residuals are then checked against ``1e-12 lambda
+    max(1, max(h))``.  ``nu`` has total mass one and sum(h * nu) = 1.
     """
     d, k, A = M.d, M.k, M.matrix
-    rows = np.arange(d**k)[:, None]
-    right = drop_last(prepend(np.arange(1, d + 1), rows, d, k), d)
-    left = drop_first(rows * d + np.arange(d), d, k + 1)
+    sys = _System(Potential.constant(d, 0.0, k + 1), QParam(1.0), k)
     with np.errstate(divide="ignore"):  # log 0 = -inf: an entry off the pattern's support
-        f, c = _log_fixed_point(np.log(A[rows, right]), right)
-        g, _ = _log_fixed_point(np.log(A[left, rows]), left)
-    lam, h, nu = math.exp(c), np.exp(f), np.exp(g)
+        sys = sys.with_values(np.log(A[sys.diag[:, None], sys.pre_idx]))
+    f, c, _ = _topical_root(sys)
+    lam, h = math.exp(c), np.exp(f)
+    nu = _stationary(A * h / (lam * h[:, None])) / h
     nu = nu / nu.sum()
     h = h / float(h @ nu)
     if lam <= 0.0 or np.any(h <= 0.0) or np.any(nu <= 0.0):
@@ -135,8 +320,7 @@ def leading_eig(M: TransferMatrix) -> tuple[float, np.ndarray, np.ndarray]:
 
 def classical_pressure(A: Potential) -> float:
     """log of the leading transfer-operator eigenvalue."""
-    _, pre_idx, A_vals = _context_tables(A, _guarded_context_length(A))
-    return _log_fixed_point(A_vals, pre_idx)[1]
+    return _topical_root(_System(A, QParam(1.0), _guarded_context_length(A)))[1]
 
 
 def normalize(A: Potential) -> tuple[Potential, float, np.ndarray]:
@@ -146,12 +330,11 @@ def normalize(A: Potential) -> tuple[Potential, float, np.ndarray]:
     - log lambda`` as a memory-(k+1) table; ``exp(logJ)`` sums to one over
     the first symbol for every context.  h is in the gauge h(first context) = 1.
     """
-    d, k = A.d, _guarded_context_length(A)
-    words, pre_idx, A_vals = _context_tables(A, k)
-    log_h, c = _log_fixed_point(A_vals, pre_idx)
-    vals = np.empty(d ** (k + 1))
-    vals[words] = A_vals + log_h[pre_idx] - log_h[:, None] - c
-    return Potential(d=d, memory=k + 1, values=vals), math.exp(c), np.exp(log_h)
+    sys = _System(A, QParam(1.0), _guarded_context_length(A))
+    log_h, c, _ = _topical_root(sys)
+    vals = np.empty(sys.d ** (sys.k + 1))
+    vals[sys.words] = sys.arguments(log_h[None], np.array([c]))[0]
+    return Potential(d=sys.d, memory=sys.k + 1, values=vals), math.exp(c), np.exp(log_h)
 
 
 @dataclass(frozen=True)

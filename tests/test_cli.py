@@ -372,7 +372,7 @@ def test_console_script_runs(tmp_path):
     assert_qfun_exp_ran(proc)
 
 
-def test_solve_at_classical_q_tilde_exits_2(jana_file, tmp_path):
+def test_solve_at_classical_q_tilde_is_the_classical_pressure(jana_file, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "qthermo", "solve", "--potential", jana_file, "--q-tilde", "1"],
         capture_output=True,
@@ -380,9 +380,10 @@ def test_solve_at_classical_q_tilde_exits_2(jana_file, tmp_path):
         cwd=tmp_path,
         env=child_env(),
     )
-    assert proc.returncode == 2, proc.stderr
-    assert "classical_pressure" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["branch_count"] == 1
+    assert payload["branches"][0]["c"] == run_json(["ruelle", "--potential", jana_file])["pressure"]
 
 
 @pytest.mark.parametrize(

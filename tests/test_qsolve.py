@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qthermo import qsolve
 from qthermo.errors import NonConvergenceError, QExpDomainError, SizeGuardError
 from qthermo.qfun import QParam, _cutoff_root, log_q
 from qthermo.qsolve import (
@@ -28,9 +29,11 @@ from qthermo.qsolve import (
     two_symbol_roots,
 )
 from qthermo.ruelle import (
+    Jacobian,
     classical_pressure,
     equilibrium_markov,
     leading_eig,
+    normalize,
     random_jacobian,
     transfer_matrix,
 )
@@ -337,15 +340,44 @@ def test_derivative_identity_report_frozen():
     assert rep.quotient == pytest.approx(rep.dPds, abs=1e-6)
 
 
-@pytest.mark.parametrize("qt", [1.0, QParam(1.0 + 1e-9)])
-def test_classical_q_tilde_is_a_value_error(qt):
-    A = Potential(d=2, memory=2, values=np.array([0.1, -0.2, 0.3, 0.0]))
-    with pytest.raises(ValueError, match="classical_pressure"):
-        qruelle_solve(A, qt)
-    with pytest.raises(ValueError, match="classical_pressure"):
-        qruelle_residual(A, qt, np.zeros(2), 0.0)
-    with pytest.raises(ValueError, match="equilibrium_markov"):
-        q_equilibrium(A, 2.0 - QParam.of(qt).q)
+# -- q = 1 through the same root kernel: the classical eigen-equation
+
+
+@st.composite
+def _classical_case(draw):
+    d = draw(st.sampled_from([2, 3, 4]))
+    memory = draw(st.integers(1, 4))
+    sigma = draw(st.floats(0.1, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (
+        Potential(d=d, memory=memory, values=rng.normal(0.0, sigma, d**memory)),
+        Potential(d=d, memory=memory, values=rng.normal(0.0, 1.0, d**memory)),
+    )
+
+
+@given(case=_classical_case(), qt=st.sampled_from([1.0, QParam(1.0 + 1e-9)]))
+@settings(max_examples=40, deadline=None)
+def test_classical_q_tilde_is_the_eigen_equation(case, qt):
+    A, B = case
+    c = classical_pressure(A)
+    roots = qruelle_solve(A, qt)
+    assert len(roots) == 1
+    (root,) = roots
+    assert root.summands_positive and not root.boundary
+    assert abs(root.c - c) <= 1e-12 * max(1.0, abs(c))
+    logJ = normalize(A)[0]
+    assert np.max(np.abs(root.jacobian.values - np.exp(logJ.values))) <= 1e-12
+    assert np.max(np.abs(qruelle_residual(A, qt, root.phi, root.c))) <= 1e-10
+
+    p, mu, _ = q_equilibrium(A, 2.0 - QParam.of(qt).q)
+    assert p == root.c
+    want = equilibrium_markov(Jacobian.from_log_potential(logJ))
+    # the measure is its (k+1)-cylinder masses; a transition out of a state
+    # of tiny mass is a ratio of masses and need not agree as closely
+    r = logJ.memory
+    assert np.max(np.abs(mu.cylinder_masses(r) - want.cylinder_masses(r))) <= 1e-12
+    # the classical derivative of the pressure: dP/ds = int B dmu_A
+    assert abs(pressure_derivative(A, B, 1.0) - mu.integrate(B)) <= 1e-12
 
 
 def test_size_guard():
@@ -524,7 +556,7 @@ def _ref_solve(A, q_tilde, max_starts=2000):
 
 
 def _assert_same_roots(A, qt, max_starts=2000):
-    got = qruelle_solve(A, qt, max_starts=max_starts)
+    got = qruelle_solve(A, qt)
     want = _ref_solve(A, qt, max_starts=max_starts)
     assert len(got) == len(want)
     for r, (phi, c, residual, positive, boundary) in zip(got, want):
@@ -548,8 +580,9 @@ def test_solver_matches_per_start_reference(d, memory, qt):
 
 
 @pytest.mark.parametrize("qt", [0.5, 0.7, 0.75, 1.5])
-def test_solver_matches_per_start_reference_memory_4(qt):
+def test_solver_matches_per_start_reference_memory_4(qt, monkeypatch):
     # 5^8 lattice points: a small cap truncates the lattice
+    monkeypatch.setattr(qsolve, "_MAX_STARTS", 150)
     rng = np.random.default_rng([2, 4, int(qt * 100)])
     A = Potential(d=2, memory=4, values=rng.normal(0.0, 0.25, 16))
     _assert_same_roots(A, qt, max_starts=150)
