@@ -355,7 +355,8 @@ def _classical_case(draw):
     )
 
 
-@given(case=_classical_case(), qt=st.sampled_from([1.0, QParam(1.0 + 1e-9)]))
+@pytest.mark.parametrize("qt", [1.0, QParam(1.0 + 1e-9)])
+@given(case=_classical_case())
 @settings(max_examples=40, deadline=None)
 def test_classical_q_tilde_is_the_eigen_equation(case, qt):
     A, B = case
