@@ -3,8 +3,10 @@
 These certify the solver constants independently.  The dynamical q-pressure,
 sup of H_q(mu) + int A dmu, is the gain of an entropy-regularized
 average-reward problem, solved by relative value iteration with a two-sided
-bracket.  The q-entropy is tabulated over the two free transition
-probabilities of a binary Markov measure.
+bracket.  One closed-form chart, ``_binary_chart``, gives the cylinder masses
+and backward conditionals of the binary memory-1 Markov measures; it tabulates
+the q-entropy over their two free transition probabilities and samples its
+midpoint gaps.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QThermoError, SizeGuardError
+from .errors import QThermoError
 from .qfun import QParam, _regularized_max, _relative_value_iteration, log_q
 from .ruelle import (
     MarkovMeasure,
@@ -44,50 +46,22 @@ class ScanResult:
     bracket: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class BinaryChart:
-    """Memory-1 binary Markov measures on a grid: P(1->2) = p[i, j] = t[i],
-    P(2->1) = r[i, j] = t[j], stationary masses pi1, pi2, and ``mass``, the
-    2-cylinder masses of the words 11, 12, 21, 22."""
-
-    t: np.ndarray
-    p: np.ndarray
-    r: np.ndarray
-    pi1: np.ndarray
-    pi2: np.ndarray
-    mass: np.ndarray
-
-    @classmethod
-    def grid(cls, grid_n: int) -> "BinaryChart":
-        """The grid_n x grid_n chart over (1e-4, 1 - 1e-4)."""
-        t = np.linspace(_EPS, 1.0 - _EPS, grid_n)
-        p, r = np.meshgrid(t, t, indexing="ij")
-        pi1 = r / (p + r)
-        pi2 = p / (p + r)
-        mass = np.stack([pi1 * (1 - p), pi1 * p, pi2 * r, pi2 * (1 - r)])
-        return cls(t, p, r, pi1, pi2, mass)
-
-    def q_entropy(self, q: QParam) -> np.ndarray:
-        """H_q at every grid point."""
-        p, r, pi1, pi2 = self.p, self.r, self.pi1, self.pi2
-        Qb = np.stack([(1 - p), p * pi1 / pi2, r * pi2 / pi1, (1 - r)])  # P_ij pi_i / pi_j
-        return np.sum(self.mass * log_q(1.0 / Qb, q), axis=0)
-
-    def integral(self, A: Potential) -> np.ndarray:
-        """int A dmu at every grid point, for a potential of memory 1 or 2."""
-        if A.memory == 1:
-            return self.pi1 * A.value((1,)) + self.pi2 * A.value((2,))
-        if A.memory == 2:
-            m, v = self.mass, A.values.tolist()
-            return m[0] * v[0] + m[1] * v[1] + m[2] * v[2] + m[3] * v[3]
-        raise SizeGuardError("potential memory above 2 is not supported")
+def _binary_chart(p: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The memory-1 binary Markov measures with P(1->2) = p and P(2->1) = r,
+    elementwise: ``mass``, the 2-cylinder masses of the words 11, 12, 21, 22,
+    and ``Q``, their backward conditionals P_ij pi_i / pi_j, stacked on a new
+    first axis."""
+    pi1 = r / (p + r)
+    pi2 = p / (p + r)
+    mass = np.stack([pi1 * (1 - p), pi1 * p, pi2 * r, pi2 * (1 - r)])
+    Q = np.stack([(1 - p), p * pi1 / pi2, r * pi2 / pi1, (1 - r)])
+    return mass, Q
 
 
-def _measure_from_params(params: np.ndarray) -> MarkovMeasure:
-    """Memory-1 binary Markov measure with params = (P(1->2), P(2->1))."""
-    p = np.clip(params, _EPS, 1.0 - _EPS)
-    P = np.array([[1.0 - p[0], p[0]], [p[1], 1.0 - p[1]]])
-    return MarkovMeasure.from_transitions(2, 1, P)
+def _binary_q_entropy(p: np.ndarray, r: np.ndarray, q: QParam) -> np.ndarray:
+    """H_q = sum mass log_q(1/Q) of ``_binary_chart(p, r)``, elementwise."""
+    mass, Q = _binary_chart(p, r)
+    return np.sum(mass * log_q(1.0 / Q, q), axis=0)
 
 
 def q_pressure_scan(A: Potential, q: QParam | float, grid_n: int) -> ScanResult:
@@ -155,8 +129,9 @@ def entropy_surface(q: QParam | float, grid_n: int) -> EntropySurface:
     qp = QParam.of(q)
     if grid_n % 2 == 0:
         grid_n += 1
-    chart = BinaryChart.grid(grid_n)
-    return EntropySurface(q=qp.q, probs=chart.t, values=chart.q_entropy(qp))
+    t = np.linspace(_EPS, 1.0 - _EPS, grid_n)
+    p, r = np.meshgrid(t, t, indexing="ij")
+    return EntropySurface(q=qp.q, probs=t, values=_binary_q_entropy(p, r, qp))
 
 
 def midpoint_concavity_report(q: QParam | float, seed: int = 0) -> dict[str, float]:
@@ -167,18 +142,12 @@ def midpoint_concavity_report(q: QParam | float, seed: int = 0) -> dict[str, flo
     imply concavity in the transition-probability coordinates for every q
     (the chart is nonlinear).
     """
-    qp = QParam.of(q)
-    rng = np.random.default_rng(seed)
-
-    def hq_of(params: np.ndarray) -> float:
-        mu = _measure_from_params(params)
-        return q_entropy_markov(mu, qp)
-
-    gaps = np.empty(1000)
-    for s in range(1000):
-        x = rng.uniform(0.05, 0.95, 2)
-        y = rng.uniform(0.05, 0.95, 2)
-        gaps[s] = hq_of((x + y) / 2.0) - 0.5 * (hq_of(x) + hq_of(y))
+    # row s holds segment s's x then y: the stream of two 2-draws per segment
+    u = np.random.default_rng(seed).uniform(0.05, 0.95, (1000, 4))
+    x, y = u[:, :2], u[:, 2:]
+    pts = np.stack([x, y, (x + y) / 2.0])
+    hx, hy, hm = _binary_q_entropy(pts[..., 0], pts[..., 1], QParam.of(q))
+    gaps = hm - 0.5 * (hx + hy)
     return {
         "min_gap": float(gaps.min()),
         "mean_gap": float(gaps.mean()),
@@ -212,14 +181,18 @@ def entropy_affinity_report(
     """
     qp = QParam.of(q)
     rng = np.random.default_rng(seed)
+
+    def masses(prm: np.ndarray) -> np.ndarray:
+        P = np.array([[1.0 - prm[0], prm[0]], [prm[1], 1.0 - prm[1]]])
+        return MarkovMeasure.from_transitions(2, 1, P).cylinder_masses(u_memory)
+
     defects = []
     failures = 0
     for _ in range(samples):
         prm1 = rng.uniform(0.1, 0.9, 2)
         prm2 = rng.uniform(0.1, 0.9, 2)
         lam = rng.uniform(0.1, 0.9)
-        m1 = _measure_from_params(prm1).cylinder_masses(u_memory)
-        m2 = _measure_from_params(prm2).cylinder_masses(u_memory)
+        m1, m2 = masses(prm1), masses(prm2)
         try:
             h_mix = variational_entropy_of_masses(lam * m1 + (1 - lam) * m2, 2, u_memory, qp)
             h1 = variational_entropy_of_masses(m1, 2, u_memory, qp)

@@ -9,11 +9,11 @@ from scipy.optimize import minimize
 from qthermo import variational
 from qthermo.errors import SizeGuardError
 from qthermo.qfun import QParam, log_q
-from qthermo.ruelle import classical_pressure, q_entropy_markov
+from qthermo.ruelle import MarkovMeasure, classical_pressure, q_entropy_markov
 from qthermo.shift import Potential, all_words
 from qthermo.variational import (
-    BinaryChart,
-    _measure_from_params,
+    _binary_chart,
+    _binary_q_entropy,
     entropy_affinity_report,
     entropy_surface,
     midpoint_concavity_report,
@@ -26,24 +26,31 @@ A_01 = Potential(d=2, memory=1, values=np.array([0.0, 1.0]))
 def _ref_scan(A, q, grid_n=100):
     """The former brute-force scan: the best point of a grid over the memory-1
     binary Markov measures (P(1->2), P(2->1)) in (1e-4, 1 - 1e-4), polished by
-    Nelder-Mead.  A has d = 2 and memory <= 2."""
+    Nelder-Mead.  A has d = 2 and memory <= 2; a memory-1 A is read on the
+    2-cylinders by repeating its values."""
     qp = QParam.of(q)
-    chart = BinaryChart.grid(grid_n)
-    obj = chart.q_entropy(qp) + chart.integral(A)
+    v = A.values if A.memory == 2 else np.repeat(A.values, 2)
+    assert A.d == 2 and v.shape == (4,)
+
+    def objective(p, r):
+        mass = _binary_chart(p, r)[0]
+        return _binary_q_entropy(p, r, qp) + np.tensordot(v, mass, axes=1)
+
+    t = np.linspace(1e-4, 1.0 - 1e-4, grid_n)
+    obj = objective(*np.meshgrid(t, t, indexing="ij"))
     i, j = np.unravel_index(int(np.argmax(obj)), obj.shape)
 
-    def objective(params):
-        mu = _measure_from_params(params)
-        return q_entropy_markov(mu, qp) + mu.integrate(A)
+    def polish(params):
+        return float(objective(*np.clip(params, 1e-4, 1.0 - 1e-4)))
 
-    best = np.array([chart.t[i], chart.t[j]])
+    best = np.array([t[i], t[j]])
     res = minimize(
-        lambda x: -objective(x),
+        lambda x: -polish(x),
         best,
         method="Nelder-Mead",
         options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-13},
     )
-    return max(objective(best), objective(res.x))
+    return max(polish(best), polish(res.x))
 
 
 def test_scan_zero_potential_is_max_q_entropy():
@@ -192,6 +199,43 @@ def test_scan_matches_the_reference_above_q_two():
     assert res.value == pytest.approx(0.7163796831419573, abs=1e-12)
 
 
+@pytest.mark.parametrize("q", [2.0, 2.5, 3.0])
+def test_scan_maximizer_with_two_closed_classes(q):
+    # the maximizing policy fixes both 11... and 22...; A(11) is the larger
+    # loop, so the sup is A(11), attained by the point mass on 111...
+    A = Potential(d=2, memory=2, values=np.random.default_rng(44788).normal(0.0, 2.0, 4))
+    res = q_pressure_scan(A, q, 8)
+    lo, hi = res.bracket
+    assert res.value == A.values[0]
+    assert np.array_equal(res.argmax.pi, [1.0, 0.0])
+    assert hi - lo <= 1e-12 * max(1.0, abs(hi))
+
+
+def test_scan_memory3_maximizer_with_two_closed_classes():
+    rng = np.random.default_rng(775)
+    rng.normal(0.0, 5.0, 4)
+    A = Potential(d=2, memory=3, values=rng.normal(0.0, 5.0, 8))
+    res = q_pressure_scan(A, 3.0, 8)
+    lo, hi = res.bracket
+    assert lo - 1e-11 <= res.value <= hi + 1e-11
+    assert res.value <= classical_pressure(A) + 1e-10
+    again = q_entropy_markov(res.argmax, QParam(3.0)) + res.argmax.integrate(A)
+    assert again == res.value
+
+
+def test_binary_chart_is_the_markov_measure():
+    # the closed-form chart against the library's Markov measure of (p, r)
+    rng = np.random.default_rng(1)
+    for p, r in rng.uniform(0.01, 0.99, (20, 2)):
+        mu = MarkovMeasure.from_transitions(2, 1, np.array([[1 - p, p], [r, 1 - r]]))
+        mass = _binary_chart(p, r)[0]
+        assert mass == pytest.approx(mu.cylinder_masses(2), abs=1e-15)
+        for q in (0.5, 1.0, 2.5):
+            assert float(_binary_q_entropy(p, r, QParam(q))) == pytest.approx(
+                q_entropy_markov(mu, QParam(q)), abs=1e-14
+            )
+
+
 @pytest.mark.parametrize("q", [0.5, 0.9])
 def test_surface_center_maximum(q):
     surf = entropy_surface(q, 200)
@@ -239,11 +283,25 @@ def test_midpoint_gaps_stay_positive():
     # but over the sampled region every midpoint gap is positive
     rep5 = midpoint_concavity_report(0.5)
     assert rep5["negative_fraction"] == 0.0
-    assert rep5["min_gap"] == pytest.approx(5.2911982559189497e-05, rel=1e-3)
+    assert rep5["min_gap"] == pytest.approx(5.2911982559189497e-05, rel=1e-12)
     rep9 = midpoint_concavity_report(0.9)
     assert rep9["negative_fraction"] == 0.0
-    assert rep9["min_gap"] == pytest.approx(6.35523020371398e-05, rel=1e-3)
+    assert rep9["min_gap"] == pytest.approx(6.35523020371398e-05, rel=1e-12)
     assert rep5["mean_gap"] > rep5["min_gap"]
+
+
+def test_midpoint_single_draw_is_the_per_segment_stream():
+    # midpoint_concavity_report draws all 1,000 segments at once; on PCG64 that
+    # is the stream of an x draw then a y draw per segment, and it leaves the
+    # generator in the same state
+    per_segment = np.random.default_rng(0)
+    rows = [
+        np.concatenate([per_segment.uniform(0.05, 0.95, 2), per_segment.uniform(0.05, 0.95, 2)])
+        for _ in range(1000)
+    ]
+    single = np.random.default_rng(0)
+    assert np.array_equal(single.uniform(0.05, 0.95, (1000, 4)), np.array(rows))
+    assert single.bit_generator.state == per_segment.bit_generator.state
 
 
 def test_affinity_report_positive_defects():
