@@ -23,6 +23,7 @@ import json
 import math
 import sys
 import time
+from array import array
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .qsolve import (
     bridge_half,
     derivative_identity_report,
     explimeq_family,
+    positive_branch,
     pressure_derivative,
     q_equilibrium,
     qruelle_residual,
@@ -477,11 +479,10 @@ def criterion_5():
         gaps = []
         while len(gaps) < 20:
             A = Potential(d=2, memory=2, values=rng.normal(0.0, 0.8, 4))
-            pos = [r for r in qruelle_solve(A, 0.5) if r.summands_positive]
-            if not pos:
+            branch = positive_branch(A, 0.5)
+            if branch is None:
                 continue
-            c = max(r.c for r in pos)
-            gaps.append(q_pressure_scan(A, 1.5, 400).value - c)
+            gaps.append(q_pressure_scan(A, 1.5, 400).value - branch.c)
         return np.array(gaps)
 
     gaps, dt = _timed(run)
@@ -702,15 +703,21 @@ def criterion_13():
 
     def run():
         rng = np.random.default_rng(0)
-        worst = 0.0
+        rows = {k: array("d") for k in (2, 3, 4)}  # flat: each row p, then its q
         for _ in range(10_000):
             k = int(rng.integers(2, 5))
             p = rng.dirichlet(np.ones(k))
             q = float(rng.uniform(0.2, 1.8))
             if abs(q - 1.0) < 1e-3:
                 continue
-            hq = staticq.q_entropy_vec(p, q)
-            worst = max(worst, abs(staticq.renyi_entropy(p, q) - staticq.renyi_from_q_entropy(hq, q)))
+            rows[k].extend((*p, q))
+        worst = 0.0
+        for k, flat in rows.items():  # one stacked call per function and k
+            PQ = np.frombuffer(flat).reshape(-1, k + 1)
+            P, Q = PQ[:, :k], PQ[:, k]
+            hq = staticq.q_entropy_vec(P, Q)
+            gaps = np.abs(staticq.renyi_entropy(P, Q) - staticq.renyi_from_q_entropy(hq, Q))
+            worst = max(worst, float(gaps.max()))
         mv_worst = 0.0
         for _ in range(50):
             p1 = float(rng.uniform(0.1, 0.9))

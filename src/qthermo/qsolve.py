@@ -11,10 +11,11 @@ classical eigen-equation.  A root with positive summands is the unique
 fixed point, T(phi) = phi + c, of a monotone cut-off map, found by
 ``ruelle._topical_root``, the one root kernel at every qt; T is
 ``qfun._cutoff_root`` per context, the kernel of the variational scan and
-the static equilibrium too.  When 1/(1 - qt) is an even positive integer the
-q-exponential extends to a global polynomial and a batched multistart Newton
-lattice also finds roots whose summand bases are negative or zero; otherwise
-evaluation is strict and the fixed point is the only root.
+the static equilibrium too; ``positive_branch`` returns that root.  When
+1/(1 - qt) is an even positive integer the q-exponential extends to a global
+polynomial and ``qruelle_solve`` also runs a batched multistart Newton lattice
+for roots whose summand bases are negative or zero; otherwise evaluation is
+strict and the fixed point is the only root.
 
 The constant c of the branch whose summands are all strictly positive is the
 dynamical q-pressure of A at q = 2 - qt, and the summands themselves form
@@ -116,6 +117,12 @@ def _jacobian_of_root(sys: _System, phi: np.ndarray, c: float) -> Jacobian:
     return Jacobian(d=sys.d, k=sys.k, values=vals / np.tile(rows, sys.d))
 
 
+def positive_branch(A: Potential, q_tilde: QParam | float) -> SolveResult | None:
+    """``qruelle_solve``'s root with positive summands, found without the lattice, or None."""
+    roots = _roots(A, QParam.of(q_tilde), allow_boundary=False, lattice=False)
+    return next((r for r in roots if r.summands_positive), None)
+
+
 def qruelle_solve(
     A: Potential,
     q_tilde: QParam | float,
@@ -143,13 +150,17 @@ def qruelle_solve(
     on every edge of the strongly connected de Bruijn graph, so the solution
     is unique up to constants (Gaubert & Gunawardena, Trans. AMS 356, 2004).
     """
-    qp = QParam.of(q_tilde)
+    return _roots(A, QParam.of(q_tilde), allow_boundary, lattice=True)
+
+
+def _roots(A: Potential, qp: QParam, allow_boundary: bool, lattice: bool) -> list[SolveResult]:
+    """``qruelle_solve``'s roots; without ``lattice``, of its first candidate only."""
     if A.memory > 4:
         raise SizeGuardError(f"memory {A.memory} exceeds the solver guard (4)")
     sys = _System(A, qp)
     phi, c, _ = _topical_root(sys)
     PHI, C = phi[None], np.array([c])
-    if sys.order is not None:
+    if lattice and sys.order is not None:
         c0 = _trivial_c(sys.d, qp)
         phi_levels = (-3.0, -1.5, 0.0, 1.5, 3.0)
         c_levels = (c0, c0 + 2.0, c0 - 2.0, c0 + 4.0, c0 - 4.0)
@@ -276,11 +287,11 @@ def _neg_log_q_inv(J: Jacobian, q: QParam) -> Potential:
 def q_equilibrium(A: Potential, q: QParam | float) -> tuple[float, MarkovMeasure, SolveResult]:
     """q-pressure, q-equilibrium Markov measure, and the positive branch.
 
-    The branch is the one root of ``qruelle_solve`` at q-tilde = 2 - q with
-    strictly positive summands (NonConvergenceError if there is none); the
-    measure is the equilibrium of its Jacobian.
+    The branch is ``positive_branch`` at q-tilde = 2 - q (NonConvergenceError
+    if there is none); no full root list is built, so its ``branch_id`` is 0.
+    The measure is the equilibrium of its Jacobian.
     """
-    branch = next((b for b in qruelle_solve(A, QParam.of(q).dual) if b.summands_positive), None)
+    branch = positive_branch(A, QParam.of(q).dual)
     if branch is None:
         raise NonConvergenceError("no branch with strictly positive summands")
     assert branch.jacobian is not None

@@ -31,16 +31,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qfun import QParam, _logsumexp, _regularized_max, exp_q
+from .qfun import CLASSICAL_Q_TOL, QParam, _logsumexp, _regularized_max, exp_q
 
 
-def _check_prob(p) -> np.ndarray:
+def _check_prob(p, rows: bool = False) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
+    if arr.ndim not in ((1, 2) if rows else (1,)) or arr.shape[-1] < 2:
         raise ValueError("probability vector must be 1-d with length >= 2")
-    if np.any(arr < 0.0) or abs(arr.sum() - 1.0) > 1e-9:
+    if np.any(arr < 0.0) or np.any(np.abs(arr.sum(axis=-1) - 1.0) > 1e-9):
         raise ValueError("entries must be nonnegative and sum to 1")
     return arr
+
+
+def _row_qs(q, n: int) -> np.ndarray:
+    """One q per stacked row, each checked as QParam checks it; q = 1 is refused."""
+    qs = np.asarray(q, dtype=float).reshape(n)
+    for bad in qs[~(np.isfinite(qs) & (qs > 0.0))][:1].tolist():
+        QParam(bad)  # raises its ValueError
+    if np.any(np.abs(qs - 1.0) <= CLASSICAL_Q_TOL):
+        raise ValueError("stacked rows need q != 1; take Shannon rows one at a time")
+    return qs
+
+
+def _power_sums(arr: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """sum_j p_j^q per row, bit for bit as ``(p ** q).sum()`` with the row's own q."""
+    powers = arr ** qs[:, None]
+    for e in (0.5, 2.0):  # ``**`` by these scalars is sqrt or a square, not pow
+        powers[qs == e] = arr[qs == e] ** e
+    return powers.sum(axis=1)
 
 
 def _shannon(arr: np.ndarray) -> float:
@@ -54,25 +72,36 @@ def _q_entropy(arr: np.ndarray, qp: QParam) -> float:
     return float(((arr**qp.q).sum() - 1.0) / (1.0 - qp.q))
 
 
-def q_entropy_vec(p, q: QParam | float) -> float:
+def q_entropy_vec(p, q: QParam | float) -> float | np.ndarray:
     """Deformed entropy (sum p^q - 1)/(1-q); Shannon at q = 1.
 
-    Zero entries contribute 0 (the 0*log_q(1/0) = 0 convention).
+    Zero entries contribute 0 (the 0*log_q(1/0) = 0 convention).  Rows p
+    (N, k) take q (N,), none within CLASSICAL_Q_TOL of 1.
     """
-    return _q_entropy(_check_prob(p), QParam.of(q))
+    arr = _check_prob(p, rows=True)
+    if arr.ndim == 1:
+        return _q_entropy(arr, QParam.of(q))
+    qs = _row_qs(q, len(arr))
+    return (_power_sums(arr, qs) - 1.0) / (1.0 - qs)
 
 
-def renyi_entropy(p, q: QParam | float) -> float:
-    """Renyi entropy log(sum p^q)/(1-q); Shannon at q = 1."""
-    arr = _check_prob(p)
+def renyi_entropy(p, q: QParam | float) -> float | np.ndarray:
+    """Renyi entropy log(sum p^q)/(1-q); Shannon at q = 1; rows as ``q_entropy_vec``."""
+    arr = _check_prob(p, rows=True)
+    if arr.ndim == 2:  # math.log per row: numpy's SIMD log differs in the last bit
+        qs = _row_qs(q, len(arr))
+        return np.array([math.log(s) for s in _power_sums(arr, qs).tolist()]) / (1.0 - qs)
     qp = QParam.of(q)
     if qp.classical:
         return _shannon(arr)
     return float(math.log((arr**qp.q).sum()) / (1.0 - qp.q))
 
 
-def renyi_from_q_entropy(hq: float, q: QParam | float) -> float:
-    """The bridge F(x) = log(1 + (1-q)x)/(1-q) sending H_q to H^R_q."""
+def renyi_from_q_entropy(hq, q: QParam | float) -> float | np.ndarray:
+    """The bridge F(x) = log(1 + (1-q)x)/(1-q) sending H_q to H^R_q; (N,) hq take (N,) q."""
+    if np.ndim(hq):  # math.log1p per entry: numpy's SIMD log1p differs in the last bit
+        qs = _row_qs(q, len(hq))
+        return np.array([math.log1p(x) for x in ((1.0 - qs) * hq).tolist()]) / (1.0 - qs)
     qp = QParam.of(q)
     if qp.classical:
         return hq

@@ -61,6 +61,10 @@ def test_criterion_05_frozen_gaps():
     res = cli.criterion_5()
     assert res.matches_expected, f"measured: {res.measured}"
     assert res.measured["min_gap"] > -1e-9  # scan never falls below c
+    # the digits the CLI prints
+    assert cli._clean(res.measured) == {
+        "max_gap": 0.0408210374408, "min_gap": 0.000369576442618, "mean_gap": 0.0225624440808
+    }
 
 
 @pytest.mark.xfail(
@@ -107,7 +111,12 @@ def test_criterion_12_bridge_identities():
 
 
 def test_criterion_13_entropy_bijections():
-    _assert_criterion(cli.criterion_13())
+    res = cli.criterion_13()
+    _assert_criterion(res)
+    # the digits the CLI prints
+    assert cli._clean(res.measured) == {
+        "bijection": 4.4408920985e-16, "meson_vericat": 5.55111512313e-17
+    }
 
 
 def test_criterion_14_derivative_identity():

@@ -21,6 +21,7 @@ from qthermo.qsolve import (
     derivative_identity_report,
     explimeq_family,
     jana_closed_form,
+    positive_branch,
     pressure_derivative,
     q_equilibrium,
     qruelle_residual,
@@ -650,6 +651,15 @@ def test_positive_root_is_the_cutoff_fixed_point(cell, qt, sigma, seed):
         T = _cutoff_root(sys.A_vals + r.phi[sys.pre_idx], sys.qt)
         assert np.max(np.abs(T - r.phi - r.c)) <= 1e-10
     assert _topical_root(sys)[2] == bool(positive)
+    # positive_branch is the list's positive root, found without the lattice
+    branch = positive_branch(A, qt)
+    assert (branch is None) == (not positive)
+    if positive:
+        (r,) = positive
+        assert np.array_equal(branch.phi, r.phi)
+        assert branch.c == r.c and branch.residual == r.residual
+        assert np.array_equal(branch.jacobian.values, r.jacobian.values)
+        assert branch.summands_positive and not branch.boundary and branch.branch_id == 0
 
 
 def test_fixed_point_certifies_a_draw_without_positive_root():
@@ -663,6 +673,7 @@ def test_fixed_point_certifies_a_draw_without_positive_root():
     assert abs(c - A.values[3]) <= 1e-12
     assert not positive
     assert not any(r.summands_positive for r in qruelle_solve(A, 0.5))
+    assert positive_branch(A, 0.5) is None
     with pytest.raises(NonConvergenceError):
         q_equilibrium(A, 1.5)
 

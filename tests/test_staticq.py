@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qthermo.qfun import QParam, log_q
+from qthermo.qfun import CLASSICAL_Q_TOL, QParam, log_q
 from qthermo.staticq import (
     beta_sweep,
     loloi_closed_form,
@@ -92,6 +94,83 @@ def test_renyi_bijection():
         assert renyi_from_q_entropy(hq, q) == pytest.approx(
             renyi_entropy(p, q), abs=1e-10
         )
+
+
+@given(
+    k=st.integers(2, 6),
+    qs=st.lists(
+        st.one_of(
+            st.sampled_from([0.5, 1.5]),
+            st.floats(0.2, 1.8).filter(lambda x: abs(x - 1.0) > CLASSICAL_Q_TOL),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_stacked_rows_are_the_one_row_calls(k, qs, seed):
+    # rows with zero entries; q = 0.5 is the exponent numpy's ** takes as sqrt
+    rng = np.random.default_rng(seed)
+    P = rng.dirichlet(np.ones(k), size=len(qs))
+    P[rng.random(P.shape) < 0.25] = 0.0
+    P[P.sum(axis=1) == 0.0, 0] = 1.0
+    P /= P.sum(axis=1, keepdims=True)
+    Q = np.array(qs)
+    H, R = q_entropy_vec(P, Q), renyi_entropy(P, Q)
+    F = renyi_from_q_entropy(H, Q)
+    assert H.shape == R.shape == F.shape == (len(qs),)
+    for i, (p, q) in enumerate(zip(P, qs)):
+        h = q_entropy_vec(p, q)
+        assert type(h) is float and h == H[i]
+        assert renyi_entropy(p, q) == R[i]
+        assert renyi_from_q_entropy(h, q) == F[i]
+
+
+def _error(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "row,q",
+    [
+        ((1.0,), 0.5),  # one entry
+        ((-0.1, 1.1), 0.5),  # negative entry
+        ((0.3, 0.6), 0.5),  # sums to 0.9
+        ((0.3, 0.7), 0.0),
+        ((0.3, 0.7), -0.5),
+        ((0.3, 0.7), math.inf),
+    ],
+)
+def test_stacked_rows_raise_the_one_row_error(row, q):
+    P, Q = np.array([(0.5,) * len(row), row]), np.array([0.5, q])
+    for f in (q_entropy_vec, renyi_entropy):
+        assert _error(lambda: f(P, Q)) == _error(lambda: f(row, q))
+    if not 0.0 < q < math.inf:
+        one_row = _error(lambda: renyi_from_q_entropy(0.5, q))
+        assert _error(lambda: renyi_from_q_entropy(np.array([0.5, 0.5]), Q)) == one_row
+
+
+@pytest.mark.parametrize("q", [1.0, 1.0 + CLASSICAL_Q_TOL / 2])
+def test_stacked_rows_refuse_the_shannon_q(q):
+    # one row at q = 1 is Shannon; a stack at q = 1 is refused, not divided by 1 - q
+    P, Q = np.array([[0.2, 0.8], [0.4, 0.6]]), np.array([0.5, q])
+    for f in (q_entropy_vec, renyi_entropy):
+        assert f(P[1], q) == pytest.approx(-(0.4 * math.log(0.4) + 0.6 * math.log(0.6)))
+        with pytest.raises(ValueError, match="q != 1"):
+            f(P, Q)
+    with pytest.raises(ValueError, match="q != 1"):
+        renyi_from_q_entropy(np.array([0.5, 0.5]), Q)
+
+
+def test_stacked_rows_take_one_q_per_row():
+    P = np.array([[0.2, 0.8], [0.4, 0.6]])
+    with pytest.raises(ValueError):
+        q_entropy_vec(P, np.array([0.5, 0.6, 0.7]))
+    with pytest.raises(ValueError):
+        meson_vericat_bernoulli(P, 0.5)  # one vector only
 
 
 def test_meson_vericat_value():
