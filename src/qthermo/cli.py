@@ -180,16 +180,15 @@ def _cmd_entropy(args: argparse.Namespace) -> dict:
         raise QThermoError("--p requires a comma-separated probability vector")
     p = np.asarray(args.probs, dtype=float)
     hq = staticq.q_entropy_vec(p, qp)
-    shannon = float(-(p * np.log(p)).sum())
     out = {
         "q": qp.q,
         "p": p,
         "h_q": hq,
-        "shannon": shannon,
+        "shannon": staticq.q_entropy_vec(p, 1.0),
         "renyi_q": staticq.renyi_entropy(p, qp),
         "renyi_from_h_q": staticq.renyi_from_q_entropy(hq, qp),
     }
-    if p.size == 2:
+    if p.size == 2 and qp.q < 1.0:
         out["meson_vericat"] = staticq.meson_vericat_bernoulli(p, qp)
     return out
 
@@ -908,13 +907,13 @@ def main(argv: list[str] | None = None) -> int:
     _, handler, _ = SUBCOMMANDS[args.subcommand]
     try:
         payload = handler(args)
+        _emit(payload, args.output)
     except NonConvergenceError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except (QThermoError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    _emit(payload, args.output)
     # selftest reports "passed", paper-regression "ok"; either false exits 1
     return 0 if payload.get("passed", True) and payload.get("ok", True) else 1
 

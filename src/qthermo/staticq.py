@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import QExpDomainError
 from .qfun import CLASSICAL_Q_TOL, QParam, _logsumexp, _regularized_max, exp_q
 
 
@@ -38,7 +39,7 @@ def _check_prob(p, rows: bool = False) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.ndim not in ((1, 2) if rows else (1,)) or arr.shape[-1] < 2:
         raise ValueError("probability vector must be 1-d with length >= 2")
-    if np.any(arr < 0.0) or np.any(np.abs(arr.sum(axis=-1) - 1.0) > 1e-9):
+    if not np.all(arr >= 0.0) or np.any(np.abs(arr.sum(axis=-1) - 1.0) > 1e-9):  # NaN too
         raise ValueError("entries must be nonnegative and sum to 1")
     return arr
 
@@ -63,7 +64,7 @@ def _power_sums(arr: np.ndarray, qs: np.ndarray) -> np.ndarray:
 
 def _shannon(arr: np.ndarray) -> float:
     pos = arr[arr > 0.0]
-    return float(-(pos * np.log(pos)).sum())
+    return float(0.0 - (pos * np.log(pos)).sum())  # +0.0, not -0.0, for a degenerate p
 
 
 def _q_entropy(arr: np.ndarray, qp: QParam) -> float:
@@ -223,11 +224,10 @@ def beta_sweep(payoff, q: QParam | float, betas) -> list[tuple[float, float | No
     a = np.asarray(payoff, dtype=float)
     out: list[tuple[float, float | None]] = []
     for b in betas:
-        base = 1.0 + (qp.q - 1.0) * float(b) * a
-        if np.any(base <= 0.0):
-            out.append((float(b), None))
-        else:
+        try:
             out.append((float(b), static_q_pressure(a, float(b), qp).pressure))
+        except QExpDomainError:
+            out.append((float(b), None))
     return out
 
 

@@ -10,11 +10,11 @@ min A >= 0, L_n = d^n E[Y^P] over uniform words, Y = 1 + (1-q) S_n >= 1.
 Prepending a to a word in context x adds v = A(a.x) to S_n, so the moments
 M_i(x) = d^-n sum of Y^i over the words in context x, i <= P, map into
 context prefix_k(a.x) by M'_j += C(j, i) ((1-q)v)^(j-i) M_i, at any d and
-memory.  Otherwise, also for P > 16 or moments past the float range and
-always in ``frak_L_n``, ``SumBuckets`` (memory <= 2, d <= 3) carries log
-path counts per distinct sum, quantized to 1e-9; lattice potentials give
-polynomially many sums.  A bucket's S_n is off by at most n * 5e-10, and
-the counts carry rounding of about 1e-16 relative per step.
+memory.  Otherwise, also for P > 16 or moments past the float range,
+``SumBuckets`` (memory <= 2, d <= 3) carries log path counts per distinct
+sum, quantized to 1e-9; lattice potentials give polynomially many sums.
+A bucket's S_n is off by at most n * 5e-10, and the counts carry rounding
+of about 1e-16 relative per step.  ``frak_L_n`` is the sequence's last term.
 ``asymptotic_pressure`` fits the tail of (1/n) log L_n(1)(x0), and
 ``variational_scan_subadd`` gives the variational side in closed form:
 log d, attained by the uniform Bernoulli measure.
@@ -81,6 +81,8 @@ class SumBuckets:
     """
 
     def __init__(self, A: Potential, x0_prefix: tuple[int, ...]):
+        if A.memory > 2 or A.d > 3:
+            raise SizeGuardError("bucketed evaluation supports memory <= 2, d <= 3")
         if len(x0_prefix) < A.memory - 1:
             raise ValueError("x0_prefix shorter than memory - 1")
         self.A, self.d = A, A.d
@@ -169,13 +171,6 @@ class SumBuckets:
         return _logsumexp(terms[~bad]), dropped
 
 
-def _check_sizes(A: Potential, n: int, buckets: bool = True) -> None:
-    if n > 5000:
-        raise SizeGuardError("n > 5000 exceeds the evaluation guard")
-    if buckets and (A.memory > 2 or A.d > 3):
-        raise SizeGuardError("bucketed evaluation supports memory <= 2, d <= 3")
-
-
 def _moment_order(A: Potential, q: QParam, n_max: int) -> int | None:
     """P when the moment recursion serves (A, q) up to n_max, else None."""
     if q.classical or q.q >= 1.0 or float(np.min(A.values)) < 0.0:
@@ -212,15 +207,8 @@ def _moment_log_sequence(
 
 
 def frak_L_n(A: Potential, q: QParam | float, x0_prefix: tuple[int, ...], n: int) -> float:
-    """The n-step operator sum at the base point, via buckets (sums on the 1e-9 quantum)."""
-    qp = QParam.of(q)
-    _check_sizes(A, n)
-    if n == 0:
-        return 1.0
-    sb = SumBuckets(A, x0_prefix)
-    for _ in range(n):
-        sb.step()
-    return math.exp(sb.log_value(qp))
+    """The n-step operator sum at the base point: the last term of ``log_frak_L_sequence``."""
+    return math.exp(log_frak_L_sequence(A, q, x0_prefix, n)[-1]) if n else 1.0
 
 
 def frak_L_n_enumerate(
@@ -245,8 +233,9 @@ def log_frak_L_sequence(
 ) -> np.ndarray:
     """a_n = log L_n(1)(x0), n = 1..n_max <= 5000, by moments or buckets (module docstring)."""
     qp = QParam.of(q)
+    if n_max > 5000:
+        raise SizeGuardError("n > 5000 exceeds the evaluation guard")
     P = _moment_order(A, qp, n_max)
-    _check_sizes(A, n_max, buckets=P is None)
     if P is not None:
         return _moment_log_sequence(A, qp, P, x0_prefix, n_max)
     sb = SumBuckets(A, x0_prefix)

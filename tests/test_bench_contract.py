@@ -47,14 +47,15 @@ def test_traced_run_records_subadd_and_restores_originals():
     tr = tracer.Tracer()
     tr.install(targets)
     try:
-        subadd.frak_L_n(A_01, 0.5, (), 5)
         # q = 0.6 (p = 2.5) takes the bucket DP; integer p takes the moment recursion
+        subadd.frak_L_n(A_01, 0.6, (), 5)
         subadd.asymptotic_pressure(A_CONST, 0.6, (), 20)
     finally:
         tr.uninstall()
     summary = tr.summary()
     assert summary["names"]["subadd.step"]["calls"] == 5 + 20
-    assert summary["names"]["subadd.log_value"]["calls"] == 1 + 20
+    # frak_L_n is the last term of the sequence, which evaluates every term
+    assert summary["names"]["subadd.log_value"]["calls"] == 5 + 20
     # A_01 after 5 steps: one bucket per count of 2-symbols
     assert summary["counters"]["subadd.buckets_max"] == 6
     for owner, attr, raw in originals:

@@ -154,6 +154,37 @@ def test_entropy_matches_library():
     )
 
 
+def test_entropy_of_a_degenerate_p_is_plus_zero():
+    rc, out = run_cli(["entropy", "--p", "0,1", "--q", "0.5"])
+    assert rc == 0
+    payload = json.loads(out)
+    for key in ("h_q", "shannon"):
+        assert payload[key] == 0.0 and math.copysign(1.0, payload[key]) == 1.0
+
+
+@pytest.mark.parametrize("q", ["1", "1.5"])
+def test_entropy_reports_meson_vericat_only_below_q_1(q):
+    payload = run_json(["entropy", "--p", "0.3,0.7", "--q", q])
+    assert "meson_vericat" not in payload
+    assert payload["shannon"] == float(f"{-(0.3 * math.log(0.3) + 0.7 * math.log(0.7)):.12g}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--p", "nan,0.5", "--q", "0.5"],
+        pytest.param(  # exp(800) overflows to inf, which the serializer refuses
+            ["qfun", "--op", "exp", "--u", "800", "--q", "1"],
+            marks=pytest.mark.filterwarnings("ignore:overflow encountered in exp"),
+        ),
+    ],
+)
+def test_refused_input_or_output_exits_2_with_empty_stdout(argv, capsys):
+    rc, out = run_cli(argv)
+    assert rc == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_q_and_q_tilde_must_agree():
     rc, _ = run_cli(["qfun", "--op", "log", "--u", "2.0", "--q", "0.5", "--q-tilde", "1.7"])
     assert rc == 2

@@ -142,6 +142,7 @@ def _error(call):
         ((0.3, 0.7), 0.0),
         ((0.3, 0.7), -0.5),
         ((0.3, 0.7), math.inf),
+        ((math.nan, 0.5), 0.5),
     ],
 )
 def test_stacked_rows_raise_the_one_row_error(row, q):

@@ -89,8 +89,9 @@ def test_bucket_dp_equals_enumeration():
         m = int(rng.integers(1, 3))
         A = Potential(d=2, memory=m, values=rng.uniform(0.0, 1.2, 2**m))
         for n in (1, 2, 5, 9, 13):
-            dp = frak_L_n(A, 0.5, (1,), n)
-            brute = frak_L_n_enumerate(A, 0.5, (1,), n)
+            # p = 2.5 is not an integer, so frak_L_n takes the bucket DP
+            dp = frak_L_n(A, 0.6, (1,), n)
+            brute = frak_L_n_enumerate(A, 0.6, (1,), n)
             # generic sums sit off the 1e-9 bucket lattice, so agreement
             # is limited by quantization (integer-valued A is exact; see
             # test_constant_closed_form)
@@ -102,6 +103,21 @@ def test_enumeration_serves_more_words_than_a_birkhoff_table():
     A = Potential(d=3, memory=2, values=np.arange(9) % 3 * 0.5)
     brute = frak_L_n_enumerate(A, 0.6, (2,), 13)
     assert brute == pytest.approx(frak_L_n(A, 0.6, (2,), 13), rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0 / 3.0])
+def test_frak_L_n_serves_memory_3_at_integer_p(q):
+    # the moment recursion serves any d and memory, which the buckets refuse
+    A = Potential(d=3, memory=3, values=np.random.default_rng(5).uniform(0.0, 1.5, 27))
+    for n in (3, 6):
+        brute = frak_L_n_enumerate(A, q, (2, 1), n)
+        assert frak_L_n(A, q, (2, 1), n) == pytest.approx(brute, rel=1e-12)
+
+
+@pytest.mark.parametrize("d, m", [(2, 3), (4, 1)])
+def test_buckets_refuse_memory_3_and_d_4(d, m):
+    with pytest.raises(SizeGuardError, match="memory <= 2, d <= 3"):
+        SumBuckets(Potential(d=d, memory=m, values=np.zeros(d**m)), (1,) * (m - 1))
 
 
 def test_bucket_counts_are_exact_integers():
