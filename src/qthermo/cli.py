@@ -90,6 +90,14 @@ def _emit(payload: dict, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
+    """One header line, then each row with numbers at 12 significant digits and None empty."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("" if x is None else f"{x:.12g}" for x in row) + "\n")
+
+
 def _load_potential(path: str | None) -> Potential:
     if not path:
         raise QThermoError("a --potential file is required for this subcommand")
@@ -158,10 +166,7 @@ def _cmd_sweep_beta(args: argparse.Namespace) -> dict:
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
     rows = staticq.beta_sweep(args.payoff, qp, betas)
     if args.sequence_csv:
-        with open(args.sequence_csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write("beta,pressure\n")
-            for b, p in rows:
-                fh.write(f"{b:.12g},{'' if p is None else f'{p:.12g}'}\n")
+        _write_csv(args.sequence_csv, ("beta", "pressure"), rows)
     finite = [(b, p) for b, p in rows if p is not None]
     return {
         "q": qp.q,
@@ -238,16 +243,12 @@ def _cmd_derivative(args: argparse.Namespace) -> dict:
         raise QThermoError("--direction potential file is required")
     B = _load_potential(args.direction)
     qp = _resolve_q(args, as_tilde=False)
-    d = pressure_derivative(A, B, qp, branch_index=args.branch)
-    out = {
-        "q": qp.q,
-        "branch": args.branch,
-        "dPds": d,
-    }
-    if abs(qp.q - 0.5) <= 1e-12:
+    out = {"q": qp.q, "branch": args.branch}
+    if abs(qp.q - 0.5) > 1e-12:
+        out["dPds"] = pressure_derivative(A, B, qp, branch_index=args.branch)
+    else:  # the identity report solves the q = 1/2 branch once and carries its dPds
         rep = derivative_identity_report(A, B, branch_index=args.branch)
-        out["identity_quotient"] = rep.quotient
-        out["identity_defect"] = rep.defect
+        out.update(dPds=rep.dPds, identity_quotient=rep.quotient, identity_defect=rep.defect)
     return out
 
 
@@ -256,10 +257,7 @@ def _cmd_asym_pressure(args: argparse.Namespace) -> dict:
     qp = _resolve_q(args, as_tilde=False)
     coef, seq = asymptotic_fit(A, qp, args.x0, args.n_max)
     if args.sequence_csv:
-        with open(args.sequence_csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write("n,log_L_n_over_n\n")
-            for n, v in seq:
-                fh.write(f"{n},{v:.12g}\n")
+        _write_csv(args.sequence_csv, ("n", "log_L_n_over_n"), seq)
     return {
         "q": qp.q,
         "n_max": args.n_max,
@@ -289,7 +287,9 @@ def _cmd_entropy_surface(args: argparse.Namespace) -> dict:
     qp = _resolve_q(args, as_tilde=False)
     surf = entropy_surface(qp, args.grid)
     if args.sequence_csv:
-        surf.to_csv(args.sequence_csv)
+        ps = surf.probs.tolist()
+        _write_csv(args.sequence_csv, ("p12", "p21", "h_q"),
+                   ((p, r, h) for p, hs in zip(ps, surf.values.tolist()) for r, h in zip(ps, hs)))
     p12, p21, mx = surf.max_point()
     report = midpoint_concavity_report(qp, seed=args.seed)
     return {
@@ -467,7 +467,8 @@ def criterion_4():
     5,
     "scan value vs solver constant, random potentials",
     note="the closed-form Markov q-entropy overshoots the constant: its "
-    "variational sup is generically strictly above c",
+    "variational sup is generically strictly above c, while H_q(mu_J) + int A dmu_J = c "
+    "exactly at the q-equilibrium mu_J, so mu_J does not maximize the closed-form objective",
     known_defect=True,
 )
 def criterion_5():
@@ -501,7 +502,8 @@ def criterion_5():
     6,
     "Jacobian round trip and scan gap",
     note="constant and equilibrium recover exactly; the closed-form "
-    "entropy scan exceeds the constant on every draw",
+    "entropy scan exceeds the constant on every draw, while H_q(mu_J) + int A dmu_J = c "
+    "exactly at the q-equilibrium mu_J, so mu_J does not maximize the closed-form objective",
     known_defect=True,
 )
 def criterion_6():

@@ -79,16 +79,13 @@ def log_q(u, q):
     return out if isinstance(u, np.ndarray) else float(out)
 
 
-def exp_q(u, q):
-    """Deformed exponential (1 + (1-q)u)^(1/(1-q)); exp at q = 1.
+def _log_exp_q(arr: np.ndarray, qp: QParam) -> np.ndarray:
+    """log exp_q(arr): arr at q = 1, else log1p((1-q)arr)/(1-q).
 
-    Strict domain: raises QExpDomainError unless 1 + (1-q)u > 0 everywhere.
+    Raises QExpDomainError unless 1 + (1-q)u > 0 everywhere.
     """
-    qp = QParam.of(q)
-    arr = np.asarray(u, dtype=float)
     if qp.classical:
-        out = np.exp(arr)
-        return out if isinstance(u, np.ndarray) else float(out)
+        return arr
     base = 1.0 + (1.0 - qp.q) * arr
     if np.any(base <= 0.0) or not np.all(np.isfinite(base)):
         bad = arr[(base <= 0.0) | ~np.isfinite(base)]
@@ -96,7 +93,18 @@ def exp_q(u, q):
             f"exp_q domain violated: 1+(1-q)u <= 0 at q={qp.q}, u={bad.ravel()[:4]}",
             argument=float(bad.ravel()[0]),
         )
-    out = np.exp(np.log1p((1.0 - qp.q) * arr) / (1.0 - qp.q))
+    return np.log1p((1.0 - qp.q) * arr) / (1.0 - qp.q)
+
+
+def exp_q(u, q):
+    """Deformed exponential (1 + (1-q)u)^(1/(1-q)); exp at q = 1.
+
+    Strict domain: raises QExpDomainError unless 1 + (1-q)u > 0 everywhere.
+    A value past the float range is inf, without a warning.
+    """
+    arr = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore"):
+        out = np.exp(_log_exp_q(arr, QParam.of(q)))
     return out if isinstance(u, np.ndarray) else float(out)
 
 
@@ -119,14 +127,16 @@ def dlog_q(u, q):
 
 
 # ---------------------------------------------------------------------------
-# Extension used by the deformed-equation solver.
+# The even-power extension.
 #
 # When 1/(1-q) is an even positive integer (q = 1/2, 3/4, ...) the map
 # u -> (1+(1-q)u)^(1/(1-q)) is a globally defined even power, nonnegative on
-# all of R.  Solutions of the deformed transfer equation routinely live where
-# some bases 1+(1-q)u are negative while every summand value stays positive;
-# the solver therefore evaluates through this extension and records whether
-# each base was strictly positive.  The public exp_q above stays strict.
+# all of R.  Roots of the deformed transfer equation can live where some
+# bases 1+(1-q)u are negative while every summand stays positive.
+# ``even_power_order`` picks that power for ``_cutoff_root`` and the solver's
+# ``ruelle._System``, which builds its own bases.  ``exp_q_extended`` and
+# ``dexp_q_extended`` evaluate the extension itself; no library path calls
+# them.  The public exp_q above stays strict.
 # ---------------------------------------------------------------------------
 
 def even_power_order(q):
@@ -280,8 +290,6 @@ class IdentityStat:
 
 @dataclass
 class IdentityReport:
-    seed: int
-    samples: int
     stats: list[IdentityStat] = field(default_factory=list)
 
     def gated(self) -> list[IdentityStat]:
@@ -322,10 +330,12 @@ def identity_suite(samples: int = 10_000, seed: int = 0) -> IdentityReport:
     Each identity is checked at ``samples`` admissible points (domain-violating
     draws are rejected and redrawn).  Violations are measured as
     |lhs-rhs| / max(1, |lhs|, |rhs|).  The function only reports; it never
-    raises on violations.
+    raises on violations; ValueError when samples < 1.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    report = IdentityReport(seed=seed, samples=samples)
+    report = IdentityReport()
 
     def add(name, fn, flagged=False, note=""):
         worst = 0.0

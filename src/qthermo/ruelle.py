@@ -42,7 +42,6 @@ class TransferMatrix:
 
     d: int
     k: int
-    m: int
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
@@ -84,13 +83,13 @@ def transfer_matrix(A: Potential) -> TransferMatrix:
     SizeGuardError
         when memory exceeds 6 or the state space exceeds the size guard.
     """
-    d, m, k = A.d, A.memory, _guarded_context_length(A)
+    d, k = A.d, _guarded_context_length(A)
     _, pre_idx, A_vals = _context_tables(A, k)
     # math.exp per entry: np.exp may differ from it in the last bit
     entries = [math.exp(v) for v in A_vals.ravel().tolist()]
     M = np.zeros((d**k, d**k))
     M[np.arange(d**k)[:, None], pre_idx] = np.reshape(entries, A_vals.shape)
-    return TransferMatrix(d=d, k=k, m=m, matrix=M)
+    return TransferMatrix(d=d, k=k, matrix=M)
 
 
 _BOUNDARY_MARGIN = 1e-12

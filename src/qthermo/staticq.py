@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QExpDomainError
-from .qfun import CLASSICAL_Q_TOL, QParam, _logsumexp, _regularized_max, exp_q
+from .qfun import CLASSICAL_Q_TOL, QParam, _log_exp_q, _logsumexp, _regularized_max
 
 
 def _check_prob(p, rows: bool = False) -> np.ndarray:
@@ -115,12 +115,10 @@ def _objective(p: np.ndarray, a: np.ndarray, qp: QParam, beta: float) -> float:
 
 @dataclass
 class StaticEquilibrium:
+    """The objective H_q(p) + beta <a, p> as ``pressure``, at p = ``p_star``."""
+
     pressure: float
     p_star: np.ndarray
-    objective_at_p: float
-    q: float
-    beta: float
-    payoff: np.ndarray
 
 
 def static_q_pressure(payoff, beta: float, q: QParam | float) -> StaticEquilibrium:
@@ -128,16 +126,17 @@ def static_q_pressure(payoff, beta: float, q: QParam | float) -> StaticEquilibri
 
     Requires every beta*a_j in the e_{2-q} domain (1 + (q-1) beta a_j > 0).
     Returns the objective H_q(p*) + beta <a, p*> as the pressure field; see
-    the module docstring for how this relates to the true supremum.
+    the module docstring for how this relates to the true supremum.  p* is
+    normalized from the log-weights, so a large beta*a does not overflow.
     """
     qp = QParam.of(q)
     a = np.asarray(payoff, dtype=float)
     if a.ndim != 1 or a.size < 2:
         raise ValueError("payoff must be a 1-d vector with length >= 2")
-    weights = np.asarray(exp_q(beta * a, qp.dual), dtype=float)
+    log_w = _log_exp_q(beta * a, qp.dual)
+    weights = np.exp(log_w - log_w.max())
     p = weights / weights.sum()
-    val = _objective(p, a, qp, beta)
-    return StaticEquilibrium(val, p, val, qp.q, beta, a)
+    return StaticEquilibrium(_objective(p, a, qp, beta), p)
 
 
 def true_static_equilibrium(payoff, beta: float, q: QParam | float) -> StaticEquilibrium:
@@ -148,8 +147,7 @@ def true_static_equilibrium(payoff, beta: float, q: QParam | float) -> StaticEqu
     qp = QParam.of(q)
     a = np.asarray(payoff, dtype=float)
     p = _regularized_max(beta * a[None, :], qp.q)[0][0]
-    val = _objective(p, a, qp, beta)
-    return StaticEquilibrium(val, p, val, qp.q, beta, a)
+    return StaticEquilibrium(_objective(p, a, qp, beta), p)
 
 
 def stationarity_defect(p, payoff, beta: float, q: QParam | float) -> float:
@@ -214,8 +212,7 @@ def static_q_pressure_scan(
         if -res.fun > _objective(best, a, qp, beta):
             best[axis] = res.x
             best[-1] = 1.0 - rest - res.x
-    val = _objective(best, a, qp, beta)
-    return StaticEquilibrium(val, best, val, qp.q, beta, a)
+    return StaticEquilibrium(_objective(best, a, qp, beta), best)
 
 
 def beta_sweep(payoff, q: QParam | float, betas) -> list[tuple[float, float | None]]:

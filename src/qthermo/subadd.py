@@ -128,14 +128,6 @@ class SumBuckets:
         self.n += 1
         self.buckets, self.log_counts = buckets, log_counts
 
-    def total_count(self) -> int:
-        """Number of counted words, d^n, summed from the log-counts.
-
-        Exact while d^n stays below about 2^47 (binomial and trinomial
-        counts at d = 2, 3); beyond that the float counts round.
-        """
-        return round(math.fsum(np.exp(np.concatenate(list(self.log_counts.values())))))
-
     def _log_terms(self, q: QParam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(log count + log exp_q(S_n), out-of-domain mask, log counts) per bucket."""
         s = np.concatenate(list(self.buckets.values())) * _QUANTUM

@@ -11,7 +11,6 @@ midpoint gaps.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,17 +101,8 @@ def q_pressure_scan(A: Potential, q: QParam | float, grid_n: int) -> ScanResult:
 class EntropySurface:
     """q-entropy of binary Markov measures over the (P12, P21) square."""
 
-    q: float
     probs: np.ndarray  # shared grid for both axes
     values: np.ndarray  # values[i, j] = H_q at P12 = probs[i], P21 = probs[j]
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["p12", "p21", "h_q"])
-            for i, p in enumerate(self.probs):
-                for j, r in enumerate(self.probs):
-                    writer.writerow([f"{p:.12g}", f"{r:.12g}", f"{self.values[i, j]:.12g}"])
 
     def max_point(self) -> tuple[float, float, float]:
         i, j = np.unravel_index(int(np.argmax(self.values)), self.values.shape)
@@ -131,7 +121,7 @@ def entropy_surface(q: QParam | float, grid_n: int) -> EntropySurface:
         grid_n += 1
     t = np.linspace(_EPS, 1.0 - _EPS, grid_n)
     p, r = np.meshgrid(t, t, indexing="ij")
-    return EntropySurface(q=qp.q, probs=t, values=_binary_q_entropy(p, r, qp))
+    return EntropySurface(probs=t, values=_binary_q_entropy(p, r, qp))
 
 
 def midpoint_concavity_report(q: QParam | float, seed: int = 0) -> dict[str, float]:

@@ -7,9 +7,14 @@ each carries a green companion test pinning what the implementation
 actually delivers so any drift still fails loudly.
 """
 
+import numpy as np
 import pytest
 
 from qthermo import cli
+from qthermo.qfun import QParam
+from qthermo.qsolve import _neg_log_q_inv, positive_branch, q_equilibrium
+from qthermo.ruelle import equilibrium_markov, q_entropy_markov, random_jacobian
+from qthermo.shift import Potential
 
 
 def _assert_criterion(res):
@@ -86,6 +91,24 @@ def test_criterion_06_recovery_clauses():
     assert res.measured["min_gap"] > -1e-9
 
 
+def test_criteria_05_06_equilibrium_attains_c_in_the_closed_form_objective():
+    # H_q(mu_J) + int A dmu_J = c exactly on the draws of both protocols, so
+    # their scan gaps say that mu_J does not maximize the closed-form objective
+    draws = []
+    rng = np.random.default_rng(0)
+    while len(draws) < 20:  # criterion 5
+        A = Potential(d=2, memory=2, values=rng.normal(0.0, 0.8, 4))
+        branch = positive_branch(A, 0.5)
+        if branch is not None:
+            draws.append((A, 1.5, branch.c, equilibrium_markov(branch.jacobian)))
+    for seed in range(20):  # criterion 6
+        A = _neg_log_q_inv(random_jacobian(2, 1, seed=seed), QParam(0.5))
+        c, mu, _ = q_equilibrium(A, 0.5)
+        draws.append((A, 0.5, c, mu))
+    for A, q, c, mu in draws:
+        assert abs(q_entropy_markov(mu, q) + mu.integrate(A) - c) <= 1e-12
+
+
 def test_criterion_07_identity_suite():
     _assert_criterion(cli.criterion_7())
 
@@ -141,10 +164,12 @@ CATALOG = [
     (4, "exactly solvable family generator and recovery", False, ""),
     (5, "scan value vs solver constant, random potentials", True,
      "the closed-form Markov q-entropy overshoots the constant: its "
-     "variational sup is generically strictly above c"),
+     "variational sup is generically strictly above c, while H_q(mu_J) + int A dmu_J = c "
+     "exactly at the q-equilibrium mu_J, so mu_J does not maximize the closed-form objective"),
     (6, "Jacobian round trip and scan gap", True,
      "constant and equilibrium recover exactly; the closed-form "
-     "entropy scan exceeds the constant on every draw"),
+     "entropy scan exceeds the constant on every draw, while H_q(mu_J) + int A dmu_J = c "
+     "exactly at the q-equilibrium mu_J, so mu_J does not maximize the closed-form objective"),
     (7, "deformed-calculus identity suite", False, ""),
     (8, "entropy surface maximum at the uniform measure", False, ""),
     (9, "asymptotic pressure estimates", False, ""),

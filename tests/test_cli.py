@@ -173,10 +173,9 @@ def test_entropy_reports_meson_vericat_only_below_q_1(q):
     "argv",
     [
         ["entropy", "--p", "nan,0.5", "--q", "0.5"],
-        pytest.param(  # exp(800) overflows to inf, which the serializer refuses
-            ["qfun", "--op", "exp", "--u", "800", "--q", "1"],
-            marks=pytest.mark.filterwarnings("ignore:overflow encountered in exp"),
-        ),
+        # exp(800) overflows to inf, which the serializer refuses
+        ["qfun", "--op", "exp", "--u", "800", "--q", "1"],
+        ["selftest", "--samples", "0"],
     ],
 )
 def test_refused_input_or_output_exits_2_with_empty_stdout(argv, capsys):
@@ -346,6 +345,17 @@ def test_sweep_beta_csv(tmp_path):
     assert float(p0) == pytest.approx(
         staticq.static_q_pressure([0.5, 0.8], 0.0, 1.0 / 3.0).pressure, rel=1e-11
     )
+
+
+def test_sweep_beta_past_exp_overflow_writes_finite_rows(tmp_path):
+    # e^(beta a) overflows past beta a = 709.8; the pressures stay finite
+    path = tmp_path / "sweep.csv"
+    payload = run_json(["sweep-beta", "--a", "0.5,0.8", "--q", "1", "--beta-max", "1000",
+                        "--beta-steps", "5", "--csv", str(path)])
+    assert payload["defined_fraction"] == 1.0
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [float(b) for b, _ in rows] == [0.0, 250.0, 500.0, 750.0, 1000.0]
+    assert float(rows[-1][1]) == pytest.approx(800.0, rel=1e-12)
 
 
 def test_entropy_surface_writes_csv_and_json(tmp_path):

@@ -198,7 +198,22 @@ def test_static_pressure_target_values():
     assert eq.pressure == pytest.approx(1.6895, abs=5e-4)
     assert eq.p_star[0] == pytest.approx(0.3172, abs=5e-4)
     assert eq.p_star[1] == pytest.approx(0.6828, abs=5e-4)
-    assert eq.objective_at_p == pytest.approx(eq.pressure, abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [710.0, 1000.0, 1e6])
+def test_static_pressure_at_q_1_is_the_exact_maximum_past_exp_overflow(beta):
+    # e^(beta a) overflows past beta a = 709.8; at q = 1 the closed form is the Gibbs maximizer
+    eq = static_q_pressure((0.5, 0.8), beta, 1.0)
+    true = true_static_equilibrium((0.5, 0.8), beta, 1.0)
+    assert eq.pressure == pytest.approx(true.pressure, rel=1e-12)
+    assert np.allclose(eq.p_star, true.p_star, rtol=0.0, atol=1e-12)
+
+
+def test_static_pressure_is_finite_where_the_weights_overflow():
+    # exp_{0.99}(2e5 * 0.8) = 1601^100 is past the float range
+    eq = static_q_pressure((0.5, 0.8), 2e5, 1.01)
+    assert math.isfinite(eq.pressure) and np.all(np.isfinite(eq.p_star))
+    assert eq.p_star.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_static_pressure_beta_zero_is_max_entropy():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from qthermo import variational
+from qthermo import cli, variational
 from qthermo.errors import SizeGuardError
 from qthermo.qfun import QParam, log_q
 from qthermo.ruelle import MarkovMeasure, classical_pressure, q_entropy_markov
@@ -264,9 +264,11 @@ def test_surface_classical_is_shannon():
 
 
 def test_surface_csv_format(tmp_path):
+    # the CLI writes the surface's CSV
     surf = entropy_surface(0.5, 5)
     path = tmp_path / "surf.csv"
-    surf.to_csv(str(path))
+    assert cli.main(["entropy-surface", "--q", "0.5", "--grid", "5", "--csv", str(path),
+                     "--output", str(tmp_path / "surf.json")]) == 0
     raw = path.read_bytes()
     assert b"\r" not in raw  # LF endings only
     lines = raw.decode().splitlines()
