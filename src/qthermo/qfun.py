@@ -65,15 +65,20 @@ class QParam:
 def log_q(u, q):
     """Deformed logarithm (u^(1-q) - 1)/(1-q); natural log at q = 1.
 
-    Accepts scalars or arrays; raises QLogDomainError off u > 0.
+    Accepts scalars or arrays; raises QLogDomainError off u > 0.  A value
+    past the float range (q > 1 and u near 0) is -inf, without a warning.
     """
     qp = QParam.of(q)
     arr = np.asarray(u, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+    lo = arr.min(initial=np.inf)  # NaN when any entry is
+    if not lo > 0.0 or not np.all(np.isfinite(arr)):
         bad = arr[~(arr > 0.0) | ~np.isfinite(arr)]
         raise QLogDomainError(f"log_q requires u > 0, got {bad.ravel()[:4]}")
     if qp.classical:
         out = np.log(arr)
+    elif qp.q > 1.0 and lo < 1.0:  # the one case where u^(1-q) can overflow
+        with np.errstate(over="ignore"):
+            out = np.expm1((1.0 - qp.q) * np.log(arr)) / (1.0 - qp.q)
     else:
         out = np.expm1((1.0 - qp.q) * np.log(arr)) / (1.0 - qp.q)
     return out if isinstance(u, np.ndarray) else float(out)
@@ -82,7 +87,9 @@ def log_q(u, q):
 def _log_exp_q(arr: np.ndarray, qp: QParam) -> np.ndarray:
     """log exp_q(arr): arr at q = 1, else log1p((1-q)arr)/(1-q).
 
-    Raises QExpDomainError unless 1 + (1-q)u > 0 everywhere.
+    The one evaluator of log exp_q and its domain.  Raises QExpDomainError
+    unless 1 + (1-q)u > 0 everywhere; its ``argument`` is the first
+    offending entry.
     """
     if qp.classical:
         return arr
@@ -117,12 +124,13 @@ def dexp_q(u, q):
 
 
 def dlog_q(u, q):
-    """Derivative of log_q: d/du log_q(u) = u^(-q)."""
+    """Derivative of log_q: d/du log_q(u) = u^(-q); inf past the float range, without a warning."""
     qp = QParam.of(q)
     arr = np.asarray(u, dtype=float)
     if np.any(arr <= 0.0):
         raise QLogDomainError("dlog_q requires u > 0")
-    out = arr ** (-qp.q)
+    with np.errstate(over="ignore"):
+        out = arr ** (-qp.q)
     return out if isinstance(u, np.ndarray) else float(out)
 
 

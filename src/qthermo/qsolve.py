@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError, QExpDomainError, QThermoError, SizeGuardError
-from .qfun import QParam, log_q
+from .qfun import QParam, _log_exp_q, log_q
 from .ruelle import (
     Jacobian,
     MarkovMeasure,
@@ -299,25 +299,15 @@ def q_equilibrium(A: Potential, q: QParam | float) -> tuple[float, MarkovMeasure
 
 
 def a_q_transform(A: Potential, q: QParam | float) -> Potential:
-    """Entrywise log(1 + (1-q)A)/(1-q); classical identity map at q = 1.
+    """Entrywise log exp_q(A) = log(1 + (1-q)A)/(1-q); classical identity map at q = 1.
 
     The transformed potential satisfies e^{A_q} = exp_q(A), so the classical
     transfer operator of A_q coincides with the operator that sums
-    exp_q(A(a x)) f(a x).
+    exp_q(A(a x)) f(a x).  Raises ``qfun._log_exp_q``'s QExpDomainError, whose
+    ``argument`` is the first entry with 1 + (1-q)A <= 0.
     """
-    qp = QParam.of(q)
-    vals = np.asarray(A.values, dtype=float)
-    if qp.classical:
-        return Potential(d=A.d, memory=A.memory, values=vals)
-    base = 1.0 + (1.0 - qp.q) * vals
-    if np.any(base <= 0.0):
-        bad = float(vals.ravel()[np.argmin(base)])
-        raise QExpDomainError(
-            f"potential entry {bad} violates 1 + (1-q)A > 0", argument=bad
-        )
-    return Potential(
-        d=A.d, memory=A.memory, values=np.log1p((1.0 - qp.q) * vals) / (1.0 - qp.q)
-    )
+    vals = _log_exp_q(np.asarray(A.values, dtype=float), QParam.of(q))
+    return Potential(d=A.d, memory=A.memory, values=vals)
 
 
 def _g_half(a1: float, a2: float, C: float, a: float) -> float:
@@ -339,13 +329,9 @@ def bridge_general_g(
     r = a1 - a2 - C
     if qp.classical:
         return float(a)
-    base = 1.0 + (1.0 - qp.q) * a
-    if base <= 0.0:
-        raise QExpDomainError(f"exp_q argument {a} outside domain", argument=float(a))
     # log of the right-hand side, kept in log form for stability
-    log_rhs = math.log(base) / (1.0 - qp.q) + r
-    g = math.expm1((qp.q - 1.0) * log_rhs) / (qp.q - 1.0) - r
-    return g
+    log_rhs = float(_log_exp_q(np.asarray(a, dtype=float), qp)) + r
+    return math.expm1((qp.q - 1.0) * log_rhs) / (qp.q - 1.0) - r
 
 
 def bridge_half(A: Potential) -> tuple[Potential, np.ndarray, float]:
@@ -356,14 +342,10 @@ def bridge_half(A: Potential) -> tuple[Potential, np.ndarray, float]:
     lambda, the q-tilde = 1 root of ``ruelle._topical_root``), and builds the
     memory-(k+1) potential B(w) = g(phi_B(w[:k]), phi_B(w[1:]), c_B, A(w)).
     The pair (phi_B, c_B) then solves the q-tilde = 3/2 equation for B; the
-    residual is verified to 1e-9 on every context.
+    residual is verified to 1e-9 on every context.  Every entry of A must
+    exceed -2: else the transform raises QExpDomainError, whose ``argument``
+    is the first entry that does not.
     """
-    vals = np.asarray(A.values, dtype=float)
-    if np.any(vals <= -2.0):
-        raise QExpDomainError(
-            f"entry {float(vals.min())} must exceed -2 for the q = 1/2 transform",
-            argument=float(vals.min()),
-        )
     d, k = A.d, _guarded_context_length(A)
     phi_B, c_B, _ = _topical_root(_System(a_q_transform(A, 0.5), QParam(1.0), k))
     w = np.arange(d ** (k + 1))

@@ -44,14 +44,12 @@ def _check_prob(p, rows: bool = False) -> np.ndarray:
     return arr
 
 
-def _row_qs(q, n: int) -> np.ndarray:
-    """One q per stacked row, each checked as QParam checks it; q = 1 is refused."""
-    qs = np.asarray(q, dtype=float).reshape(n)
+def _row_qs(q, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One q per row, each checked as QParam checks it, and the mask of Shannon rows."""
+    qs = np.asarray(q.q if isinstance(q, QParam) else q, dtype=float).reshape(n)
     for bad in qs[~(np.isfinite(qs) & (qs > 0.0))][:1].tolist():
         QParam(bad)  # raises its ValueError
-    if np.any(np.abs(qs - 1.0) <= CLASSICAL_Q_TOL):
-        raise ValueError("stacked rows need q != 1; take Shannon rows one at a time")
-    return qs
+    return qs, np.abs(qs - 1.0) <= CLASSICAL_Q_TOL
 
 
 def _power_sums(arr: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -67,50 +65,47 @@ def _shannon(arr: np.ndarray) -> float:
     return float(0.0 - (pos * np.log(pos)).sum())  # +0.0, not -0.0, for a degenerate p
 
 
-def _q_entropy(arr: np.ndarray, qp: QParam) -> float:
-    if qp.classical:
-        return _shannon(arr)
-    return float(((arr**qp.q).sum() - 1.0) / (1.0 - qp.q))
+def _entropy_rows(p, q, numerator) -> float | np.ndarray:
+    """numerator(rows, qs)/(1-q) per row of p, Shannon at q = 1; one vector p is one row."""
+    rows = np.atleast_2d(_check_prob(p, rows=True))
+    qs, shannon = _row_qs(q, len(rows))
+    out = numerator(rows, qs) / np.where(shannon, 1.0, 1.0 - qs)
+    out[shannon] = [_shannon(row) for row in rows[shannon]]
+    return out if np.ndim(p) == 2 else float(out[0])
 
 
 def q_entropy_vec(p, q: QParam | float) -> float | np.ndarray:
     """Deformed entropy (sum p^q - 1)/(1-q); Shannon at q = 1.
 
     Zero entries contribute 0 (the 0*log_q(1/0) = 0 convention).  Rows p
-    (N, k) take q (N,), none within CLASSICAL_Q_TOL of 1.
+    (N, k) take q (N,); one vector p is the one-row case and gives a float.
     """
-    arr = _check_prob(p, rows=True)
-    if arr.ndim == 1:
-        return _q_entropy(arr, QParam.of(q))
-    qs = _row_qs(q, len(arr))
-    return (_power_sums(arr, qs) - 1.0) / (1.0 - qs)
+    return _entropy_rows(p, q, lambda rows, qs: _power_sums(rows, qs) - 1.0)
 
 
 def renyi_entropy(p, q: QParam | float) -> float | np.ndarray:
     """Renyi entropy log(sum p^q)/(1-q); Shannon at q = 1; rows as ``q_entropy_vec``."""
-    arr = _check_prob(p, rows=True)
-    if arr.ndim == 2:  # math.log per row: numpy's SIMD log differs in the last bit
-        qs = _row_qs(q, len(arr))
-        return np.array([math.log(s) for s in _power_sums(arr, qs).tolist()]) / (1.0 - qs)
-    qp = QParam.of(q)
-    if qp.classical:
-        return _shannon(arr)
-    return float(math.log((arr**qp.q).sum()) / (1.0 - qp.q))
+    # math.log per row: numpy's SIMD log differs in the last bit
+    return _entropy_rows(
+        p, q, lambda rows, qs: np.array([math.log(s) for s in _power_sums(rows, qs).tolist()])
+    )
 
 
 def renyi_from_q_entropy(hq, q: QParam | float) -> float | np.ndarray:
     """The bridge F(x) = log(1 + (1-q)x)/(1-q) sending H_q to H^R_q; (N,) hq take (N,) q."""
-    if np.ndim(hq):  # math.log1p per entry: numpy's SIMD log1p differs in the last bit
-        qs = _row_qs(q, len(hq))
-        return np.array([math.log1p(x) for x in ((1.0 - qs) * hq).tolist()]) / (1.0 - qs)
-    qp = QParam.of(q)
-    if qp.classical:
-        return hq
-    return math.log1p((1.0 - qp.q) * hq) / (1.0 - qp.q)
+    h = np.atleast_1d(np.asarray(hq, dtype=float))
+    qs, shannon = _row_qs(q, len(h))
+    # math.log1p per entry: numpy's SIMD log1p differs in the last bit
+    out = np.array([math.log1p(x) for x in ((1.0 - qs) * h).tolist()])
+    out /= np.where(shannon, 1.0, 1.0 - qs)
+    out[shannon] = h[shannon]
+    return out if np.ndim(hq) else float(out[0])
 
 
 def _objective(p: np.ndarray, a: np.ndarray, qp: QParam, beta: float) -> float:
-    return _q_entropy(p, qp) + beta * float(a @ p)
+    """H_q(p) + beta <a, p>; scalar, as the optimizers call it once per step."""
+    h = _shannon(p) if qp.classical else float(((p**qp.q).sum() - 1.0) / (1.0 - qp.q))
+    return h + beta * float(a @ p)
 
 
 @dataclass
@@ -186,11 +181,7 @@ def static_q_pressure_scan(
     else:
         raise ValueError("scan supports d = 2 or 3 only")
 
-    if qp.classical:
-        ent = -(pts * np.log(pts)).sum(axis=1)
-    else:
-        ent = ((pts**qp.q).sum(axis=1) - 1.0) / (1.0 - qp.q)
-    vals = ent + beta * pts @ a
+    vals = q_entropy_vec(pts, np.full(len(pts), qp.q)) + beta * pts @ a
     best = pts[int(np.argmax(vals))].copy()
 
     # golden-section in each free coordinate around the best point

@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import QExpDomainError, QLogDomainError, QThermoError, SizeGuardError
-from .qfun import QParam, _logsumexp, exp_q
+from .errors import QExpDomainError, QThermoError, SizeGuardError
+from .qfun import QParam, _log_exp_q, _logsumexp, exp_q
 from .ruelle import MarkovMeasure, _context_tables, _guarded_context_length
 from .shift import Potential, drop_last, prepend, word_index
 
@@ -45,26 +45,21 @@ def phi_n(A: Potential, q: QParam | float, w, tail):
     """log exp_q of the n-term Birkhoff sum along w extended by tail, n = len(w).
 
     w and tail are tuples, or (N, n) and (N, memory-1) integer arrays of
-    words for the (N,) array of their values.  Raises QLogDomainError
-    when 1 + (1-q) S_n <= 0, which signals the sign-changing-potential
-    regime where the deformed weight is undefined.
+    words for the (N,) array of their values.  Raises ``qfun._log_exp_q``'s
+    QExpDomainError when 1 + (1-q) S_n <= 0, which signals the
+    sign-changing-potential regime where the deformed weight is undefined;
+    its ``argument`` is the first such S_n.
     """
     qp = QParam.of(q)
     m = A.memory
     words, tail = np.atleast_2d(w), np.atleast_2d(tail)
     if tail.shape[1] < m - 1:
         raise ValueError(f"tail must supply at least memory-1 = {m - 1} symbols")
-    out = np.zeros(len(words))  # S_0 = 0, and log_q of base 1 is 0
+    out = np.zeros(len(words))  # S_0 = 0, and log exp_q(0) = 0
     if words.shape[1] > 0:
         # an empty tail may be a float array; memory 1 needs none
         out = A.birkhoff_sum(np.hstack((words, tail[:, : m - 1])) if m > 1 else words)
-    if not qp.classical:
-        base = 1.0 + (1.0 - qp.q) * out
-        bad = np.flatnonzero(base <= 0.0)
-        if bad.size:
-            i = bad[0]
-            raise QLogDomainError(f"1 + (1-q) S_n = {base[i]} <= 0 along row {i} of w, {words[i]}")
-        out = np.log(base) / (1.0 - qp.q)
+    out = _log_exp_q(out, qp)
     return float(out[0]) if np.ndim(w) == 1 else out
 
 

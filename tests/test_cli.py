@@ -176,6 +176,9 @@ def test_entropy_reports_meson_vericat_only_below_q_1(q):
         # exp(800) overflows to inf, which the serializer refuses
         ["qfun", "--op", "exp", "--u", "800", "--q", "1"],
         ["selftest", "--samples", "0"],
+        # u^(1-q) and u^(-q) overflow: -inf and inf, without a RuntimeWarning
+        ["qfun", "--op", "log", "--u", "1e-300", "--q", "3"],
+        ["qfun", "--op", "dlog", "--u", "1e-300", "--q", "2"],
     ],
 )
 def test_refused_input_or_output_exits_2_with_empty_stdout(argv, capsys):

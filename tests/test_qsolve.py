@@ -316,6 +316,10 @@ def test_bridge_half_random_inputs():
 def test_bridge_half_domain_guard():
     with pytest.raises(QExpDomainError):
         bridge_half(Potential(d=2, memory=1, values=np.array([-2.0, 0.5])))
+    # the error names the first entry out of the domain, not the one farthest out
+    with pytest.raises(QExpDomainError) as info:
+        bridge_half(Potential(d=2, memory=1, values=np.array([-2.5, -3.0])))
+    assert info.value.argument == -2.5
 
 
 def test_bridge_general_matches_half_form():

@@ -100,8 +100,8 @@ def test_renyi_bijection():
     k=st.integers(2, 6),
     qs=st.lists(
         st.one_of(
-            st.sampled_from([0.5, 1.5]),
-            st.floats(0.2, 1.8).filter(lambda x: abs(x - 1.0) > CLASSICAL_Q_TOL),
+            st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+            st.floats(0.2, 1.8),
         ),
         min_size=1,
         max_size=30,
@@ -110,7 +110,8 @@ def test_renyi_bijection():
 )
 @settings(max_examples=100, deadline=None)
 def test_stacked_rows_are_the_one_row_calls(k, qs, seed):
-    # rows with zero entries; q = 0.5 is the exponent numpy's ** takes as sqrt
+    # rows with zero entries; numpy's ** takes q = 0.5 as sqrt and 2 as a square,
+    # and a row at q = 1 is Shannon
     rng = np.random.default_rng(seed)
     P = rng.dirichlet(np.ones(k), size=len(qs))
     P[rng.random(P.shape) < 0.25] = 0.0
@@ -155,15 +156,18 @@ def test_stacked_rows_raise_the_one_row_error(row, q):
 
 
 @pytest.mark.parametrize("q", [1.0, 1.0 + CLASSICAL_Q_TOL / 2])
-def test_stacked_rows_refuse_the_shannon_q(q):
-    # one row at q = 1 is Shannon; a stack at q = 1 is refused, not divided by 1 - q
-    P, Q = np.array([[0.2, 0.8], [0.4, 0.6]]), np.array([0.5, q])
+def test_stacked_shannon_rows_are_the_one_row_values(q):
+    # a row at q = 1 is Shannon in a stack too, not divided by 1 - q
+    P, Q = np.array([[0.2, 0.8], [0.4, 0.6], [0.0, 1.0]]), np.array([0.5, q, q])
+    shannon = 0.0 - (0.4 * math.log(0.4) + 0.6 * math.log(0.6))
     for f in (q_entropy_vec, renyi_entropy):
-        assert f(P[1], q) == pytest.approx(-(0.4 * math.log(0.4) + 0.6 * math.log(0.6)))
-        with pytest.raises(ValueError, match="q != 1"):
-            f(P, Q)
-    with pytest.raises(ValueError, match="q != 1"):
-        renyi_from_q_entropy(np.array([0.5, 0.5]), Q)
+        assert f(P[1], q) == pytest.approx(shannon, rel=1e-15)
+        rows = f(P, Q)
+        assert rows.tolist() == [f(P[0], 0.5), f(P[1], q), f(P[2], q)]
+        assert math.copysign(1.0, rows[2]) == 1.0
+    H = np.array([0.7, shannon, 0.0])
+    assert renyi_from_q_entropy(H, Q).tolist() == [renyi_from_q_entropy(h, x) for h, x in zip(H, Q)]
+    assert renyi_from_q_entropy(shannon, q) == shannon
 
 
 def test_stacked_rows_take_one_q_per_row():
@@ -291,6 +295,18 @@ def test_static_scan_frozen_true_value():
     assert sc.p_star[0] == pytest.approx(0.34255272350773597, abs=1e-6)
     # scan dominates the closed form, never the other way around
     assert sc.pressure >= static_q_pressure((0.5, 0.8), 1.2, 1.0 / 3.0).pressure - 1e-12
+
+
+def test_static_scan_at_q_1_is_the_log_partition_function():
+    # the classical supremum of H(p) + beta <a, p> is log sum_j e^(beta a_j)
+    beta = 1.2
+    a = np.array([0.5, 0.8])
+    exact = math.log(np.exp(beta * a).sum())
+    assert static_q_pressure_scan(a, beta, 1.0).pressure == pytest.approx(exact, abs=1e-12)
+    a = np.array([0.5, 0.8, -0.1])
+    exact = math.log(np.exp(beta * a).sum())
+    scan = static_q_pressure_scan(a, beta, 1.0).pressure
+    assert exact - 1e-3 < scan < exact
 
 
 def test_beta_sweep_marks_inadmissible_betas():

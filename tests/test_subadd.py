@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from qthermo.errors import QExpDomainError, QLogDomainError, QThermoError, SizeGuardError
+from qthermo.errors import QExpDomainError, QThermoError, SizeGuardError
 from qthermo.qfun import QParam
 from qthermo.ruelle import ks_entropy
 from qthermo.shift import Potential
@@ -49,10 +49,12 @@ def test_phi_n_classical_is_birkhoff():
 
 def test_phi_n_domain_error():
     A = Potential(d=2, memory=1, values=np.array([-3.0, 0.0]))
-    with pytest.raises(QLogDomainError):
+    with pytest.raises(QExpDomainError):
         phi_n(A, 0.5, (1,), ())
-    with pytest.raises(QLogDomainError, match="row 1 of w"):
+    # rows 1 and 2 leave the domain; the error names row 1's Birkhoff sum
+    with pytest.raises(QExpDomainError) as info:
         phi_n(A, 0.5, np.array([[2, 2], [2, 1], [1, 1]]), np.zeros((3, 0), dtype=int))
+    assert info.value.argument == -3.0
 
 
 @pytest.mark.parametrize("q", [0.5, 0.7, 1.0])
