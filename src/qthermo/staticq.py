@@ -5,8 +5,9 @@ For a probability vector p the deformed entropy is
     H_q(p) = (sum_j p_j^q - 1) / (1 - q),
 
 Shannon at q = 1, related to the Renyi entropy through
-H^R_q = log(1 + (1-q) H_q)/(1-q).  The static pressure of a payoff vector a
-at inverse temperature beta is sup_p { H_q(p) + beta <a, p> }.
+H^R_q = log(1 + (1-q) H_q)/(1-q) = log exp_q(H_q), QExpDomainError off its
+domain.  The static pressure of a payoff vector a at inverse temperature beta
+is sup_p { H_q(p) + beta <a, p> }.
 
 ``static_q_pressure`` returns the closed-form candidate
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QExpDomainError
-from .qfun import CLASSICAL_Q_TOL, QParam, _log_exp_q, _logsumexp, _regularized_max
+from .qfun import CLASSICAL_Q_TOL, QParam, _exp_q_log1p_arg, _log_exp_q, _regularized_max
 
 
 def _check_prob(p, rows: bool = False) -> np.ndarray:
@@ -60,9 +61,13 @@ def _power_sums(arr: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return powers.sum(axis=1)
 
 
-def _shannon(arr: np.ndarray) -> float:
-    pos = arr[arr > 0.0]
-    return float(0.0 - (pos * np.log(pos)).sum())  # +0.0, not -0.0, for a degenerate p
+def _shannon(rows: np.ndarray) -> np.ndarray:
+    """-sum p log p along the last axis, +0.0 for a degenerate p; a zero entry adds 0 log 1.
+
+    Bit for bit the sum over the positive entries alone, except on a row with zeros
+    and 8 or more entries, where numpy's pairwise sum can group them into another last bit.
+    """
+    return 0.0 - (rows * np.log(np.where(rows > 0.0, rows, 1.0))).sum(axis=-1)
 
 
 def _entropy_rows(p, q, numerator) -> float | np.ndarray:
@@ -70,7 +75,7 @@ def _entropy_rows(p, q, numerator) -> float | np.ndarray:
     rows = np.atleast_2d(_check_prob(p, rows=True))
     qs, shannon = _row_qs(q, len(rows))
     out = numerator(rows, qs) / np.where(shannon, 1.0, 1.0 - qs)
-    out[shannon] = [_shannon(row) for row in rows[shannon]]
+    out[shannon] = _shannon(rows[shannon])
     return out if np.ndim(p) == 2 else float(out[0])
 
 
@@ -92,19 +97,22 @@ def renyi_entropy(p, q: QParam | float) -> float | np.ndarray:
 
 
 def renyi_from_q_entropy(hq, q: QParam | float) -> float | np.ndarray:
-    """The bridge F(x) = log(1 + (1-q)x)/(1-q) sending H_q to H^R_q; (N,) hq take (N,) q."""
+    """The bridge F(x) = log(1 + (1-q)x)/(1-q) sending H_q to H^R_q; (N,) hq take (N,) q.
+
+    F is log exp_q, so QExpDomainError off its domain; rows at q = 1 return x unchecked.
+    """
     h = np.atleast_1d(np.asarray(hq, dtype=float))
     qs, shannon = _row_qs(q, len(h))
+    out, deformed = h.copy(), ~shannon
+    x = _exp_q_log1p_arg(h[deformed], qs[deformed])
     # math.log1p per entry: numpy's SIMD log1p differs in the last bit
-    out = np.array([math.log1p(x) for x in ((1.0 - qs) * h).tolist()])
-    out /= np.where(shannon, 1.0, 1.0 - qs)
-    out[shannon] = h[shannon]
+    out[deformed] = np.array([math.log1p(v) for v in x.tolist()]) / (1.0 - qs[deformed])
     return out if np.ndim(hq) else float(out[0])
 
 
 def _objective(p: np.ndarray, a: np.ndarray, qp: QParam, beta: float) -> float:
     """H_q(p) + beta <a, p>; scalar, as the optimizers call it once per step."""
-    h = _shannon(p) if qp.classical else float(((p**qp.q).sum() - 1.0) / (1.0 - qp.q))
+    h = float(_shannon(p)) if qp.classical else float(((p**qp.q).sum() - 1.0) / (1.0 - qp.q))
     return h + beta * float(a @ p)
 
 
@@ -222,24 +230,14 @@ def beta_sweep(payoff, q: QParam | float, betas) -> list[tuple[float, float | No
 def meson_vericat_bernoulli(p, q: QParam | float) -> float:
     """Block growth rate (1/n) log sum_{|w|=n} mu(w)^q of a Bernoulli measure.
 
-    Cylinder masses factorize, so the quotient is constant in n and equals
-    log(sum p_i^q); the first 8 block values are enumerated and
-    verified constant to 1e-12 before returning.
+    Cylinder masses factorize, so the block sum is (sum_i p_i^q)^n and the
+    rate is the closed form log(sum_i p_i^q) at every n, returned as such.
     """
     arr = _check_prob(p)
     q = QParam.of(q).q
     if not 0.0 < q < 1.0:
         raise ValueError("requires 0 < q < 1")
-    target = float(math.log((arr**q).sum()))
-    pos = arr[arr > 0.0]
-    logp = np.log(pos)
-    logmass = np.zeros(1)
-    for n in range(1, 9):
-        logmass = (logmass[:, None] + logp[None, :]).ravel()
-        block = _logsumexp(q * logmass) / n
-        if abs(block - target) > 1e-12 * max(1.0, abs(target)):
-            raise AssertionError(f"block value at n={n} drifted: {block} vs {target}")
-    return target
+    return float(math.log((arr**q).sum()))
 
 
 def loloi_closed_form(a1: float, a2: float, b: float) -> tuple[float, float]:

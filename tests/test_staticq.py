@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qthermo.qfun import CLASSICAL_Q_TOL, QParam, log_q
+from qthermo.errors import QExpDomainError
+from qthermo.qfun import CLASSICAL_Q_TOL, QParam, _logsumexp, log_q
 from qthermo.staticq import (
     beta_sweep,
     loloi_closed_form,
@@ -170,6 +171,43 @@ def test_stacked_shannon_rows_are_the_one_row_values(q):
     assert renyi_from_q_entropy(shannon, q) == shannon
 
 
+@given(
+    k=st.integers(2, 40),
+    n=st.integers(1, 20),
+    alpha=st.sampled_from([0.5, 1.0, 5.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_stacked_shannon_rows_are_the_positive_entry_sums(k, n, alpha, seed):
+    # on rows without zeros the row-wise expression is bit for bit the sum over
+    # each row's positive entries, the one-row form it replaced
+    P = np.random.default_rng(seed).dirichlet(np.full(k, alpha), size=n)
+    P = P[(P > 0.0).all(axis=1)]
+
+    def positive_entry_sum(row):
+        pos = row[row > 0.0]
+        return float(0.0 - (pos * np.log(pos)).sum())
+
+    expected = [positive_entry_sum(row) for row in P]
+    for f in (q_entropy_vec, renyi_entropy):
+        assert f(P, np.ones(len(P))).tolist() == expected
+        assert [f(row, 1.0) for row in P] == expected
+
+
+def test_renyi_bridge_refuses_outside_the_exp_q_domain():
+    for call in (
+        lambda: renyi_from_q_entropy(-5.0, 0.5),
+        lambda: renyi_from_q_entropy(np.array([0.5, -5.0]), np.array([0.5, 0.5])),
+    ):
+        with pytest.raises(QExpDomainError) as err:
+            call()
+        assert err.value.argument == -5.0
+    # a row at q = 1 is Shannon and returns its h unchecked, however large
+    for q in (1.0, 1.0 + CLASSICAL_Q_TOL / 2):
+        assert renyi_from_q_entropy(1e10, q) == 1e10
+        assert renyi_from_q_entropy(np.array([0.5, 1e10]), np.array([0.5, q]))[1] == 1e10
+
+
 def test_stacked_rows_take_one_q_per_row():
     P = np.array([[0.2, 0.8], [0.4, 0.6]])
     with pytest.raises(ValueError):
@@ -184,6 +222,21 @@ def test_meson_vericat_value():
     assert meson_vericat_bernoulli(p, 0.5) == pytest.approx(
         math.log(2.0 * 2.0**-0.5), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_meson_vericat_closed_form_is_every_block_rate(d):
+    # Bernoulli cylinder masses factorize, so (1/n) log sum_{|w|=n} mu(w)^q over
+    # the enumerated n-blocks equals the closed form log sum p^q at every n
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        p = rng.dirichlet(np.ones(d))
+        q = float(rng.uniform(0.1, 0.95))
+        rate = meson_vericat_bernoulli(p, q)
+        logmass = np.zeros(1)
+        for n in range(1, 9):
+            logmass = (logmass[:, None] + np.log(p)[None, :]).ravel()
+            assert abs(_logsumexp(q * logmass) / n - rate) <= 1e-12 * max(1.0, abs(rate))
 
 
 def test_meson_vericat_is_scaled_renyi():
