@@ -7,11 +7,12 @@ and stable key order, CSV with a header row and LF line endings.  Exit codes:
 0 success, 2 domain or parse errors, 3 solver non-convergence.
 
 ``paper-regression`` replays the frozen regression catalog.  Each criterion
-records both the literal target expectation (``target_pass``) and agreement
-with this package's frozen measured values (``matches_expected``); three
-catalog entries reproduce known defects in their source values, so the exit
-status is 0 exactly when every criterion matches the frozen expectation,
-and any numerical drift — including on the defective entries — is flagged.
+body returns its measured values; ``@_criterion`` times it and judges them:
+``target_pass`` is the literal target plus the wall-clock gate, and
+``matches_expected`` is agreement with this package's frozen values.  Three
+entries reproduce known defects in their source values, so the exit status
+is 0 exactly when every criterion matches its frozen values and every other
+meets its target, and any drift, on the defective entries too, is flagged.
 """
 
 from __future__ import annotations
@@ -324,21 +325,32 @@ class CriterionResult:
 _CATALOG: dict = {}
 
 
-def _criterion(index: int, title: str, note: str = "", known_defect: bool = False):
-    """Register a cached catalog criterion.
+def _criterion(index: int, title: str, gate, target, frozen=None, note: str = "",
+               known_defect: bool = False):
+    """Register a cached catalog criterion whose body returns its measured dict.
 
-    The decorated body returns ``(target, match, dt, measured)`` and keeps its
-    literal ``dt < X`` wall-clock gate in its own source.  A known defect's
-    literal target is reproducibly unattainable, so its gate is
-    ``matches_expected`` alone.
+    The body is timed here: ``target_pass`` is ``target(m) and gate(dt)`` and
+    ``matches_expected`` is ``frozen(m)``, ``target`` when omitted, so a slow
+    pass never reads as drift.  Each gate is written ``gate=lambda dt: dt < X``
+    in the decorator lines, which ``inspect.getsource`` of the body includes.
+    Keys of ``m`` that begin with ``_`` feed the checks and are not reported,
+    and a non-finite float reports as None while the checks see it.  A known
+    defect's literal target is reproducibly unattainable, so ``run_regression``
+    reads its ``matches_expected`` alone.
     """
+    frozen = frozen or target
 
     def register(body):
         @functools.lru_cache(maxsize=None)
         @functools.wraps(body)
         def criterion() -> CriterionResult:
-            target, match, dt, measured = body()
-            return CriterionResult(index, title, target, match, known_defect, dt, measured, note)
+            t0 = time.perf_counter()
+            m = body()
+            dt = time.perf_counter() - t0
+            measured = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                        for k, v in m.items() if not k.startswith("_")}
+            return CriterionResult(index, title, bool(target(m) and gate(dt)), bool(frozen(m)),
+                                   known_defect, dt, measured, note)
 
         _CATALOG[index] = (criterion, known_defect)
         return criterion
@@ -346,33 +358,33 @@ def _criterion(index: int, title: str, note: str = "", known_defect: bool = Fals
     return register
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
-
-
-@_criterion(1, "static equilibrium closed form")
+@_criterion(
+    1, "static equilibrium closed form", gate=lambda dt: dt < 1e-3,
+    target=lambda m: abs(m["pressure"] - 1.6895) <= 5e-4
+    and abs(m["p1"] - 0.3172) <= 5e-4 and abs(m["p2"] - 0.6828) <= 5e-4,
+    frozen=lambda m: abs(m["pressure"] - 1.689655762197444) <= 1e-9
+    and abs(m["p1"] - 0.31729336931746177) <= 1e-9,
+)
 def criterion_1():
     """Static equilibrium closed form at q=1/3, beta=1.2, a=(0.5, 0.8)."""
-    eq, dt = _timed(lambda: staticq.static_q_pressure((0.5, 0.8), 1.2, 1.0 / 3.0))
-    target = (
-        abs(eq.pressure - 1.6895) <= 5e-4
-        and float(np.max(np.abs(eq.p_star - np.array([0.3172, 0.6828])))) <= 5e-4
-        and dt < 1e-3
-    )
-    match = (
-        abs(eq.pressure - 1.689655762197444) <= 1e-9
-        and abs(eq.p_star[0] - 0.31729336931746177) <= 1e-9
-    )
-    return target, match, dt, {
-        "pressure": eq.pressure, "p1": float(eq.p_star[0]), "p2": float(eq.p_star[1])
-    }
+    eq = staticq.static_q_pressure((0.5, 0.8), 1.2, 1.0 / 3.0)
+    return {"pressure": eq.pressure, "p1": float(eq.p_star[0]), "p2": float(eq.p_star[1])}
 
 
 @_criterion(
     2,
     "two-branch solve, zero-diagonal two-symbol system",
+    gate=lambda dt: dt < 1.0,
+    target=lambda m: m["branches"] == 2
+    and abs(m["c_low"] - 3.85405) <= 1e-4 and abs(m["c_high"] - 3.85405) <= 1e-4
+    and all(min(abs(p - v) for v in (-0.89595, -2.39595)) <= 1e-4
+            for p in (m["phi2"], m["_phi2_high"]))
+    and m["_max_residual"] <= 1e-10,
+    frozen=lambda m: m["branches"] == 2
+    and abs(m["c_low"] - 3.0442810861169263) <= 1e-7
+    and abs(m["c_high"] - 3.7057189138830737) <= 1e-7
+    and abs(m["phi2"] + 0.75) <= 1e-7 and abs(m["_phi2_high"] + 0.75) <= 1e-7
+    and m["_max_residual"] <= 1e-10,
     note="the target (phi2, c) pair satisfies only the first context equation; "
     "the true roots share phi2 = (a12-a21)/2",
     known_defect=True,
@@ -380,92 +392,62 @@ def criterion_1():
 def criterion_2():
     """Two-branch solve of the zero-diagonal two-symbol system at qt=1/2."""
     A = Potential(d=2, memory=2, values=np.array([0.0, 2.0, 3.5, 0.0]))
-    roots, dt = _timed(lambda: qruelle_solve(A, 0.5))
-    cs = sorted(r.c for r in roots)
-    phi2s = sorted(r.phi[1] for r in roots)
-    target = (
-        len(roots) == 2
-        and all(abs(r.c - 3.85405) <= 1e-4 for r in roots)
-        and all(min(abs(r.phi[1] - v) for v in (-0.89595, -2.39595)) <= 1e-4 for r in roots)
-        and all(r.residual <= 1e-10 for r in roots)
-        and dt < 1.0
-    )
-    match = (
-        len(roots) == 2
-        and abs(cs[0] - 3.0442810861169263) <= 1e-7
-        and abs(cs[1] - 3.7057189138830737) <= 1e-7
-        and all(abs(p + 0.75) <= 1e-7 for p in phi2s)
-        and all(r.residual <= 1e-10 for r in roots)
-    )
-    return target, match, dt, {
-        "c_low": cs[0] if roots else math.nan, "c_high": cs[-1] if roots else math.nan,
-        "phi2": phi2s[0] if roots else math.nan, "branches": len(roots),
+    roots = qruelle_solve(A, 0.5)
+    cs = sorted(r.c for r in roots) or [math.nan]
+    phi2s = sorted(r.phi[1] for r in roots) or [math.nan]
+    return {
+        "c_low": cs[0], "c_high": cs[-1], "phi2": phi2s[0], "branches": len(roots),
+        "_phi2_high": phi2s[-1], "_max_residual": np.max([r.residual for r in roots] or [math.nan]),
     }
 
 
-@_criterion(3, "memory-1 closed form and pressure derivative")
+@_criterion(
+    3, "memory-1 closed form and pressure derivative", gate=lambda dt: dt < 2.0,
+    target=lambda m: abs(m["c"] - 5.75) <= 1e-8 and abs(m["phi2"] - 2.71825) <= 1e-4
+    and abs(m["dPds"] - 0.5) <= 1e-6,
+    frozen=lambda m: abs(m["c"] - 5.75) <= 1e-12 and abs(m["phi2"] - 2.718245836551854) <= 1e-9
+    and abs(m["c_solver"] - 5.75) <= 1e-9 and abs(m["dPds"] - 0.5) <= 1e-6,
+)
 def criterion_3():
     """Memory-1 closed form plus directional derivative of the constant."""
-
-    def run():
-        phi2, c = supex_closed_form(2.0, 5.5, 0.0, 0.0, 0.0)
-        A = Potential(d=2, memory=1, values=np.array([2.0, 5.5]))
-        B = Potential(d=2, memory=1, values=np.array([1.0, 0.0]))
-        d = pressure_derivative(A, B, 1.5)
-        roots = qruelle_solve(A, 0.5)
-        return phi2, c, d, roots
-
-    (phi2, c, d, roots), dt = _timed(run)
-    c_solver = roots[0].c if roots else math.nan
-    target = (
-        abs(c - 5.75) <= 1e-8
-        and abs(phi2 - 2.71825) <= 1e-4
-        and abs(d - 0.5) <= 1e-6
-        and dt < 2.0
-    )
-    match = (
-        abs(c - 5.75) <= 1e-12
-        and abs(phi2 - 2.718245836551854) <= 1e-9
-        and abs(c_solver - 5.75) <= 1e-9
-        and abs(d - 0.5) <= 1e-6
-    )
-    return target, match, dt, {"phi2": phi2, "c": c, "dPds": d, "c_solver": c_solver}
+    phi2, c = supex_closed_form(2.0, 5.5, 0.0, 0.0, 0.0)
+    A = Potential(d=2, memory=1, values=np.array([2.0, 5.5]))
+    B = Potential(d=2, memory=1, values=np.array([1.0, 0.0]))
+    d = pressure_derivative(A, B, 1.5)
+    roots = qruelle_solve(A, 0.5)
+    return {"phi2": phi2, "c": c, "dPds": d, "c_solver": roots[0].c if roots else math.nan}
 
 
-@_criterion(4, "exactly solvable family generator and recovery")
+@_criterion(
+    4, "exactly solvable family generator and recovery", gate=lambda dt: dt < 1.0,
+    target=lambda m: m["max_print_diff"] <= 1e-5 and m["max_recovery"] <= 1e-6,
+    frozen=lambda m: m["max_recovery"] <= 1e-9,
+)
 def criterion_4():
     """Exactly solvable family: tabulated rows and solver recovery."""
-
-    def run():
-        rows = []
-        for qt, q1, q2, expected in (
-            (2.0 / 3.0, 0.3, 0.6, (0.857533, 0.52199, 0.655413, 0.991701)),
-            (4.0 / 5.0, 0.2, 0.3, (2.18972, 0.30612, 1.15786, 1.37610)),
-        ):
-            a12, a22, phi2, c = explimeq_family(qt, q1, q2)
-            diff = max(
-                abs(x - y) for x, y in zip((a12, a22, phi2, c), expected)
-            )
-            A = Potential(d=2, memory=2, values=np.array([0.0, a12, 0.0, a22]))
-            roots = qruelle_solve(A, qt)
-            rec = min(
-                (max(abs(r.c - c), abs(r.phi[1] - phi2)) for r in roots),
-                default=math.inf,
-            )
-            rows.append((diff, rec))
-        return rows
-
-    rows, dt = _timed(run)
-    target = all(diff <= 1e-5 and rec <= 1e-6 for diff, rec in rows) and dt < 1.0
-    match = all(rec <= 1e-9 for _, rec in rows)
-    return target, match, dt, {
-        "max_print_diff": max(r[0] for r in rows), "max_recovery": max(r[1] for r in rows)
-    }
+    diffs, recs = [], []
+    for qt, q1, q2, expected in (
+        (2.0 / 3.0, 0.3, 0.6, (0.857533, 0.52199, 0.655413, 0.991701)),
+        (4.0 / 5.0, 0.2, 0.3, (2.18972, 0.30612, 1.15786, 1.37610)),
+    ):
+        a12, a22, phi2, c = explimeq_family(qt, q1, q2)
+        diffs.append(max(abs(x - y) for x, y in zip((a12, a22, phi2, c), expected)))
+        A = Potential(d=2, memory=2, values=np.array([0.0, a12, 0.0, a22]))
+        recs.append(min(
+            (max(abs(r.c - c), abs(r.phi[1] - phi2)) for r in qruelle_solve(A, qt)),
+            default=math.inf,
+        ))
+    return {"max_print_diff": np.max(diffs), "max_recovery": np.max(recs)}
 
 
 @_criterion(
     5,
     "scan value vs solver constant, random potentials",
+    gate=lambda dt: dt < 60.0,
+    target=lambda m: abs(m["max_gap"]) <= 1e-3 and abs(m["min_gap"]) <= 1e-3,
+    # frozen: the scan of the closed-form entropy strictly exceeds c
+    frozen=lambda m: abs(m["max_gap"] - 0.04082103744076268) <= 1e-6
+    and abs(m["min_gap"] - 0.00036957644261770284) <= 1e-6 and m["min_gap"] > -1e-9,
     note="the closed-form Markov q-entropy overshoots the constant: its "
     "variational sup is generically strictly above c, while H_q(mu_J) + int A dmu_J = c "
     "exactly at the q-equilibrium mu_J, so mu_J does not maximize the closed-form objective",
@@ -473,27 +455,16 @@ def criterion_4():
 )
 def criterion_5():
     """Scan value against solver constant on random positive-branch potentials."""
-
-    def run():
-        rng = np.random.default_rng(0)
-        gaps = []
-        while len(gaps) < 20:
-            A = Potential(d=2, memory=2, values=rng.normal(0.0, 0.8, 4))
-            branch = positive_branch(A, 0.5)
-            if branch is None:
-                continue
-            gaps.append(q_pressure_scan(A, 1.5, 400).value - branch.c)
-        return np.array(gaps)
-
-    gaps, dt = _timed(run)
-    target = bool(np.max(np.abs(gaps)) <= 1e-3) and dt < 60.0
-    # frozen: the scan of the closed-form entropy strictly exceeds c
-    match = (
-        abs(float(gaps.max()) - 0.04082103744076268) <= 1e-6
-        and abs(float(gaps.min()) - 0.00036957644261770284) <= 1e-6
-        and bool(np.min(gaps) > -1e-9)
-    )
-    return target, match, dt, {
+    rng = np.random.default_rng(0)
+    gaps = []
+    while len(gaps) < 20:
+        A = Potential(d=2, memory=2, values=rng.normal(0.0, 0.8, 4))
+        branch = positive_branch(A, 0.5)
+        if branch is None:
+            continue
+        gaps.append(q_pressure_scan(A, 1.5, 400).value - branch.c)
+    gaps = np.array(gaps)
+    return {
         "max_gap": float(gaps.max()), "min_gap": float(gaps.min()), "mean_gap": float(gaps.mean())
     }
 
@@ -501,6 +472,12 @@ def criterion_5():
 @_criterion(
     6,
     "Jacobian round trip and scan gap",
+    gate=lambda dt: dt < 60.0,
+    target=lambda m: m["max_abs_c"] <= 1e-8
+    and abs(m["max_gap"]) <= 1e-3 and abs(m["min_gap"]) <= 1e-3 and m["max_tv"] <= 1e-2,
+    frozen=lambda m: m["max_abs_c"] <= 1e-8 and m["max_tv"] <= 1e-8
+    and abs(m["max_gap"] - 0.08131564719948108) <= 1e-6
+    and abs(m["min_gap"] - 0.008248027056523798) <= 1e-6,
     note="constant and equilibrium recover exactly; the closed-form "
     "entropy scan exceeds the constant on every draw, while H_q(mu_J) + int A dmu_J = c "
     "exactly at the q-equilibrium mu_J, so mu_J does not maximize the closed-form objective",
@@ -508,100 +485,74 @@ def criterion_5():
 )
 def criterion_6():
     """Round trip J -> A = -log_q(1/J) -> equilibrium, plus the scan gap."""
-
-    def run():
-        cs, tvs, gaps = [], [], []
-        for seed in range(20):
-            J = random_jacobian(2, 1, seed=seed)
-            A = _neg_log_q_inv(J, QParam(0.5))
-            p, mu, _ = q_equilibrium(A, 0.5)
-            muJ = equilibrium_markov(J)
-            cs.append(abs(p))
-            tvs.append(0.5 * float(np.max(np.sum(np.abs(mu.P - muJ.P), axis=1))))
-            gaps.append(q_pressure_scan(A, 0.5, 400).value - p)
-        return np.array(cs), np.array(tvs), np.array(gaps)
-
-    (cs, tvs, gaps), dt = _timed(run)
-    target = (
-        bool(np.max(cs) <= 1e-8)
-        and bool(np.max(np.abs(gaps)) <= 1e-3)
-        and bool(np.max(tvs) <= 1e-2)
-        and dt < 60.0
-    )
-    match = (
-        bool(np.max(cs) <= 1e-8)
-        and bool(np.max(tvs) <= 1e-8)
-        and abs(float(gaps.max()) - 0.08131564719948108) <= 1e-6
-        and abs(float(gaps.min()) - 0.008248027056523798) <= 1e-6
-    )
-    return target, match, dt, {
-        "max_abs_c": float(cs.max()), "max_tv": float(tvs.max()),
-        "max_gap": float(gaps.max()), "min_gap": float(gaps.min()),
+    cs, tvs, gaps = [], [], []
+    for seed in range(20):
+        J = random_jacobian(2, 1, seed=seed)
+        A = _neg_log_q_inv(J, QParam(0.5))
+        p, mu, _ = q_equilibrium(A, 0.5)
+        muJ = equilibrium_markov(J)
+        cs.append(abs(p))
+        tvs.append(0.5 * float(np.max(np.sum(np.abs(mu.P - muJ.P), axis=1))))
+        gaps.append(q_pressure_scan(A, 0.5, 400).value - p)
+    return {
+        "max_abs_c": float(np.max(cs)), "max_tv": float(np.max(tvs)),
+        "max_gap": float(np.max(gaps)), "min_gap": float(np.min(gaps)),
     }
 
 
-@_criterion(7, "deformed-calculus identity suite")
+@_criterion(7, "deformed-calculus identity suite", gate=lambda dt: dt < 5.0,
+            target=lambda m: m["max_violation"] <= 1e-9)
 def criterion_7():
     """Deformed-calculus identity suite at 10^4 seeded points."""
-    report, dt = _timed(lambda: qfun.identity_suite(samples=10_000, seed=0))
-    match = report.passed(1e-9)
-    return match and dt < 5.0, match, dt, {"max_violation": report.worst}
+    return {"max_violation": qfun.identity_suite(samples=10_000, seed=0).worst}
 
 
-@_criterion(8, "entropy surface maximum at the uniform measure")
+@_criterion(
+    8, "entropy surface maximum at the uniform measure", gate=lambda dt: dt < 10.0,
+    target=lambda m: all(p == 0.5 for p in m["_argmax"])
+    and m["err_q0.5"] <= 1e-6 and m["err_q0.9"] <= 1e-6,
+    frozen=lambda m: m["err_q0.5"] <= 1e-12 and m["err_q0.9"] <= 1e-12,
+)
 def criterion_8():
     """Entropy surface maximum at the uniform measure for q in {0.5, 0.9}."""
-
-    def run():
-        out = []
-        for q in (0.5, 0.9):
-            surf = entropy_surface(q, 200)
-            p12, p21, mx = surf.max_point()
-            out.append((q, p12, p21, mx, abs(mx - float(log_q(2.0, q)))))
-        return out
-
-    rows, dt = _timed(run)
-    target = all(p12 == 0.5 and p21 == 0.5 and err <= 1e-6 for _, p12, p21, _, err in rows) and dt < 10.0
-    match = all(err <= 1e-12 for *_, err in rows)
-    return target, match, dt, {f"err_q{q}": err for q, *_, err in rows}
+    m = {"_argmax": []}
+    for q in (0.5, 0.9):
+        p12, p21, mx = entropy_surface(q, 200).max_point()
+        m["_argmax"] += [p12, p21]
+        m[f"err_q{q}"] = abs(mx - float(log_q(2.0, q)))
+    return m
 
 
-@_criterion(9, "asymptotic pressure estimates")
+@_criterion(
+    9, "asymptotic pressure estimates", gate=lambda dt: dt < 30.0,
+    target=lambda m: m["closed_form_rel"] <= 1e-12
+    and abs(m["estimate_const"] - math.log(2.0)) <= 0.01
+    and abs(m["estimate_01"] - math.log(2.0)) <= 0.02 and m["base_point_diff"] <= 1e-3,
+    frozen=lambda m: abs(m["estimate_const"] - math.log(2.0)) <= 1e-4
+    and abs(m["estimate_01"] - math.log(2.0)) <= 1e-4 and m["base_point_diff"] <= 1e-5,
+)
 def criterion_9():
     """Asymptotic pressure: closed form, two potentials, two base points."""
-
-    def run():
-        q = QParam(0.5)
-        A1 = Potential.constant(2, 1.0)
-        worst = 0.0
-        for n, log_L in enumerate(log_frak_L_sequence(A1, q, (), 50), start=1):
-            closed = (2.0**n) * (1.0 + n / 2.0) ** 2
-            worst = max(worst, abs(math.exp(log_L) - closed) / closed)
-        est1, _ = asymptotic_pressure(A1, q, (), 2000)
-        A01 = Potential(d=2, memory=1, values=np.array([0.0, 1.0]))
-        est2, _ = asymptotic_pressure(A01, q, (), 2000)
-        A2 = Potential(d=2, memory=2, values=np.array([0.25, 1.0, 0.5, 0.75]))
-        b1, _ = asymptotic_pressure(A2, q, (1,), 2000)
-        b2, _ = asymptotic_pressure(A2, q, (2,), 2000)
-        return worst, est1, est2, abs(b1 - b2)
-
-    (worst, est1, est2, bdiff), dt = _timed(run)
-    ln2 = math.log(2.0)
-    target = (
-        worst <= 1e-12
-        and abs(est1 - ln2) <= 0.01
-        and abs(est2 - ln2) <= 0.02
-        and bdiff <= 1e-3
-        and dt < 30.0
-    )
-    match = abs(est1 - ln2) <= 1e-4 and abs(est2 - ln2) <= 1e-4 and bdiff <= 1e-5
-    return target, match, dt, {
+    q = QParam(0.5)
+    A1 = Potential.constant(2, 1.0)
+    worst = 0.0
+    for n, log_L in enumerate(log_frak_L_sequence(A1, q, (), 50), start=1):
+        closed = (2.0**n) * (1.0 + n / 2.0) ** 2
+        worst = max(worst, abs(math.exp(log_L) - closed) / closed)
+    est1, _ = asymptotic_pressure(A1, q, (), 2000)
+    A01 = Potential(d=2, memory=1, values=np.array([0.0, 1.0]))
+    est2, _ = asymptotic_pressure(A01, q, (), 2000)
+    A2 = Potential(d=2, memory=2, values=np.array([0.25, 1.0, 0.5, 0.75]))
+    b1, _ = asymptotic_pressure(A2, q, (1,), 2000)
+    b2, _ = asymptotic_pressure(A2, q, (2,), 2000)
+    return {
         "closed_form_rel": worst, "estimate_const": est1, "estimate_01": est2,
-        "base_point_diff": bdiff,
+        "base_point_diff": abs(b1 - b2),
     }
 
 
-@_criterion(10, "sub-additivity of deformed Birkhoff logs")
+@_criterion(10, "sub-additivity of deformed Birkhoff logs", gate=lambda dt: dt < 5.0,
+            target=lambda m: m["max_violation"] <= 1e-12)
 def criterion_10():
     """Sub-additivity of the deformed Birkhoff logs for nonnegative potentials."""
 
@@ -614,142 +565,121 @@ def criterion_10():
             out[rows] = phi_n(A, 0.5, w[:, :length], w[:, length:])
         return out
 
-    def run():
-        rng = np.random.default_rng(0)
-        worst = -math.inf
-        for _ in range(5):
-            m_pot = int(rng.integers(1, 3))
-            vals = rng.uniform(0.0, 1.5, 2**m_pot)
-            A = Potential(d=2, memory=m_pot, values=vals)
-            mm, nn = rng.integers(1, 13, size=(10_000, 2)).T
-            sizes = mm + nn + m_pot - 1
-            # one draw is the same PCG64 stream as one draw per row
-            flat = rng.integers(1, 3, int(sizes.sum()))
-            starts = np.cumsum(sizes) - sizes
-            f_total, f_m = logs(A, flat, mm + nn, starts), logs(A, flat, mm, starts + nn)
-            worst = max(worst, float((f_total - f_m - logs(A, flat, nn, starts)).max()))
-        return worst
-
-    worst, dt = _timed(run)
-    match = worst <= 1e-12
-    return match and dt < 5.0, match, dt, {"max_violation": worst}
+    rng = np.random.default_rng(0)
+    worst = -math.inf
+    for _ in range(5):
+        m_pot = int(rng.integers(1, 3))
+        vals = rng.uniform(0.0, 1.5, 2**m_pot)
+        A = Potential(d=2, memory=m_pot, values=vals)
+        mm, nn = rng.integers(1, 13, size=(10_000, 2)).T
+        sizes = mm + nn + m_pot - 1
+        # one draw is the same PCG64 stream as one draw per row
+        flat = rng.integers(1, 3, int(sizes.sum()))
+        starts = np.cumsum(sizes) - sizes
+        f_total, f_m = logs(A, flat, mm + nn, starts), logs(A, flat, mm, starts + nn)
+        worst = max(worst, float((f_total - f_m - logs(A, flat, nn, starts)).max()))
+    return {"max_violation": worst}
 
 
-@_criterion(11, "classical transfer-operator oracle")
+@_criterion(
+    11, "classical transfer-operator oracle", gate=lambda dt: dt < 5.0,
+    target=lambda m: m["pressure_err"] <= 1e-10 and m["row_sum_err"] <= 1e-10
+    and m["normalized_pressure"] <= 1e-10,
+)
 def criterion_11():
     """Classical transfer-operator oracle: pressure, rows, consistency."""
-
-    def run():
-        A01 = Potential(d=2, memory=1, values=np.array([0.0, 1.0]))
-        p_err = abs(classical_pressure(A01) - math.log(1.0 + math.e))
-        rng = np.random.default_rng(1)
-        row_worst = 0.0
-        rohklin_worst = 0.0
-        for _ in range(100):
-            m = int(rng.integers(1, 4))
-            A = Potential(d=2, memory=m, values=rng.normal(0.0, 1.0, 2**m))
-            logJ, lam, h = normalize(A)
-            J = np.exp(logJ.values)
-            rows = J.reshape(2, -1).sum(axis=0)
-            row_worst = max(row_worst, float(np.max(np.abs(rows - 1.0))))
-            rohklin_worst = max(rohklin_worst, abs(classical_pressure(logJ)))
-        return p_err, row_worst, rohklin_worst
-
-    (p_err, row_worst, rohklin_worst), dt = _timed(run)
-    target = p_err <= 1e-10 and row_worst <= 1e-10 and rohklin_worst <= 1e-10 and dt < 5.0
-    return target, target, dt, {
-        "pressure_err": p_err, "row_sum_err": row_worst, "normalized_pressure": rohklin_worst
-    }
+    A01 = Potential(d=2, memory=1, values=np.array([0.0, 1.0]))
+    p_err = abs(classical_pressure(A01) - math.log(1.0 + math.e))
+    rng = np.random.default_rng(1)
+    row_worst = 0.0
+    rohklin_worst = 0.0
+    for _ in range(100):
+        m = int(rng.integers(1, 4))
+        A = Potential(d=2, memory=m, values=rng.normal(0.0, 1.0, 2**m))
+        logJ, lam, h = normalize(A)
+        J = np.exp(logJ.values)
+        rows = J.reshape(2, -1).sum(axis=0)
+        row_worst = max(row_worst, float(np.max(np.abs(rows - 1.0))))
+        rohklin_worst = max(rohklin_worst, abs(classical_pressure(logJ)))
+    return {"pressure_err": p_err, "row_sum_err": row_worst, "normalized_pressure": rohklin_worst}
 
 
-@_criterion(12, "bridge identities")
+@_criterion(
+    12, "bridge identities", gate=lambda dt: dt < 5.0,
+    target=lambda m: m["scalar"] <= 1e-10 and m["residual"] <= 1e-9 and m["g_match"] <= 1e-9,
+)
 def criterion_12():
     """Bridge identities between the q = 1/2 and 3/2-deformed equations."""
-
-    def run():
-        rng = np.random.default_rng(0)
-        scalar_worst = 0.0
-        for _ in range(1000):
-            a = rng.uniform(-1.9, 3.0)
-            a1, a2, C = rng.normal(size=3)
-            r = a1 - a2 - C
-            g = _g_half(a1, a2, C, a)
-            lhs = exp_q(g + r, 1.5)
-            rhs = exp_q(a, 0.5) * math.exp(r)
-            scalar_worst = max(scalar_worst, abs(lhs - rhs))
-        res_worst = 0.0
-        for _ in range(10):
-            A = Potential(d=2, memory=1, values=rng.uniform(-1.5, 1.5, 2))
-            B, phiB, cB = bridge_half(A)
-            res = qruelle_residual(B, 1.5, phiB, cB)
-            res_worst = max(res_worst, float(np.max(np.abs(res))))
-        g_worst = 0.0
-        for _ in range(100):
-            a = rng.uniform(-1.9, 3.0)
-            a1, a2, C = rng.normal(size=3)
-            g_worst = max(
-                g_worst,
-                abs(bridge_general_g(a, a1, a2, C, 0.5) - _g_half(a1, a2, C, a)),
-            )
-        return scalar_worst, res_worst, g_worst
-
-    (scalar_worst, res_worst, g_worst), dt = _timed(run)
-    target = scalar_worst <= 1e-10 and res_worst <= 1e-9 and g_worst <= 1e-9 and dt < 5.0
-    return target, target, dt, {"scalar": scalar_worst, "residual": res_worst, "g_match": g_worst}
+    rng = np.random.default_rng(0)
+    scalar_worst = 0.0
+    for _ in range(1000):
+        a = rng.uniform(-1.9, 3.0)
+        a1, a2, C = rng.normal(size=3)
+        r = a1 - a2 - C
+        g = _g_half(a1, a2, C, a)
+        lhs = exp_q(g + r, 1.5)
+        rhs = exp_q(a, 0.5) * math.exp(r)
+        scalar_worst = max(scalar_worst, abs(lhs - rhs))
+    res_worst = 0.0
+    for _ in range(10):
+        A = Potential(d=2, memory=1, values=rng.uniform(-1.5, 1.5, 2))
+        B, phiB, cB = bridge_half(A)
+        res = qruelle_residual(B, 1.5, phiB, cB)
+        res_worst = max(res_worst, float(np.max(np.abs(res))))
+    g_worst = 0.0
+    for _ in range(100):
+        a = rng.uniform(-1.9, 3.0)
+        a1, a2, C = rng.normal(size=3)
+        g_worst = max(
+            g_worst,
+            abs(bridge_general_g(a, a1, a2, C, 0.5) - _g_half(a1, a2, C, a)),
+        )
+    return {"scalar": scalar_worst, "residual": res_worst, "g_match": g_worst}
 
 
-@_criterion(13, "Renyi bijection and independence-rate value")
+@_criterion(
+    13, "Renyi bijection and independence-rate value", gate=lambda dt: dt < 2.0,
+    target=lambda m: m["bijection"] <= 1e-10 and m["meson_vericat"] <= 1e-12,
+)
 def criterion_13():
     """Renyi bijection and the two-symbol independence-rate value."""
-
-    def run():
-        rng = np.random.default_rng(0)
-        rows = {k: array("d") for k in (2, 3, 4)}  # flat: each row p, then its q
-        for _ in range(10_000):
-            k = int(rng.integers(2, 5))
-            p = rng.dirichlet(np.ones(k))
-            q = float(rng.uniform(0.2, 1.8))
-            if abs(q - 1.0) < 1e-3:
-                continue
-            rows[k].extend((*p, q))
-        worst = 0.0
-        for k, flat in rows.items():  # one stacked call per function and k
-            PQ = np.frombuffer(flat).reshape(-1, k + 1)
-            P, Q = PQ[:, :k], PQ[:, k]
-            hq = staticq.q_entropy_vec(P, Q)
-            gaps = np.abs(staticq.renyi_entropy(P, Q) - staticq.renyi_from_q_entropy(hq, Q))
-            worst = max(worst, float(gaps.max()))
-        mv_worst = 0.0
-        for _ in range(50):
-            p1 = float(rng.uniform(0.1, 0.9))
-            q = float(rng.uniform(0.2, 0.8))
-            mv = staticq.meson_vericat_bernoulli((p1, 1.0 - p1), q)
-            mv_worst = max(
-                mv_worst,
-                abs(mv - (1.0 - q) * staticq.renyi_entropy((p1, 1.0 - p1), q)),
-            )
-        return worst, mv_worst
-
-    (worst, mv_worst), dt = _timed(run)
-    target = worst <= 1e-10 and mv_worst <= 1e-12 and dt < 2.0
-    return target, target, dt, {"bijection": worst, "meson_vericat": mv_worst}
+    rng = np.random.default_rng(0)
+    rows = {k: array("d") for k in (2, 3, 4)}  # flat: each row p, then its q
+    for _ in range(10_000):
+        k = int(rng.integers(2, 5))
+        p = rng.dirichlet(np.ones(k))
+        q = float(rng.uniform(0.2, 1.8))
+        if abs(q - 1.0) < 1e-3:
+            continue
+        rows[k].extend((*p, q))
+    worst = 0.0
+    for k, flat in rows.items():  # one stacked call per function and k
+        PQ = np.frombuffer(flat).reshape(-1, k + 1)
+        P, Q = PQ[:, :k], PQ[:, k]
+        hq = staticq.q_entropy_vec(P, Q)
+        gaps = np.abs(staticq.renyi_entropy(P, Q) - staticq.renyi_from_q_entropy(hq, Q))
+        worst = max(worst, float(gaps.max()))
+    mv_worst = 0.0
+    for _ in range(50):
+        p1 = float(rng.uniform(0.1, 0.9))
+        q = float(rng.uniform(0.2, 0.8))
+        mv = staticq.meson_vericat_bernoulli((p1, 1.0 - p1), q)
+        mv_worst = max(
+            mv_worst,
+            abs(mv - (1.0 - q) * staticq.renyi_entropy((p1, 1.0 - p1), q)),
+        )
+    return {"bijection": worst, "meson_vericat": mv_worst}
 
 
-@_criterion(14, "first-order pressure identity")
+@_criterion(14, "first-order pressure identity", gate=lambda dt: dt < 5.0,
+            target=lambda m: m["defect"] <= 1e-4, frozen=lambda m: m["defect"] <= 1e-6)
 def criterion_14():
     """First-order identity: dc/ds against the quotient of integrals."""
-
-    def run():
-        J = random_jacobian(2, 1, seed=3)
-        A = _neg_log_q_inv(J, QParam(0.5))
-        B = Potential(d=2, memory=1, values=np.array([0.4, -0.2]))
-        return derivative_identity_report(A, B)
-
-    rep, dt = _timed(run)
-    target = rep.defect <= 1e-4 and dt < 5.0
-    return target, rep.defect <= 1e-6, dt, {
-        "dPds": rep.dPds, "quotient": rep.quotient, "defect": rep.defect
-    }
+    J = random_jacobian(2, 1, seed=3)
+    A = _neg_log_q_inv(J, QParam(0.5))
+    B = Potential(d=2, memory=1, values=np.array([0.4, -0.2]))
+    rep = derivative_identity_report(A, B)
+    return {"dPds": rep.dPds, "quotient": rep.quotient, "defect": rep.defect}
 
 
 ALL_CRITERIA = tuple(fn for fn, _ in _CATALOG.values())

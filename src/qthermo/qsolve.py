@@ -105,7 +105,7 @@ def qruelle_residual(
             f"exp_q domain violated at summand a={a + 1}, context {ctx} (u={arg})",
             argument=arg,
         )
-    return sys.defect(phi[None], np.array([float(c)]))[0]
+    return sys.defect(args)[0]
 
 
 def _jacobian_of_root(sys: _System, phi: np.ndarray, c: float) -> Jacobian:
@@ -171,7 +171,7 @@ def _roots(A: Potential, qp: QParam, allow_boundary: bool, lattice: bool) -> lis
         PHI_l, C_l, converged = _newton(sys, PHI_l, np.array([c_start for _, c_start in starts]))
         # candidates in order: the topical root, then the lattice rows
         PHI, C = np.vstack([PHI, PHI_l[converged]]), np.concatenate([C, C_l[converged]])
-    residuals = np.abs(sys.defect(PHI, C)).max(axis=1)
+    residuals = np.abs(sys.defect(sys.arguments(PHI, C))).max(axis=1)
 
     roots: list[tuple[np.ndarray, float, float]] = []
     for phi, c, residual in zip(PHI, C, residuals):

@@ -133,8 +133,8 @@ class _System:
     def arguments(self, PHI: np.ndarray, C: np.ndarray) -> np.ndarray:
         return self.A_vals + PHI[:, self.pre_idx] - PHI[:, :, None] - C[:, None, None]
 
-    def bases(self, PHI: np.ndarray, C: np.ndarray) -> np.ndarray:
-        """The bases 1 + (1 - qt)*argument, (S, n, d); NaN on rows outside the domain.
+    def bases(self, U: np.ndarray) -> np.ndarray:
+        """The bases 1 + (1 - qt)*U of arguments U, (S, n, d); NaN on rows outside the domain.
 
         At q-tilde = 1 every base is 1.  Only the strict case has a domain: a
         row leaves it when any base is at or below 1e-300.  The row is masked
@@ -142,8 +142,8 @@ class _System:
         overflow.
         """
         if self.classical:
-            return np.ones((len(PHI), self.n, self.d))
-        base = 1.0 + (1.0 - self.qt) * self.arguments(PHI, C)
+            return np.ones_like(U)
+        base = 1.0 + (1.0 - self.qt) * U
         if self.order is None:
             base[(base <= 1e-300).any(axis=(1, 2))] = np.nan
         return base
@@ -153,12 +153,13 @@ class _System:
         if self.classical:
             E = np.exp(self.arguments(PHI, C))
             return E, E
-        base = self.bases(PHI, C)
+        base = self.bases(self.arguments(PHI, C))
         return base**self.power, base ** (self.power - 1)
 
-    def defect(self, PHI: np.ndarray, C: np.ndarray) -> np.ndarray:
-        """Per-context defect, (S, n); NaN on rows outside the domain."""
-        return self.summands(PHI, C)[0].sum(axis=2) - 1.0
+    def defect(self, U: np.ndarray) -> np.ndarray:
+        """Per-context defect sum_a E(u) - 1 of the arguments U, (S, n); NaN outside the domain."""
+        E = np.exp(U) if self.classical else self.bases(U) ** self.power
+        return E.sum(axis=2) - 1.0
 
     def newton_steps(self, dE: np.ndarray, F: np.ndarray) -> np.ndarray:
         """Newton steps on the free unknowns (phi[1:], c) of every row, (S, n).
@@ -244,7 +245,7 @@ def _newton(
 
 
 def _classify(sys: _System, phi: np.ndarray, c: float) -> tuple[bool, bool]:
-    base = sys.bases(phi[None], np.array([c]))
+    base = sys.bases(sys.arguments(phi[None], np.array([c])))
     positive = float(np.min(base)) > _BOUNDARY_MARGIN
     # a root touches the boundary when any single base sits at zero, even if
     # other summands have gone negative through the even-power extension
@@ -283,7 +284,8 @@ def _topical_root(sys: _System) -> tuple[np.ndarray, float, bool]:
                     PHI_t = PHI.copy()
                     PHI_t[:, 1:] += step[:, :-1]
                     C_t = C + step[:, -1]
-                    if np.abs(sys.defect(PHI_t, C_t)).max() <= np.abs(F).max():  # NaN: keep
+                    F_t = sys.defect(sys.arguments(PHI_t, C_t))
+                    if np.abs(F_t).max() <= np.abs(F).max():  # NaN: keep
                         PHI, C = PHI_t, C_t
                 return PHI[0], float(C[0]), _classify(sys, PHI[0], C[0])[0]
             retry = 0.5 * width

@@ -4,14 +4,17 @@
 observes ``SumBuckets.buckets``; ``perfbench/run.py`` reads one ``dt < X``
 wall-clock gate from the source of every catalog criterion.  A refactor that
 renames or reshapes any of these makes every traced criterion read as
-missing, so the contract is pinned here.  ``run.py`` itself is not imported:
-it rewrites the BLAS thread variables at import.
+missing, so the contract is pinned here.  ``run.py`` rewrites the BLAS
+thread variables at import, so it is imported with the environment restored.
 """
 
+import importlib
 import inspect
+import os
 import re
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -70,6 +73,15 @@ def test_traced_run_records_subadd_and_restores_originals():
 def test_each_criterion_has_one_wall_clock_gate(fn):
     source = inspect.getsource(fn.__wrapped__)
     assert len(re.findall(r"\bdt < ([0-9.eE+-]+)", source)) == 1
+
+
+def test_gate_bounds_are_pinned():
+    with mock.patch.dict(os.environ):
+        run = importlib.import_module("run")
+    assert run._gate_bounds() == {
+        1: 1e-3, 2: 1.0, 3: 2.0, 4: 1.0, 5: 60.0, 6: 60.0, 7: 5.0, 8: 10.0, 9: 30.0,
+        10: 5.0, 11: 5.0, 12: 5.0, 13: 2.0, 14: 5.0,
+    }
 
 
 def test_scan_keeps_the_call_shape_the_workload_uses():

@@ -1,7 +1,9 @@
 import argparse
+import dataclasses
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+import types
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -498,3 +501,52 @@ def test_paper_regression_subcommand_exits_zero():
     payload = run_json(["paper-regression"])
     assert payload["ok"] is True
     assert [c["criterion"] for c in payload["criteria"]] == list(range(1, 15))
+
+
+@pytest.fixture()
+def fresh_catalog():
+    # the criteria are cached: clear them so a patched library runs, and again after
+    for fn in cli.ALL_CRITERIA:
+        fn.cache_clear()
+    yield
+    for fn in cli.ALL_CRITERIA:
+        fn.cache_clear()
+
+
+def test_a_criterion_without_a_value_reports_null_and_drifts(fresh_catalog, monkeypatch):
+    # no roots: criteria 2-4 measure NaN or inf, which the JSON shows as null
+    monkeypatch.setattr(cli, "qruelle_solve", lambda *a, **k: [])
+    rc, out = run_cli(["paper-regression"])
+    payload = json.loads(out)
+    assert rc == 1
+    assert payload["drifted"] == [2, 3, 4] and payload["ok"] is False
+    measured = {c["criterion"]: c["measured"] for c in payload["criteria"]}
+    assert measured[2] == {"c_low": None, "c_high": None, "phi2": None, "branches": 0}
+    assert measured[3]["c_solver"] is None and measured[4]["max_recovery"] is None
+
+
+def test_a_slow_pass_misses_its_target_without_drifting(fresh_catalog, monkeypatch):
+    # a clock that steps 100 s per reading: every gate misses, no frozen check does
+    ticks = itertools.count()
+    clock = types.SimpleNamespace(perf_counter=lambda: 100.0 * next(ticks))
+    monkeypatch.setattr(cli, "time", clock)
+    report = cli.run_regression()
+    assert report["target_failures"] == list(range(1, 15))
+    assert report["drifted"] == []
+    for c in report["criteria"][10:13]:  # criteria 11-13, whose target is also their frozen check
+        assert c["target_pass"] is False and c["matches_expected"] is True
+
+
+def test_a_value_past_its_frozen_tolerance_drifts(fresh_catalog, monkeypatch):
+    # criterion 1 freezes its pressure to 1e-9; a 1e-6 move is drift
+    static_q_pressure = staticq.static_q_pressure
+
+    def moved(*args):
+        eq = static_q_pressure(*args)
+        return dataclasses.replace(eq, pressure=eq.pressure + 1e-6)
+
+    monkeypatch.setattr(staticq, "static_q_pressure", moved)
+    rc, out = run_cli(["paper-regression"])
+    payload = json.loads(out)
+    assert rc == 1
+    assert payload["drifted"] == [1] and payload["ok"] is False

@@ -431,7 +431,7 @@ def _richardson_slope(A, B, q_tilde, root):
     phi = root.phi[prefix_index(np.arange(sys.n), sys.d, sys.k, k)]
     h = 1e-4
     if sys.order is None:
-        h = min(h, 0.1 * float(sys.bases(phi[None], np.array([root.c])).min()))
+        h = min(h, 0.1 * float(sys.bases(sys.arguments(phi[None], np.array([root.c]))).min()))
         assume(h >= 1e-6)
     c = {}
     for s in (h, -h, h / 2, -h / 2):
@@ -692,7 +692,7 @@ def test_cutoff_map_stops_at_its_roundoff_floor(qt, seed):
     assert positive
     T = _cutoff_root(sys.A_vals + phi[sys.pre_idx], sys.qt)
     assert np.max(np.abs(T - phi - c)) <= 1e-12
-    assert np.max(np.abs(sys.defect(phi[None], np.array([c])))) <= 1e-12
+    assert np.max(np.abs(sys.defect(sys.arguments(phi[None], np.array([c]))))) <= 1e-12
 
 
 @pytest.mark.parametrize("d,memory", [(2, 1), (2, 2), (3, 2), (2, 3)])
