@@ -259,18 +259,27 @@ def _regularized_max(v: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
     return p, (p * (v + log_q(1.0 / np.maximum(p, 1e-300), q))).sum(axis=1)
 
 
-def _relative_value_iteration(T, n: int):
-    """Damped relative value iteration for a map T that is monotone and commutes with constants.
+def _relative_value_iteration(T, h: np.ndarray):
+    """Damped relative value iteration on a stack h (B, n) of rows for a map T, monotone and
+    commuting with constants, that takes the rows raveled: the library's one RVI loop.
 
-    Yields (h, lo, hi), lo = min(Th - h) <= c <= hi = max(Th - h) for c in
-    T(h*) = h* + c, then moves h <- (h + Th)/2, h[0] = 0; NonConvergenceError at 5,000.
+    Yields (h, lo, hi), lists lo = min(Th - h) <= c <= hi = max(Th - h) per row for c in
+    T(h*) = h* + c, then moves h <- (h + Th)/2, h[:, 0] = 0.  Rows whose indices the caller
+    sends go on alone.  One row runs as the vector h[0], sparing it the per-row slicing.
     """
-    h = np.zeros(n)
+    one = len(h) == 1
+    h = h[0] if one else h
     for _ in range(5000):
-        gap = T(h) - h
-        yield h, float(gap.min()), float(gap.max())
+        if one:
+            gap = T(h) - h
+            yield h[None], [float(gap.min())], [float(gap.max())]
+        else:
+            gap = T(h.ravel()).reshape(h.shape) - h
+            rows = yield h, gap.min(axis=1).tolist(), gap.max(axis=1).tolist()
+            if rows is not None:
+                h, gap = h[rows], gap[rows]
         h = h + 0.5 * gap
-        h -= h[0]
+        h = h - h[0] if one else h - h[:, :1]
     raise NonConvergenceError("relative value iteration did not close its bracket")
 
 

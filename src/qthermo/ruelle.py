@@ -257,13 +257,13 @@ def _topical_root(sys: _System) -> tuple[np.ndarray, float, bool]:
     """(phi, c, positive) with T(phi) = phi + c, T the cut-off map.
 
     T(phi)(x) is the t with sum_a E(A(a x) + phi(prefix_k(a x)) - t) = 1, E
-    the cut-off q-exponential (exp at q-tilde = 1).  Relative value iteration
-    brackets c.  On at most ``_NEWTON_CONTEXTS`` contexts, at hi - lo <=
-    1e-3*max(1, |hi|) with every base above the margin ``_newton`` finishes
-    the root, and one more Newton step is kept unless it raises the defect; a
-    failed finish is tried again each time the bracket has halved since.
-    Otherwise it runs to 1e-12*max(1, |hi|).  ``positive``: every base clears
-    the margin.  NonConvergenceError after 5,000 iterations.
+    the cut-off q-exponential (exp at q-tilde = 1).  Relative value iteration,
+    on a stack of one row, brackets c.  On at most ``_NEWTON_CONTEXTS``
+    contexts, at hi - lo <= 1e-3*max(1, |hi|) with every base above the margin
+    ``_newton`` finishes the root, and one more Newton step is kept unless it
+    raises the defect; a failed finish is tried again each time the bracket
+    has halved since.  Otherwise it runs to 1e-12*max(1, |hi|).  ``positive``:
+    every base clears the margin.  NonConvergenceError after 5,000 iterations.
     """
 
     def T(phi: np.ndarray) -> np.ndarray:
@@ -271,11 +271,11 @@ def _topical_root(sys: _System) -> tuple[np.ndarray, float, bool]:
 
     finish = sys.n <= _NEWTON_CONTEXTS
     retry = 1e-3  # the relative width at which the finish is (next) tried
-    for phi, lo, hi in _relative_value_iteration(T, sys.n):
+    for phi, (lo,), (hi,) in _relative_value_iteration(T, np.zeros((1, sys.n))):
         c = 0.5 * (lo + hi)
         width = (hi - lo) / max(1.0, abs(hi))
-        if finish and width <= retry and _classify(sys, phi, c)[0]:
-            PHI, C, ok = _newton(sys, phi[None], np.array([c]))
+        if finish and width <= retry and _classify(sys, phi[0], c)[0]:
+            PHI, C, ok = _newton(sys, phi, np.array([c]))
             if ok[0]:
                 E, dE = sys.summands(PHI, C)
                 F = E.sum(axis=2) - 1.0
@@ -290,7 +290,7 @@ def _topical_root(sys: _System) -> tuple[np.ndarray, float, bool]:
                 return PHI[0], float(C[0]), _classify(sys, PHI[0], C[0])[0]
             retry = 0.5 * width
         if width <= 1e-12:
-            return phi, c, _classify(sys, phi, c)[0]
+            return phi[0], c, _classify(sys, phi[0], c)[0]
 
 
 def leading_eig(M: TransferMatrix) -> tuple[float, np.ndarray, np.ndarray]:

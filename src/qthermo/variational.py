@@ -3,10 +3,10 @@
 These certify the solver constants independently.  The dynamical q-pressure,
 sup of H_q(mu) + int A dmu, is the gain of an entropy-regularized
 average-reward problem, solved by relative value iteration with a two-sided
-bracket.  One closed-form chart, ``_binary_chart``, gives the cylinder masses
-and backward conditionals of the binary memory-1 Markov measures; it tabulates
-the q-entropy over their two free transition probabilities and samples its
-midpoint gaps.
+bracket, one iteration for a whole stack of potentials.  One closed-form
+chart, ``_binary_chart``, gives the cylinder masses and backward conditionals
+of the binary memory-1 Markov measures; it tabulates the q-entropy over their
+two free transition probabilities and samples its midpoint gaps.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ _EPS = 1e-4
 
 @dataclass(frozen=True)
 class ScanResult:
-    """A scan's value and argmax, with ``bracket`` = (lo, hi) certifying lo <= sup <= hi.
+    """A scan's value and argmax, ``bracket`` = (lo, hi) certifying lo <= sup <= hi and
+    ``iterations``, the Bellman evaluations until it closed, the closing one counted.
     ``grid_n`` (echoed), ``refined`` (True) and ``excluded_fraction`` (0.0) stay for readers."""
 
     value: float
@@ -43,6 +44,7 @@ class ScanResult:
     refined: bool
     excluded_fraction: float
     bracket: tuple[float, float]
+    iterations: int
 
 
 def _binary_chart(p: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,37 +66,59 @@ def _binary_q_entropy(p: np.ndarray, r: np.ndarray, q: QParam) -> np.ndarray:
 
 
 def q_pressure_scan(A: Potential, q: QParam | float, grid_n: int) -> ScanResult:
-    """sup of H_q(mu) + int A dmu over Markov measures on the contexts of A.
+    """sup of H_q(mu) + int A dmu over Markov measures: ``q_pressure_scans`` of A alone."""
+    return q_pressure_scans([A], q, grid_n)[0]
+
+
+def q_pressure_scans(As: list[Potential], q: QParam | float, grid_n: int) -> list[ScanResult]:
+    """sup of H_q(mu) + int A dmu over Markov measures on the contexts of A, for each A of a stack.
 
     A measure, written by its backward Jacobian Q(a | x), is a policy of an
     average-reward problem whose gain is the sup.  The Bellman map
     T(h)(x) = max_Q sum_a Q_a (v_a + log_q(1/Q_a)), v_a = A(a x) + h(prefix_k(a x)),
-    is ``qfun._regularized_max``, monotone and commuting with constants, so
-    relative value iteration (Puterman 1994, 8.5.5) brackets the sup and runs
-    to hi - lo <= 1e-12*max(1, |hi|).  ``argmax`` is the stationary measure of
-    the last maximizing Jacobian (sparse at q > 1); ``value``, its objective,
-    reproduces exactly.  ``grid_n`` is only echoed.  Size guards as for
-    ``ruelle.transfer_matrix``; NonConvergenceError after 5,000 iterations.
+    is ``qfun._regularized_max``, monotone and commuting with constants, so one
+    relative value iteration (Puterman 1994, 8.5.5) brackets every sup, stopping
+    each row at hi - lo <= 1e-12*max(1, |hi|) as its scan alone would, up to the
+    last bit.  ``argmax`` is the stationary measure of the last maximizing
+    Jacobian (sparse at q > 1); ``value``, its objective, reproduces exactly.
+    ValueError for an empty stack or at the first A whose d or context length
+    differs; guards as for ``ruelle.transfer_matrix``; NonConvergenceError at 5,000.
     """
+    if not As:
+        raise ValueError("q_pressure_scans needs at least one potential")
     qp = QParam.of(q)
-    d, k = A.d, _guarded_context_length(A)
-    words, pre_idx, A_vals = _context_tables(A, k)
-
-    def bellman(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _regularized_max(A_vals + h[pre_idx], qp.q)
-
-    for h, lo, hi in _relative_value_iteration(lambda h: bellman(h)[1], d**k):
-        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
-            break
-    vals = np.empty(d ** (k + 1))
-    vals[words] = bellman(h)[0]
-    R = _backward_matrix(d, k, vals)
-    # zeros can make the chain periodic or partly transient, so its masses
-    # are solved for directly
-    mu = _forward_markov(d, k, R, _stationary(R.T))
-    value = float(q_entropy_markov(mu, qp) + mu.integrate(A))
-    return ScanResult(value, mu, grid_n=grid_n, refined=True, excluded_fraction=0.0,
-                      bracket=(lo, hi))
+    shapes = [(A.d, _guarded_context_length(A)) for A in As]
+    (d, k), bad = shapes[0], [i for i, dk in enumerate(shapes) if dk != shapes[0]]
+    if bad:
+        raise ValueError(f"potential {bad[0]} has (d, k) = {shapes[bad[0]]}, not {shapes[0]}")
+    tables = [_context_tables(A, k) for A in As]
+    (words, pre_idx, _), B, n = tables[0], len(As), d**k
+    A_vals = np.concatenate([t[2] for t in tables])  # (B n, d): the kernels take 2-d rows
+    idx = np.concatenate([pre_idx + n * i for i in range(B)])  # into h (B, n) raveled
+    live, v, ix, keep, step = list(range(B)), A_vals, idx, None, 0  # the iterated rows' tables
+    H, brackets, steps = np.zeros((B, n)), [None] * B, [0] * B  # H: each row's closing h
+    rvi = _relative_value_iteration(lambda h: _regularized_max(v + h[ix], qp.q)[1], H.copy())
+    while keep != []:  # [] once every row has stopped
+        (h, lo, hi), step = rvi.send(keep), step + 1
+        shut = [j for j, (a, b) in enumerate(zip(lo, hi)) if b - a <= 1e-12 * max(1.0, abs(b))]
+        for j in shut:
+            H[live[j]], brackets[live[j]], steps[live[j]] = h[j], (lo[j], hi[j]), step
+        keep = [j for j in range(len(live)) if j not in shut] if shut else None
+        if keep:
+            live, ix = [live[j] for j in keep], ix[: len(keep) * n]
+            v = v.reshape(-1, n, d)[keep].reshape(-1, d)
+    vals = np.empty((B, d ** (k + 1)))
+    vals[:, words] = _regularized_max(A_vals + H.ravel()[idx], qp.q)[0].reshape(B, n, d)
+    out = []
+    for A, row, bracket, it in zip(As, vals, brackets, steps):
+        R = _backward_matrix(d, k, row)
+        # zeros can make the chain periodic or partly transient, so its masses
+        # are solved for directly
+        mu = _forward_markov(d, k, R, _stationary(R.T))
+        value = float(q_entropy_markov(mu, qp) + mu.integrate(A))
+        out.append(ScanResult(value, mu, grid_n=grid_n, refined=True, excluded_fraction=0.0,
+                              bracket=bracket, iterations=it))
+    return out
 
 
 @dataclass(frozen=True)

@@ -466,6 +466,19 @@ def test_scipy_loads_lazily_from_cold_start(tmp_path):
     assert pressure == staticq.static_q_pressure_scan((0.5, 0.8), 1.2, 1 / 3).pressure
 
 
+def test_criterion_1_imports_no_module(tmp_path):
+    # its 1 ms gate times one cold call, so a module loaded inside it would be timed too
+    code = (
+        "import json, sys; from qthermo import cli; before = set(sys.modules); "
+        "cli.criterion_1(); print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_console_script_entry_point(monkeypatch):
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -8,8 +8,15 @@ from scipy.optimize import minimize
 
 from qthermo import cli, variational
 from qthermo.errors import SizeGuardError
-from qthermo.qfun import QParam, log_q
-from qthermo.ruelle import MarkovMeasure, classical_pressure, q_entropy_markov
+from qthermo.qfun import QParam, _regularized_max, log_q
+from qthermo.qsolve import _neg_log_q_inv, positive_branch
+from qthermo.ruelle import (
+    MarkovMeasure,
+    _context_tables,
+    classical_pressure,
+    q_entropy_markov,
+    random_jacobian,
+)
 from qthermo.shift import Potential, all_words
 from qthermo.variational import (
     _binary_chart,
@@ -18,6 +25,7 @@ from qthermo.variational import (
     entropy_surface,
     midpoint_concavity_report,
     q_pressure_scan,
+    q_pressure_scans,
 )
 
 A_01 = Potential(d=2, memory=1, values=np.array([0.0, 1.0]))
@@ -221,6 +229,79 @@ def test_scan_memory3_maximizer_with_two_closed_classes():
     assert res.value <= classical_pressure(A) + 1e-10
     again = q_entropy_markov(res.argmax, QParam(3.0)) + res.argmax.integrate(A)
     assert again == res.value
+
+
+def _single_row_scan_bracket(A, q):
+    """The scan's former one-potential loop: (bracket, Bellman evaluations) of
+    damped relative value iteration on a 1-d h, to hi - lo <= 1e-12*max(1, |hi|)."""
+    _, pre_idx, A_vals = _context_tables(A, A.context_length())
+    h = np.zeros(A.d ** A.context_length())
+    for step in range(1, 5001):
+        gap = _regularized_max(A_vals + h[pre_idx], q)[1] - h
+        lo, hi = float(gap.min()), float(gap.max())
+        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
+            return (lo, hi), step
+        h = h + 0.5 * gap
+        h -= h[0]
+    raise AssertionError("no closed bracket")
+
+
+@pytest.mark.parametrize("memory, q", [(1, 0.5), (2, 0.5), (2, 1.5), (3, 2.5), (2, 1.0)])
+def test_stack_of_one_is_the_single_row_loop(memory, q):
+    values = np.random.default_rng(memory).normal(0.0, 0.8, 2**memory)
+    A = Potential(d=2, memory=memory, values=values)
+    (res,) = q_pressure_scans([A], q, 8)
+    assert (res.bracket, res.iterations) == _single_row_scan_bracket(A, q)
+    one = q_pressure_scan(A, q, 8)
+    assert (one.value, one.bracket, one.iterations) == (res.value, res.bracket, res.iterations)
+    assert np.array_equal(one.argmax.P, res.argmax.P)
+
+
+@given(
+    d=st.sampled_from([2, 3]),
+    memory=st.integers(1, 3),
+    q=st.sampled_from([0.5, 1.0, 1.5, 2.5]),
+    size=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_stacked_scan_rows_match_their_single_scans(d, memory, q, size, seed):
+    rng = np.random.default_rng(seed)
+    # memories 1 and 2 share context length 1, so such a stack may mix them
+    mems = rng.choice([1, 2], size) if memory <= 2 else np.full(size, memory)
+    As = [Potential(d=d, memory=int(m), values=rng.normal(0.0, 0.8, d ** int(m))) for m in mems]
+    for A, res in zip(As, q_pressure_scans(As, q, 8)):
+        one = q_pressure_scan(A, q, 8)
+        assert abs(res.value - one.value) <= 1e-14 * max(1.0, abs(one.value))
+        lo, hi = res.bracket
+        assert lo - 1e-12 <= res.value <= hi + 1e-12
+        assert hi - lo <= 1e-12 * max(1.0, abs(hi))
+
+
+def test_stacked_scan_refuses_an_empty_or_mixed_stack():
+    with pytest.raises(ValueError, match="at least one"):
+        q_pressure_scans([], 0.5, 8)
+    A2 = Potential(d=2, memory=2, values=np.array([0.0, 1.0, 0.5, 0.2]))
+    with pytest.raises(ValueError, match=r"potential 2 has \(d, k\) = \(3, 1\), not \(2, 1\)"):
+        q_pressure_scans([A2, A_01, Potential.constant(3, 0.0), A2], 0.5, 8)
+    with pytest.raises(ValueError, match=r"potential 1 has \(d, k\) = \(2, 2\), not \(2, 1\)"):
+        q_pressure_scans([A_01, Potential.constant(2, 0.0, memory=3)], 0.5, 8)
+
+
+def test_scan_iterations_on_the_catalog_draws():
+    # criterion 5: the first 20 N(0, 0.8) memory-2 draws with a positive branch, at q = 3/2
+    rng = np.random.default_rng(0)
+    As = []
+    while len(As) < 20:
+        A = Potential(d=2, memory=2, values=rng.normal(0.0, 0.8, 4))
+        if positive_branch(A, 0.5) is not None:
+            As.append(A)
+    steps = [r.iterations for r in q_pressure_scans(As, 1.5, 400)]
+    assert (sum(steps), max(steps)) == (889, 126)
+    # criterion 6: A = -log_q(1/J) of the Jacobians of seeds 0-19, at q = 1/2
+    As = [_neg_log_q_inv(random_jacobian(2, 1, seed=s), QParam(0.5)) for s in range(20)]
+    steps = [r.iterations for r in q_pressure_scans(As, 0.5, 400)]
+    assert (sum(steps), max(steps), int(np.argmax(steps))) == (1563, 767, 6)
 
 
 def test_binary_chart_is_the_markov_measure():
