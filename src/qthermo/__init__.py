@@ -80,68 +80,3 @@ from .variational import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "EntropySurface",
-    "IdentityReport",
-    "Jacobian",
-    "MarkovMeasure",
-    "NonConvergenceError",
-    "Potential",
-    "QExpDomainError",
-    "QLogDomainError",
-    "QParam",
-    "QThermoError",
-    "ScanResult",
-    "SizeGuardError",
-    "SolveResult",
-    "StaticEquilibrium",
-    "SumBuckets",
-    "a_q_transform",
-    "all_words",
-    "asymptotic_pressure",
-    "beta_sweep",
-    "bridge_half",
-    "classical_pressure",
-    "derivative_identity_report",
-    "dexp_q",
-    "dlog_q",
-    "entropy_affinity_report",
-    "entropy_surface",
-    "equilibrium_markov",
-    "even_power_order",
-    "exp_q",
-    "exp_q_extended",
-    "explimeq_family",
-    "frak_L_n",
-    "identity_suite",
-    "index_word",
-    "jana_closed_form",
-    "ks_entropy",
-    "leading_eig",
-    "log_frak_L_sequence",
-    "log_q",
-    "meson_vericat_bernoulli",
-    "midpoint_concavity_report",
-    "normalize",
-    "phi_n",
-    "pressure_derivative",
-    "preimage_words",
-    "q_entropy_markov",
-    "q_entropy_variational",
-    "q_entropy_vec",
-    "q_equilibrium",
-    "q_pressure_scan",
-    "qruelle_residual",
-    "qruelle_solve",
-    "random_jacobian",
-    "relative_q_entropy",
-    "renyi_entropy",
-    "renyi_from_q_entropy",
-    "static_q_pressure",
-    "static_q_pressure_scan",
-    "supex_closed_form",
-    "transfer_matrix",
-    "variational_scan_subadd",
-    "word_index",
-]

@@ -331,8 +331,10 @@ def _criterion(index: int, title: str, gate, target, frozen=None, note: str = ""
 
     The body is timed here: ``target_pass`` is ``target(m) and gate(dt)`` and
     ``matches_expected`` is ``frozen(m)``, ``target`` when omitted, so a slow
-    pass never reads as drift.  Each gate is written ``gate=lambda dt: dt < X``
-    in the decorator lines, which ``inspect.getsource`` of the body includes.
+    pass never reads as drift.  A missed gate re-runs the body, at most twice,
+    and dt is the fastest run, so one preemption of a short body cannot fail
+    it.  Each gate is written ``gate=lambda dt: dt < X`` in the decorator
+    lines, which ``inspect.getsource`` of the body includes.
     Keys of ``m`` that begin with ``_`` feed the checks and are not reported,
     and a non-finite float reports as None while the checks see it.  A known
     defect's literal target is reproducibly unattainable, so ``run_regression``
@@ -344,9 +346,13 @@ def _criterion(index: int, title: str, gate, target, frozen=None, note: str = ""
         @functools.lru_cache(maxsize=None)
         @functools.wraps(body)
         def criterion() -> CriterionResult:
-            t0 = time.perf_counter()
-            m = body()
-            dt = time.perf_counter() - t0
+            dt = math.inf
+            for _ in range(3):
+                t0 = time.perf_counter()
+                m = body()
+                dt = min(dt, time.perf_counter() - t0)
+                if gate(dt):
+                    break
             measured = {k: None if isinstance(v, float) and not math.isfinite(v) else v
                         for k, v in m.items() if not k.startswith("_")}
             return CriterionResult(index, title, bool(target(m) and gate(dt)), bool(frozen(m)),

@@ -306,7 +306,7 @@ def a_q_transform(A: Potential, q: QParam | float) -> Potential:
     exp_q(A(a x)) f(a x).  Raises ``qfun._log_exp_q``'s QExpDomainError, whose
     ``argument`` is the first entry with 1 + (1-q)A <= 0.
     """
-    vals = _log_exp_q(np.asarray(A.values, dtype=float), QParam.of(q))
+    vals = _log_exp_q(np.asarray(A.values, dtype=float), QParam.of(q).q)
     return Potential(d=A.d, memory=A.memory, values=vals)
 
 
@@ -330,7 +330,7 @@ def bridge_general_g(
     if qp.classical:
         return float(a)
     # log of the right-hand side, kept in log form for stability
-    log_rhs = float(_log_exp_q(np.asarray(a, dtype=float), qp)) + r
+    log_rhs = float(_log_exp_q(np.asarray(a, dtype=float), qp.q)) + r
     return math.expm1((qp.q - 1.0) * log_rhs) / (qp.q - 1.0) - r
 
 

@@ -136,7 +136,7 @@ def static_q_pressure(payoff, beta: float, q: QParam | float) -> StaticEquilibri
     a = np.asarray(payoff, dtype=float)
     if a.ndim != 1 or a.size < 2:
         raise ValueError("payoff must be a 1-d vector with length >= 2")
-    log_w = _log_exp_q(beta * a, qp.dual)
+    log_w = _log_exp_q(beta * a, qp.dual.q)
     weights = np.exp(log_w - log_w.max())
     p = weights / weights.sum()
     return StaticEquilibrium(_objective(p, a, qp, beta), p)

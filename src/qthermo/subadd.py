@@ -59,7 +59,7 @@ def phi_n(A: Potential, q: QParam | float, w, tail):
     if words.shape[1] > 0:
         # an empty tail may be a float array; memory 1 needs none
         out = A.birkhoff_sum(np.hstack((words, tail[:, : m - 1])) if m > 1 else words)
-    out = _log_exp_q(out, qp)
+    out = _log_exp_q(out, qp.q)
     return float(out[0]) if np.ndim(w) == 1 else out
 
 

@@ -11,6 +11,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+import time
 import types
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -563,3 +564,59 @@ def test_a_value_past_its_frozen_tolerance_drifts(fresh_catalog, monkeypatch):
     payload = json.loads(out)
     assert rc == 1
     assert payload["drifted"] == [1] and payload["ok"] is False
+
+
+# the package's public names, as its former ``__all__`` listed them
+PUBLIC_NAMES = (
+    "EntropySurface", "IdentityReport", "Jacobian", "MarkovMeasure", "NonConvergenceError",
+    "Potential", "QExpDomainError", "QLogDomainError", "QParam", "QThermoError", "ScanResult",
+    "SizeGuardError", "SolveResult", "StaticEquilibrium", "SumBuckets", "a_q_transform",
+    "all_words", "asymptotic_pressure", "beta_sweep", "bridge_half", "classical_pressure",
+    "derivative_identity_report", "dexp_q", "dlog_q", "entropy_affinity_report", "entropy_surface",
+    "equilibrium_markov", "even_power_order", "exp_q", "exp_q_extended", "explimeq_family",
+    "frak_L_n", "identity_suite", "index_word", "jana_closed_form", "ks_entropy", "leading_eig",
+    "log_frak_L_sequence", "log_q", "meson_vericat_bernoulli", "midpoint_concavity_report",
+    "normalize", "phi_n", "pressure_derivative", "preimage_words", "q_entropy_markov",
+    "q_entropy_variational", "q_entropy_vec", "q_equilibrium", "q_pressure_scan",
+    "qruelle_residual", "qruelle_solve", "random_jacobian", "relative_q_entropy", "renyi_entropy",
+    "renyi_from_q_entropy", "static_q_pressure", "static_q_pressure_scan", "supex_closed_form",
+    "transfer_matrix", "variational_scan_subadd", "word_index",
+)
+
+
+def test_package_namespace_holds_every_public_name():
+    assert sorted(set(PUBLIC_NAMES) - set(dir(qthermo))) == []
+
+
+def _timed_criterion(monkeypatch, body):
+    """Run body as a fresh, unregistered catalog criterion with a 1 ms gate."""
+    monkeypatch.setattr(cli, "_CATALOG", {})
+    return cli._criterion(99, "timed", gate=lambda dt: dt < 1e-3, target=lambda m: True)(body)()
+
+
+def test_a_gate_missed_on_every_run_misses_after_three_runs(monkeypatch):
+    runs = []
+
+    def body():
+        runs.append(1)
+        time.sleep(2e-3)
+        return {}
+
+    result = _timed_criterion(monkeypatch, body)
+    assert len(runs) == 3
+    assert result.target_pass is False and result.matches_expected is True
+    assert result.seconds >= 2e-3
+
+
+def test_a_gate_missed_on_the_first_run_alone_passes_on_the_fastest(monkeypatch):
+    runs = []
+
+    def body():
+        runs.append(1)
+        if len(runs) == 1:
+            time.sleep(2e-2)  # a cold first call, as a preemption would make it
+        return {}
+
+    result = _timed_criterion(monkeypatch, body)
+    assert len(runs) == 2
+    assert result.target_pass is True and result.seconds < 1e-3

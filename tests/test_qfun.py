@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qthermo import qfun
 from qthermo.errors import QExpDomainError, QLogDomainError
 from qthermo.qfun import (
     QParam,
@@ -241,3 +242,119 @@ def test_cutoff_root_solves_its_equation(qt):
     tol = 1e-9 if qt == 1.0 - 1e-6 else 1e-13  # the power 1e6 amplifies the base's rounding
     assert np.max(np.abs(E.sum(axis=1) - 1.0)) <= tol
     assert np.all(t >= v.max(axis=1))
+
+
+# -- the one exp_q/log_q core -------------------------------------------------
+#
+# The public evaluators as they were written before they shared the core, kept
+# here as the bit-for-bit reference.  A power that overflows is inf in both.
+
+
+def _reference_exp_q(u, q):
+    qp = QParam.of(q)
+    arr = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore"):
+        log_e = arr
+        if not qp.classical:
+            x = (1.0 - qp.q) * arr
+            ok = (1.0 + x > 0.0) & np.isfinite(x)
+            if not ok.all():
+                raise QExpDomainError("reference", argument=float(arr[~ok][0]))
+            log_e = np.log1p(x) / (1.0 - qp.q)
+        out = np.exp(log_e)
+    return out if isinstance(u, np.ndarray) else float(out)
+
+
+def _reference_dexp_q(u, q):
+    with np.errstate(over="ignore"):
+        out = np.asarray(_reference_exp_q(u, q), dtype=float) ** QParam.of(q).q
+    return out if isinstance(u, np.ndarray) else float(out)
+
+
+def _reference_log_domain(u):
+    arr = np.asarray(u, dtype=float)
+    if not (arr.min(initial=np.inf) > 0.0 and np.all(np.isfinite(arr))):
+        raise QLogDomainError("reference")
+    return arr
+
+
+def _reference_log_q(u, q):
+    qp, arr = QParam.of(q), _reference_log_domain(u)
+    with np.errstate(over="ignore"):
+        out = np.log(arr) if qp.classical else np.expm1((1.0 - qp.q) * np.log(arr)) / (1.0 - qp.q)
+    return out if isinstance(u, np.ndarray) else float(out)
+
+
+def _reference_dlog_q(u, q):
+    qp, arr = QParam.of(q), _reference_log_domain(u)
+    with np.errstate(over="ignore"):
+        out = arr ** (-qp.q)
+    return out if isinstance(u, np.ndarray) else float(out)
+
+
+def _outcome(f, u, q):
+    """(type, bytes) of f(u, q)'s value, or (error type, its argument)."""
+    try:
+        out = f(u, q)
+    except (QExpDomainError, QLogDomainError) as exc:
+        return type(exc), getattr(exc, "argument", None)
+    return type(out), np.asarray(out).shape, np.asarray(out).tobytes()
+
+
+_U = st.one_of(st.floats(-20.0, 20.0), st.floats(allow_nan=True, allow_infinity=True),
+               st.sampled_from([0.0, 1e-300, 1.0, -2.0, 1e300]))
+
+
+@given(
+    q=st.one_of(st.floats(0.0, 3.0, exclude_min=True),
+                st.sampled_from([1.0 - 1e-9, 1.0 + 1e-9, 1.0, 0.5, 1.5, 2.0])),
+    u=st.one_of(_U, _U.map(np.array), st.lists(_U, max_size=6).map(lambda v: np.array(v, dtype=float))),
+)
+@settings(max_examples=600, deadline=None)
+def test_public_evaluators_are_bit_identical_to_their_former_formulas(q, u):
+    for f, ref in ((exp_q, _reference_exp_q), (dexp_q, _reference_dexp_q),
+                   (log_q, _reference_log_q), (dlog_q, _reference_dlog_q)):
+        got, want = _outcome(f, u, q), _outcome(ref, u, q)
+        assert got[0] is want[0]
+        if got[0] is QExpDomainError:
+            assert type(got[1]) is float
+            assert got[1] == want[1] or (math.isnan(got[1]) and math.isnan(want[1]))
+        else:
+            assert got == want
+
+
+def test_complex_core_is_the_real_core_on_the_real_axis():
+    rng = np.random.default_rng(0)
+    q = np.where(rng.random(2000) < 0.5, rng.uniform(0.05, 0.95, 2000), rng.uniform(1.05, 2.95, 2000))
+    u = rng.uniform(0.05, 4.0, 2000)  # log_q's domain
+    v = rng.uniform(-0.3, 0.3, 2000)  # exp_q's domain at every q drawn
+    for f, x in ((qfun._log_q, u), (qfun._dlog_q, u), (qfun._exp_q, v), (qfun._dexp_q, v)):
+        z = f(x + 0j, q)
+        assert np.all(z.imag == 0.0)
+        np.testing.assert_allclose(z.real, f(x, q), rtol=1e-14, atol=0.0)
+
+
+def test_complex_domain_test_reads_the_real_part():
+    u = np.array([0.5 + 1e-30j, -5.0 + 1e-30j])
+    with pytest.raises(QExpDomainError) as err:
+        qfun._log_exp_q(u, 0.5)
+    assert type(err.value.argument) is float and err.value.argument == -5.0
+
+
+def test_identity_suite_rows_are_at_rounding_level():
+    for seed in (0, 1, 2):
+        report = identity_suite(samples=10_000, seed=seed)
+        assert report.worst <= 1e-13, [(s.name, s.max_violation) for s in report.stats]
+
+
+@pytest.mark.parametrize("name, wrong, rows", [
+    ("_dexp_q", lambda u, q: np.asarray(qfun._exp_q(u, q)) ** (q + 1e-6),
+     {"dexp-derivative", "shift-derivative", "shift-second-derivative"}),
+    ("_dlog_q", lambda u, q: u ** (-q - 1e-6), {"dlog-derivative"}),
+])
+def test_a_wrong_derivative_formula_fails_the_battery(monkeypatch, name, wrong, rows):
+    # the derivative rows check the core's formulas themselves, by complex step
+    monkeypatch.setattr(qfun, name, wrong)
+    report = identity_suite(samples=10_000, seed=0)
+    assert not report.passed(1e-9)
+    assert {s.name for s in report.stats if s.max_violation > 1e-9} == rows
