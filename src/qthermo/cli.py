@@ -137,15 +137,15 @@ def _cmd_qfun(args: argparse.Namespace) -> dict:
     return {"op": args.op, "q": qp.q, "u": args.u, "value": value}
 
 
+def _finite_or_none(v):  # null in the JSON for a non-finite float
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _cmd_selftest(args: argparse.Namespace) -> dict:
     report = qfun.identity_suite(samples=args.samples, seed=args.seed)
-    return {
-        "seed": args.seed,
-        "samples": args.samples,
-        "max_violation": report.worst,
-        "passed": report.passed(1e-9),
-        "identities": report.as_rows(),
-    }
+    rows = [{**r, "max_violation": _finite_or_none(r["max_violation"])} for r in report.as_rows()]
+    return {"seed": args.seed, "samples": args.samples, "max_violation": _finite_or_none(report.worst),
+            "passed": report.passed(1e-9), "identities": rows}
 
 
 def _cmd_static_pressure(args: argparse.Namespace) -> dict:
@@ -353,8 +353,7 @@ def _criterion(index: int, title: str, gate, target, frozen=None, note: str = ""
                 dt = min(dt, time.perf_counter() - t0)
                 if gate(dt):
                     break
-            measured = {k: None if isinstance(v, float) and not math.isfinite(v) else v
-                        for k, v in m.items() if not k.startswith("_")}
+            measured = {k: _finite_or_none(v) for k, v in m.items() if not k.startswith("_")}
             return CriterionResult(index, title, bool(target(m) and gate(dt)), bool(frozen(m)),
                                    known_defect, dt, measured, note)
 

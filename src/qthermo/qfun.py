@@ -18,8 +18,8 @@ and the domain errors.
 (duality, pseudo-additivity, escort inversions, Taylor expansions, derivative
 formulas, entropy-ordering inequalities) on those same evaluators, at seeded
 random admissible points, and reports the worst violation per identity; every
-row counts toward the gate.  Its derivative rows take the complex step of the
-core and compare it with ``_dexp_q`` and ``_dlog_q``.
+row counts toward the gate, and a NaN point fails it.  Its derivative rows take
+the complex step of the core and compare it with ``_dexp_q`` and ``_dlog_q``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonConvergenceError, QExpDomainError, QLogDomainError
+from .errors import QExpDomainError, QLogDomainError
 
 #: |q - 1| at or below this switches to the classical exp/log branch.
 CLASSICAL_Q_TOL = 1e-8
@@ -236,7 +236,7 @@ def _logsumexp(x: np.ndarray) -> float:
 
 
 def _cutoff_root(v: np.ndarray, qt: float) -> np.ndarray:
-    """The t, per row of v (n, d), with sum_a E(v_a - t) = 1, E(u) = max(1 + (1-qt)u, 0)^(1/(1-qt)).
+    """The t per row of v (..., d) with sum_a E(v_a - t) = 1, E(u) = max(1 + (1-qt)u, 0)^(1/(1-qt)).
 
     At qt = 1 (CLASSICAL_Q_TOL) t is the log-sum-exp.  The sum falls in t from
     >= 1 at t = max v.  For qt > 0 it is convex, so Newton from max v climbs
@@ -245,38 +245,38 @@ def _cutoff_root(v: np.ndarray, qt: float) -> np.ndarray:
     form, as the power 1/(1-qt) amplifies the base's rounding.  For qt <= 0
     t is bisected in [max v, max v - log_qt(1/d)], where each summand ends <= 1/d.
     """
-    t = v.max(axis=1)
+    t = v.max(axis=-1)
     if abs(qt - 1.0) <= CLASSICAL_Q_TOL:
-        return t + np.log(np.exp(v - t[:, None]).sum(axis=1))
+        return t + np.log(np.exp(v - t[..., None]).sum(axis=-1))
     if qt > 0.0:
         power = even_power_order(qt) or 1.0 / (1.0 - qt)
         F_prev = np.inf
         while True:
-            y = (1.0 - qt) * (v - t[:, None])
+            y = (1.0 - qt) * (v - t[..., None])
             base = np.maximum(1.0 + y, 0.0)
             dE = base ** (power - 1)  # minus the t-derivative of each summand
             if abs(1.0 - qt) < 1e-2:
                 with np.errstate(divide="ignore"):  # log1p(-1) = -inf: a cut-off summand
-                    F = np.exp(power * np.log1p(np.maximum(y, -1.0))).sum(axis=1) - 1.0
+                    F = np.exp(power * np.log1p(np.maximum(y, -1.0))).sum(axis=-1) - 1.0
             else:
-                F = (base * dE).sum(axis=1) - 1.0
-            step = F / dE.sum(axis=1)
+                F = (base * dE).sum(axis=-1) - 1.0
+            step = F / dE.sum(axis=-1)
             t = t + step
             if not ((step > 1e-15 * np.maximum(1.0, np.abs(t))) & (F < F_prev)).any():
                 return t
             F_prev = F
     power = 1.0 / (1.0 - qt)
-    lo, hi = t, t + (1.0 - v.shape[1] ** (qt - 1.0)) * power
+    lo, hi = t, t + (1.0 - v.shape[-1] ** (qt - 1.0)) * power
     while True:
         mid = 0.5 * (lo + hi)
         if np.all((mid == lo) | (mid == hi) | (hi - lo <= 1e-16)):
             return mid
-        F = (np.maximum(1.0 + (1.0 - qt) * (v - mid[:, None]), 0.0) ** power).sum(axis=1)
+        F = (np.maximum(1.0 + (1.0 - qt) * (v - mid[..., None]), 0.0) ** power).sum(axis=-1)
         lo, hi = np.where(F > 1.0, mid, lo), np.where(F > 1.0, hi, mid)
 
 
 def _regularized_max(v: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """(p, S) per row of v (n, d): p maximizes <p, v> + H_q(p) over the simplex, S is the max.
+    """(p, S) per row of v (..., d): p maximizes <p, v> + H_q(p) over the simplex, S is the max.
 
     With u = (v - 1)/q and t the cut-off root of u at qt = 2 - q, the KKT
     solution is p_a = E_(2-q)(u_a - t), sparse at q > 1.  S is the objective
@@ -285,36 +285,12 @@ def _regularized_max(v: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
     u = (v - 1.0) / q
     t = _cutoff_root(u, 2.0 - q)
     if abs(q - 1.0) <= CLASSICAL_Q_TOL:
-        p = np.exp(u - t[:, None])
+        p = np.exp(u - t[..., None])
     else:
         with np.errstate(divide="ignore"):  # log1p(-1) = -inf: a cut-off entry
-            p = np.exp(np.log1p(np.maximum((q - 1.0) * (u - t[:, None]), -1.0)) / (q - 1.0))
-    p = p / p.sum(axis=1, keepdims=True)  # the floor keeps 1/p finite where p vanishes
-    return p, (p * (v + log_q(1.0 / np.maximum(p, 1e-300), q))).sum(axis=1)
-
-
-def _relative_value_iteration(T, h: np.ndarray):
-    """Damped relative value iteration on a stack h (B, n) of rows for a map T, monotone and
-    commuting with constants, that takes the rows raveled: the library's one RVI loop.
-
-    Yields (h, lo, hi), lists lo = min(Th - h) <= c <= hi = max(Th - h) per row for c in
-    T(h*) = h* + c, then moves h <- (h + Th)/2, h[:, 0] = 0.  Rows whose indices the caller
-    sends go on alone.  One row runs as the vector h[0], sparing it the per-row slicing.
-    """
-    one = len(h) == 1
-    h = h[0] if one else h
-    for _ in range(5000):
-        if one:
-            gap = T(h) - h
-            yield h[None], [float(gap.min())], [float(gap.max())]
-        else:
-            gap = T(h.ravel()).reshape(h.shape) - h
-            rows = yield h, gap.min(axis=1).tolist(), gap.max(axis=1).tolist()
-            if rows is not None:
-                h, gap = h[rows], gap[rows]
-        h = h + 0.5 * gap
-        h = h - h[0] if one else h - h[:, :1]
-    raise NonConvergenceError("relative value iteration did not close its bracket")
+            p = np.exp(np.log1p(np.maximum((q - 1.0) * (u - t[..., None]), -1.0)) / (q - 1.0))
+    p = p / p.sum(axis=-1, keepdims=True)  # the floor keeps 1/p finite where p vanishes
+    return p, (p * (v + log_q(1.0 / np.maximum(p, 1e-300), q))).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +321,8 @@ class IdentityReport:
 
     @property
     def worst(self) -> float:
-        return max((s.max_violation for s in self.stats), default=0.0)
+        """The largest violation of any row; NaN when any row is NaN, whatever the order."""
+        return float(np.max([s.max_violation for s in self.stats], initial=0.0))
 
     def passed(self, tol: float = 1e-9) -> bool:
         return self.worst <= tol
@@ -387,16 +364,12 @@ def identity_suite(samples: int = 10_000, seed: int = 0) -> IdentityReport:
     report = IdentityReport()
 
     def add(name, fn, note=""):
-        worst = 0.0
-        total = 0
-        guard = 0
+        worst, total, guard = 0.0, 0, 0
         while total < samples and guard < 80:
             guard += 1
             viol = fn(rng, samples)
-            viol = viol[np.isfinite(viol)]
-            if viol.size:
-                worst = max(worst, float(np.max(viol)))
-                total += int(viol.size)
+            worst = float(np.max(viol, initial=worst))  # a NaN point is the worst
+            total += int(viol.size)
         report.stats.append(IdentityStat(name, total, worst, note))
 
     def prop1a(rng, n):

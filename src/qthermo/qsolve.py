@@ -9,9 +9,9 @@ index q-tilde, context words of length k = max(m - 1, 1), and unknowns
 for every context word x; at qt = 1 exp_qt is exp and the equation is the
 classical eigen-equation.  A root with positive summands is the unique
 fixed point, T(phi) = phi + c, of a monotone cut-off map, found by
-``ruelle._topical_root``, the one root kernel at every qt; T is
-``qfun._cutoff_root`` per context, the kernel of the variational scan and
-the static equilibrium too; ``positive_branch`` returns that root.  When
+``ruelle._topical_root``, the one root kernel at every qt: the library's one
+fixed-point loop on the map ``qfun._cutoff_root`` per context, with a Newton
+finish; ``positive_branch`` returns that root.  When
 1/(1 - qt) is an even positive integer the q-exponential extends to a global
 polynomial and ``qruelle_solve`` also runs a batched multistart Newton lattice
 for roots whose summand bases are negative or zero; otherwise evaluation is

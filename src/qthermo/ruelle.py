@@ -1,9 +1,11 @@
 """Classical (extensive) thermodynamic formalism on the full shift.
 
-Transfer matrices for locally constant potentials; the root kernel of the
-equation of ``qsolve`` at every q-tilde (``_System``, ``_topical_root``),
-whose q-tilde = 1 case gives the leading eigendata; normalization to a
-Jacobian, stationary Markov equilibrium states, and the entropy zoo:
+Transfer matrices for locally constant potentials; the one fixed-point loop,
+``_relative_value_iteration`` on stacked context tables, which drives the
+scans of ``variational`` and the root kernel of the equation of ``qsolve`` at
+every q-tilde (``_System``, ``_topical_root``), whose q-tilde = 1 case gives
+the leading eigendata; normalization to a Jacobian, stationary Markov
+equilibrium states, and the entropy zoo:
 Kolmogorov-Shannon entropy, dynamical q-entropy, relative q-entropy, and the
 variational (infimum) form of the q-entropy, a convex program for q <= 1.
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError, QLogDomainError, SizeGuardError
-from .qfun import QParam, _cutoff_root, _relative_value_iteration, even_power_order, log_q
+from .qfun import QParam, _cutoff_root, even_power_order, log_q
 from .shift import Potential, drop_first, drop_last, prefix_index, prepend, word_index
 
 _STATE_GUARD = 4096
@@ -73,6 +75,47 @@ def _context_tables(A: Potential, k: int) -> tuple[np.ndarray, np.ndarray, np.nd
     d = A.d
     words = prepend(np.arange(1, d + 1), np.arange(d**k)[:, None], d, k)
     return words, drop_last(words, d), A.values[prefix_index(words, d, k + 1, A.memory)]
+
+
+def _relative_value_iteration(V: np.ndarray, pre_idx: np.ndarray, kernel, finish=None):
+    """Damped relative value iteration on a stack of tables V (B, n, d): the one fixed-point loop.
+
+    Row i iterates T(h) = kernel(V[i] + h[pre_idx]) for a ``kernel`` from (..., d) to (...),
+    monotone and commuting with constants, so lo = min(Th - h) <= c <= hi = max(Th - h) for c
+    in T(h*) = h* + c.  Each step moves h <- (h + Th)/2, h[0] = 0.  A row leaves the stack at
+    hi - lo <= 1e-12*max(1, |hi|), or when ``finish(i, h, lo, hi)`` returns other than None;
+    finish is tried at a relative width of 1e-3 and again each time the width has halved.
+    Returns per row h (B, n), (lo, hi), the kernel evaluations (the last counted) and finish's
+    result or None.  NonConvergenceError after 5,000 evaluations.
+    """
+    B, n, _ = V.shape
+    H, brackets, steps, results = np.empty((B, n)), [None] * B, [0] * B, [None] * B
+    live, retry, one = list(range(B)), [1e-3] * B, B == 1
+    h = np.zeros(n if one else (B, n))  # a lone row runs as a vector on its 2-d table
+    V, idx = (V[0], pre_idx) if one else (V, pre_idx + np.arange(0, B * n, n)[:, None, None])
+    for step in range(1, 5001):
+        gap = kernel(V + h.ravel()[idx]) - h  # idx reads h raveled
+        rows, keep = gap.reshape(-1, n), []  # keep: (place, width) of each row that stays
+        los, his = rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
+        for j in range(len(live)):
+            i, lo, hi = live[j], los[j], his[j]
+            width = (hi - lo) / max(1.0, abs(hi))
+            if finish is not None and width <= retry[i]:
+                results[i], retry[i] = finish(i, h.reshape(-1, n)[j], lo, hi), 0.5 * width
+            if width <= 1e-12 or results[i] is not None:
+                H[i], brackets[i], steps[i] = h.reshape(-1, n)[j], (lo, hi), step
+            else:
+                keep.append((j, width))
+        if not keep:
+            return H, brackets, steps, results
+        h = h + 0.5 * gap
+        h = h - (h[0] if one else h[:, :1])
+        if len(keep) < len(live):
+            stay = [j for j, _ in keep]
+            live, h, V, idx = [live[j] for j in stay], h[stay], V[stay], idx[: len(stay)]
+    raise NonConvergenceError(
+        f"relative value iteration left {len(live)} of {B} rows open after 5000 steps, the "
+        f"widest at relative width {np.max([w for _, w in keep]):.3g}")
 
 
 def transfer_matrix(A: Potential) -> TransferMatrix:
@@ -249,48 +292,44 @@ def _classify(sys: _System, phi: np.ndarray, c: float) -> tuple[bool, bool]:
     positive = float(np.min(base)) > _BOUNDARY_MARGIN
     # a root touches the boundary when any single base sits at zero, even if
     # other summands have gone negative through the even-power extension
-    boundary = bool(np.any(np.abs(base) <= _BOUNDARY_MARGIN))
+    boundary = not positive and bool(np.any(np.abs(base) <= _BOUNDARY_MARGIN))
     return positive, boundary
 
 
 def _topical_root(sys: _System) -> tuple[np.ndarray, float, bool]:
     """(phi, c, positive) with T(phi) = phi + c, T the cut-off map.
 
-    T(phi)(x) is the t with sum_a E(A(a x) + phi(prefix_k(a x)) - t) = 1, E
-    the cut-off q-exponential (exp at q-tilde = 1).  Relative value iteration,
-    on a stack of one row, brackets c.  On at most ``_NEWTON_CONTEXTS``
-    contexts, at hi - lo <= 1e-3*max(1, |hi|) with every base above the margin
-    ``_newton`` finishes the root, and one more Newton step is kept unless it
-    raises the defect; a failed finish is tried again each time the bracket
-    has halved since.  Otherwise it runs to 1e-12*max(1, |hi|).  ``positive``:
-    every base clears the margin.  NonConvergenceError after 5,000 iterations.
+    T(phi)(x) is the t with sum_a E(A(a x) + phi(prefix_k(a x)) - t) = 1, E the cut-off
+    q-exponential (exp at q-tilde = 1): ``_relative_value_iteration`` of ``_cutoff_root`` on
+    one row.  On at most ``_NEWTON_CONTEXTS`` contexts its finish, where every base at the
+    bracket's midpoint clears the margin, is ``_newton`` plus one more Newton step, kept
+    unless it raises the defect.  ``positive``: every base clears the margin.
     """
 
-    def T(phi: np.ndarray) -> np.ndarray:
-        return _cutoff_root(sys.A_vals + phi[sys.pre_idx], sys.qt)
-
-    finish = sys.n <= _NEWTON_CONTEXTS
-    retry = 1e-3  # the relative width at which the finish is (next) tried
-    for phi, (lo,), (hi,) in _relative_value_iteration(T, np.zeros((1, sys.n))):
+    def finish(_, phi: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, float] | None:
         c = 0.5 * (lo + hi)
-        width = (hi - lo) / max(1.0, abs(hi))
-        if finish and width <= retry and _classify(sys, phi[0], c)[0]:
-            PHI, C, ok = _newton(sys, phi, np.array([c]))
-            if ok[0]:
-                E, dE = sys.summands(PHI, C)
-                F = E.sum(axis=2) - 1.0
-                step = sys.newton_steps(dE, F)
-                if np.isfinite(step).all():
-                    PHI_t = PHI.copy()
-                    PHI_t[:, 1:] += step[:, :-1]
-                    C_t = C + step[:, -1]
-                    F_t = sys.defect(sys.arguments(PHI_t, C_t))
-                    if np.abs(F_t).max() <= np.abs(F).max():  # NaN: keep
-                        PHI, C = PHI_t, C_t
-                return PHI[0], float(C[0]), _classify(sys, PHI[0], C[0])[0]
-            retry = 0.5 * width
-        if width <= 1e-12:
-            return phi[0], c, _classify(sys, phi[0], c)[0]
+        if not _classify(sys, phi, c)[0]:
+            return None
+        PHI, C, ok = _newton(sys, phi[None], np.array([c]))
+        if not ok[0]:
+            return None
+        E, dE = sys.summands(PHI, C)
+        F = E.sum(axis=2) - 1.0
+        step = sys.newton_steps(dE, F)
+        if np.isfinite(step).all():
+            PHI_t = PHI.copy()
+            PHI_t[:, 1:] += step[:, :-1]
+            C_t = C + step[:, -1]
+            F_t = sys.defect(sys.arguments(PHI_t, C_t))
+            if np.abs(F_t).max() <= np.abs(F).max():  # NaN: keep
+                PHI, C = PHI_t, C_t
+        return PHI[0], float(C[0])
+
+    H, ((lo, hi),), _, (done,) = _relative_value_iteration(
+        sys.A_vals[None], sys.pre_idx, lambda v: _cutoff_root(v, sys.qt),
+        finish if sys.n <= _NEWTON_CONTEXTS else None)
+    phi, c = done or (H[0], 0.5 * (lo + hi))
+    return phi, c, _classify(sys, phi, c)[0]
 
 
 def leading_eig(M: TransferMatrix) -> tuple[float, np.ndarray, np.ndarray]:

@@ -2,8 +2,8 @@
 
 These certify the solver constants independently.  The dynamical q-pressure,
 sup of H_q(mu) + int A dmu, is the gain of an entropy-regularized
-average-reward problem, solved by relative value iteration with a two-sided
-bracket, one iteration for a whole stack of potentials.  One closed-form
+average-reward problem, bracketed by ``ruelle._relative_value_iteration``,
+one call for a whole stack of potentials.  One closed-form
 chart, ``_binary_chart``, gives the cylinder masses and backward conditionals
 of the binary memory-1 Markov measures; it tabulates the q-entropy over their
 two free transition probabilities and samples its midpoint gaps.
@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QThermoError
-from .qfun import QParam, _regularized_max, _relative_value_iteration, log_q
+from .qfun import QParam, _regularized_max, log_q
 from .ruelle import (
     MarkovMeasure,
     _backward_matrix,
     _context_tables,
     _forward_markov,
     _guarded_context_length,
+    _relative_value_iteration,
     _stationary,
     q_entropy_markov,
     variational_entropy_of_masses,
@@ -92,23 +93,11 @@ def q_pressure_scans(As: list[Potential], q: QParam | float, grid_n: int) -> lis
     if bad:
         raise ValueError(f"potential {bad[0]} has (d, k) = {shapes[bad[0]]}, not {shapes[0]}")
     tables = [_context_tables(A, k) for A in As]
-    (words, pre_idx, _), B, n = tables[0], len(As), d**k
-    A_vals = np.concatenate([t[2] for t in tables])  # (B n, d): the kernels take 2-d rows
-    idx = np.concatenate([pre_idx + n * i for i in range(B)])  # into h (B, n) raveled
-    live, v, ix, keep, step = list(range(B)), A_vals, idx, None, 0  # the iterated rows' tables
-    H, brackets, steps = np.zeros((B, n)), [None] * B, [0] * B  # H: each row's closing h
-    rvi = _relative_value_iteration(lambda h: _regularized_max(v + h[ix], qp.q)[1], H.copy())
-    while keep != []:  # [] once every row has stopped
-        (h, lo, hi), step = rvi.send(keep), step + 1
-        shut = [j for j, (a, b) in enumerate(zip(lo, hi)) if b - a <= 1e-12 * max(1.0, abs(b))]
-        for j in shut:
-            H[live[j]], brackets[live[j]], steps[live[j]] = h[j], (lo[j], hi[j]), step
-        keep = [j for j in range(len(live)) if j not in shut] if shut else None
-        if keep:
-            live, ix = [live[j] for j in keep], ix[: len(keep) * n]
-            v = v.reshape(-1, n, d)[keep].reshape(-1, d)
-    vals = np.empty((B, d ** (k + 1)))
-    vals[:, words] = _regularized_max(A_vals + H.ravel()[idx], qp.q)[0].reshape(B, n, d)
+    words, pre_idx, V = tables[0][0], tables[0][1], np.stack([t[2] for t in tables])
+    H, brackets, steps, _ = _relative_value_iteration(
+        V, pre_idx, lambda v: _regularized_max(v, qp.q)[1])
+    vals = np.empty((len(As), d ** (k + 1)))
+    vals[:, words] = _regularized_max(V + H[:, pre_idx], qp.q)[0]
     out = []
     for A, row, bracket, it in zip(As, vals, brackets, steps):
         R = _backward_matrix(d, k, row)

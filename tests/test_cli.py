@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import qthermo
-from qthermo import cli, staticq
+from qthermo import cli, qfun, staticq
 from qthermo.qfun import QParam, log_q
 from qthermo.shift import Potential
 
@@ -385,6 +385,16 @@ def test_seed_is_echoed():
     payload = run_json(["selftest", "--samples", "200", "--seed", "7"])
     assert payload["seed"] == 7
     assert payload["passed"] is True
+
+
+def test_selftest_reports_a_nan_row_as_null_and_fails(monkeypatch):
+    monkeypatch.setattr(qfun, "_dexp_q", lambda u, q: np.full(np.shape(u), np.nan))
+    rc, out = run_cli(["selftest", "--samples", "2000"])
+    payload = json.loads(out)
+    assert rc == 1 and payload["passed"] is False and payload["max_violation"] is None
+    rows = {r["identity"]: r for r in payload["identities"]}
+    for name in ("dexp-derivative", "shift-derivative"):
+        assert rows[name]["max_violation"] is None and rows[name]["points"] >= 2000
 
 
 QFUN_EXP_ARGS = ["qfun", "--op", "exp", "--u", "0.25", "--q", "0.5"]

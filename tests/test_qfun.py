@@ -347,6 +347,19 @@ def test_identity_suite_rows_are_at_rounding_level():
         assert report.worst <= 1e-13, [(s.name, s.max_violation) for s in report.stats]
 
 
+def test_non_finite_violations_fail_their_rows(monkeypatch):
+    # a NaN point is a failing point: the rows keep their full counts, and the
+    # report's worst is NaN whichever row comes first
+    monkeypatch.setattr(qfun, "_dexp_q", lambda u, q: np.full(np.shape(u), np.nan))
+    report = identity_suite(samples=2000, seed=0)
+    nan_rows = {s.name for s in report.stats if math.isnan(s.max_violation)}
+    assert nan_rows == {"dexp-derivative", "shift-derivative"}
+    assert all(s.points >= 2000 for s in report.stats if s.name in nan_rows)
+    assert math.isnan(report.worst) and not report.passed(1e-9)
+    report.stats.reverse()
+    assert math.isnan(report.worst)
+
+
 @pytest.mark.parametrize("name, wrong, rows", [
     ("_dexp_q", lambda u, q: np.asarray(qfun._exp_q(u, q)) ** (q + 1e-6),
      {"dexp-derivative", "shift-derivative", "shift-second-derivative"}),

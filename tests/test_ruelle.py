@@ -3,13 +3,20 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qthermo import ruelle
 from qthermo.errors import NonConvergenceError, QLogDomainError
-from qthermo.qfun import QParam, log_q
+from qthermo.qfun import QParam, _cutoff_root, log_q
 from qthermo.ruelle import (
+    _NEWTON_CONTEXTS,
     Jacobian,
     MarkovMeasure,
+    _classify,
+    _context_tables,
+    _newton,
+    _relative_value_iteration,
     _System,
     _topical_root,
     classical_pressure,
@@ -426,6 +433,100 @@ def test_variational_entropy_refuses_an_unconverged_minimizer(monkeypatch):
     mu = MarkovMeasure.from_transitions(2, 1, np.array([[0.7, 0.3], [0.6, 0.4]]))
     with pytest.raises(NonConvergenceError):
         variational_entropy_of_masses(mu.cylinder_masses(2), 2, 2, 0.5)
+
+
+# -- the one fixed-point loop against the loops it replaced -------------------
+
+
+def _single_row_root(sys):
+    """The root kernel's former loop: relative value iteration of the cut-off map
+    on a 1-d phi, finished by Newton plus one kept step, to (phi, c, positive)."""
+    retry = 1e-3
+    phi = np.zeros(sys.n)
+    for _ in range(5000):
+        gap = _cutoff_root(sys.A_vals + phi[sys.pre_idx], sys.qt) - phi
+        lo, hi = float(gap.min()), float(gap.max())
+        c = 0.5 * (lo + hi)
+        width = (hi - lo) / max(1.0, abs(hi))
+        if sys.n <= _NEWTON_CONTEXTS and width <= retry and _classify(sys, phi, c)[0]:
+            PHI, C, ok = _newton(sys, phi[None], np.array([c]))
+            if ok[0]:
+                E, dE = sys.summands(PHI, C)
+                F = E.sum(axis=2) - 1.0
+                step = sys.newton_steps(dE, F)
+                if np.isfinite(step).all():
+                    PHI_t = PHI.copy()
+                    PHI_t[:, 1:] += step[:, :-1]
+                    C_t = C + step[:, -1]
+                    F_t = sys.defect(sys.arguments(PHI_t, C_t))
+                    if np.abs(F_t).max() <= np.abs(F).max():
+                        PHI, C = PHI_t, C_t
+                return PHI[0], float(C[0]), _classify(sys, PHI[0], C[0])[0]
+            retry = 0.5 * width
+        if width <= 1e-12:
+            return phi, c, _classify(sys, phi, c)[0]
+        phi = phi + 0.5 * gap
+        phi = phi - phi[0]
+    raise NonConvergenceError("no closed bracket")
+
+
+@given(
+    d=st.sampled_from([2, 3]),
+    memory=st.integers(1, 3),
+    qt=st.sampled_from([0.3, 0.5, 0.7, 1.0, 1.5, 2.5]),
+    sigma=st.sampled_from([0.3, 1.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_root_is_the_single_row_loop(d, memory, qt, sigma, seed):
+    A = Potential(d=d, memory=memory, values=np.random.default_rng(seed).normal(0.0, sigma, d**memory))
+    sys = _System(A, QParam(qt))
+    try:
+        ref_phi, ref_c, ref_positive = _single_row_root(sys)
+    except NonConvergenceError:  # a rare slow draw: it must raise alike
+        with pytest.raises(NonConvergenceError):
+            _topical_root(sys)
+        return
+    phi, c, positive = _topical_root(sys)
+    assert (phi.tobytes(), c, positive) == (ref_phi.tobytes(), ref_c, ref_positive)
+
+
+def test_stacked_rows_run_as_alone_when_one_finishes():
+    # at q-tilde = 1 the kernel is the row-wise log-sum-exp, so a stacked row
+    # must reproduce its lone run to the bit
+    rng = np.random.default_rng(3)
+    V = np.stack([_context_tables(Potential(2, 2, rng.normal(0.0, s, 4)), 1)[2] for s in (0.3, 3.0, 1.0, 2.0)])
+    pre_idx = _context_tables(Potential.constant(2, 0.0, 2), 1)[1]
+
+    def kernel(v):
+        return _cutoff_root(v, 1.0)
+
+    tried = {}  # each row's relative widths at its finish's tries
+
+    def finish(i, h, lo, hi):
+        tried.setdefault(i, []).append((hi - lo) / max(1.0, abs(hi)))
+        return "finished" if i == 1 else None
+
+    H, brackets, steps, results = _relative_value_iteration(V, pre_idx, kernel, finish)
+    assert results == [None, "finished", None, None]
+    assert len(set(steps)) == len(steps)
+    for w in tried.values():  # first at 1e-3, then each time the width has halved
+        assert w[0] <= 1e-3 and all(b <= 0.5 * a for a, b in zip(w, w[1:]))
+    assert len(tried[1]) == 1 and min(len(tried[i]) for i in (0, 2, 3)) > 1
+    for i in (0, 2, 3):
+        alone = _relative_value_iteration(V[i : i + 1], pre_idx, kernel)
+        assert (H[i].tobytes(), brackets[i], steps[i]) == (alone[0][0].tobytes(), alone[1][0], alone[2][0])
+    lo, hi = brackets[1]
+    assert 1e-12 * max(1.0, abs(hi)) < hi - lo <= 1e-3 * max(1.0, abs(hi))
+    assert steps[1] < _relative_value_iteration(V[1:2], pre_idx, kernel)[2][0]
+
+
+def test_relative_value_iteration_names_its_open_rows():
+    # T(h) = V + h leaves every gap at V: no row's bracket ever closes
+    V = np.array([[[0.0], [1.0]], [[0.0], [0.5]]])
+    pre_idx = np.array([[0], [1]])
+    with pytest.raises(NonConvergenceError, match=r"left 2 of 2 rows open .* relative width 1$"):
+        _relative_value_iteration(V, pre_idx, lambda v: v[..., 0])
 
 
 # -- the word-index tables against tuple enumeration --------------------------
