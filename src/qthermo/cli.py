@@ -34,13 +34,14 @@ from .qfun import QParam, exp_q, log_q
 from .qsolve import (
     _g_half,
     _neg_log_q_inv,
+    _per_entry,
     bridge_general_g,
     bridge_half,
     derivative_identity_report,
     explimeq_family,
-    positive_branch,
+    positive_branches,
     pressure_derivative,
-    q_equilibrium,
+    q_equilibria,
     qruelle_residual,
     qruelle_solve,
     supex_closed_form,
@@ -48,9 +49,11 @@ from .qsolve import (
 from .ruelle import (
     Jacobian,
     classical_pressure,
+    classical_pressures,
     equilibrium_markov,
     ks_entropy,
     normalize,
+    normalizes,
     q_entropy_markov,
     random_jacobian,
 )
@@ -461,13 +464,11 @@ def criterion_4():
 def criterion_5():
     """Scan value against solver constant on random positive-branch potentials."""
     rng = np.random.default_rng(0)
-    As, cs = [], []
-    while len(As) < 20:
-        A = Potential(d=2, memory=2, values=rng.normal(0.0, 0.8, 4))
-        branch = positive_branch(A, 0.5)
-        if branch is not None:
-            As.append(A)
-            cs.append(branch.c)
+    found = []  # (A, c) in draw order; a block of 4-draws is the stream of as many single ones
+    while len(found) < 20:
+        block = [Potential(d=2, memory=2, values=v) for v in rng.normal(0.0, 0.8, (20 - len(found), 4))]
+        found += [(A, b.c) for A, b in zip(block, positive_branches(block, 0.5)) if b is not None]
+    As, cs = zip(*found)
     gaps = np.array([s.value for s in variational.q_pressure_scans(As, 1.5, 400)]) - cs
     return {
         "max_gap": float(gaps.max()), "min_gap": float(gaps.min()), "mean_gap": float(gaps.mean())
@@ -492,7 +493,7 @@ def criterion_6():
     """Round trip J -> A = -log_q(1/J) -> equilibrium, plus the scan gap."""
     Js = [random_jacobian(2, 1, seed=seed) for seed in range(20)]
     As = [_neg_log_q_inv(J, QParam(0.5)) for J in Js]
-    ps, mus, _ = zip(*(q_equilibrium(A, 0.5) for A in As))
+    ps, mus, _ = zip(*q_equilibria(As, 0.5))
     tvs = [0.5 * float(np.max(np.sum(np.abs(mu.P - equilibrium_markov(J).P), axis=1)))
            for mu, J in zip(mus, Js)]
     gaps = [s.value - p for s, p in zip(variational.q_pressure_scans(As, 0.5, 400), ps)]
@@ -593,16 +594,17 @@ def criterion_11():
     A01 = Potential(d=2, memory=1, values=np.array([0.0, 1.0]))
     p_err = abs(classical_pressure(A01) - math.log(1.0 + math.e))
     rng = np.random.default_rng(1)
-    row_worst = 0.0
-    rohklin_worst = 0.0
+    groups = {1: [], 2: []}  # the draws by context length: one stack call per group
     for _ in range(100):
         m = int(rng.integers(1, 4))
         A = Potential(d=2, memory=m, values=rng.normal(0.0, 1.0, 2**m))
-        logJ, lam, h = normalize(A)
-        J = np.exp(logJ.values)
-        rows = J.reshape(2, -1).sum(axis=0)
+        groups[A.context_length()].append(A)
+    row_worst = rohklin_worst = 0.0
+    for As in groups.values():
+        logJs = [logJ for logJ, _, _ in normalizes(As)]
+        rows = np.exp([logJ.values for logJ in logJs]).reshape(len(As), 2, -1).sum(axis=1)
         row_worst = max(row_worst, float(np.max(np.abs(rows - 1.0))))
-        rohklin_worst = max(rohklin_worst, abs(classical_pressure(logJ)))
+        rohklin_worst = max(rohklin_worst, max(map(abs, classical_pressures(logJs))))
     return {"pressure_err": p_err, "row_sum_err": row_worst, "normalized_pressure": rohklin_worst}
 
 
@@ -613,30 +615,21 @@ def criterion_11():
 def criterion_12():
     """Bridge identities between the q = 1/2 and 3/2-deformed equations."""
     rng = np.random.default_rng(0)
-    scalar_worst = 0.0
-    for _ in range(1000):
-        a = rng.uniform(-1.9, 3.0)
-        a1, a2, C = rng.normal(size=3)
-        r = a1 - a2 - C
-        g = _g_half(a1, a2, C, a)
-        lhs = exp_q(g + r, 1.5)
-        rhs = exp_q(a, 0.5) * math.exp(r)
-        scalar_worst = max(scalar_worst, abs(lhs - rhs))
+    # the draws in their stream order, (a, a1, a2, C) per row; each identity is one array call
+    scalar = np.array([(rng.uniform(-1.9, 3.0), *rng.normal(size=3)) for _ in range(1000)])
     res_worst = 0.0
     for _ in range(10):
-        A = Potential(d=2, memory=1, values=rng.uniform(-1.5, 1.5, 2))
-        B, phiB, cB = bridge_half(A)
-        res = qruelle_residual(B, 1.5, phiB, cB)
-        res_worst = max(res_worst, float(np.max(np.abs(res))))
-    g_worst = 0.0
-    for _ in range(100):
-        a = rng.uniform(-1.9, 3.0)
-        a1, a2, C = rng.normal(size=3)
-        g_worst = max(
-            g_worst,
-            abs(bridge_general_g(a, a1, a2, C, 0.5) - _g_half(a1, a2, C, a)),
-        )
-    return {"scalar": scalar_worst, "residual": res_worst, "g_match": g_worst}
+        B, phiB, cB = bridge_half(Potential(d=2, memory=1, values=rng.uniform(-1.5, 1.5, 2)))
+        res_worst = max(res_worst, float(np.max(np.abs(qruelle_residual(B, 1.5, phiB, cB)))))
+    g_rows = np.array([(rng.uniform(-1.9, 3.0), *rng.normal(size=3)) for _ in range(100)])
+    a, a1, a2, C = scalar.T
+    r = a1 - a2 - C
+    lhs = exp_q(_g_half(a1, a2, C, a) + r, 1.5)
+    rhs = exp_q(a, 0.5) * _per_entry(math.exp, r)
+    a, a1, a2, C = g_rows.T
+    g_gaps = bridge_general_g(a, a1, a2, C, 0.5) - _g_half(a1, a2, C, a)
+    return {"scalar": float(np.max(np.abs(lhs - rhs))), "residual": res_worst,
+            "g_match": float(np.max(np.abs(g_gaps)))}
 
 
 @_criterion(
@@ -646,18 +639,19 @@ def criterion_12():
 def criterion_13():
     """Renyi bijection and the two-symbol independence-rate value."""
     rng = np.random.default_rng(0)
-    rows = {k: array("d") for k in (2, 3, 4)}  # flat: each row p, then its q
+    rows = {k: array("d") for k in (2, 3, 4)}  # flat: each row's exponentials, then its q
     for _ in range(10_000):
+        # numpy's dirichlet(ones(k)) and uniform(0.2, 1.8), draw for draw and bit for bit
         k = int(rng.integers(2, 5))
-        p = rng.dirichlet(np.ones(k))
-        q = float(rng.uniform(0.2, 1.8))
+        e = rng.standard_exponential(k)
+        q = 0.2 + 1.6 * rng.random()
         if abs(q - 1.0) < 1e-3:
             continue
-        rows[k].extend((*p, q))
+        rows[k].extend((*e, q))
     worst = 0.0
     for k, flat in rows.items():  # one stacked call per function and k
-        PQ = np.frombuffer(flat).reshape(-1, k + 1)
-        P, Q = PQ[:, :k], PQ[:, k]
+        EQ = np.frombuffer(flat).reshape(-1, k + 1)  # dirichlet sums them left to right
+        P, Q = EQ[:, :k] * (1.0 / np.add.accumulate(EQ[:, :k], axis=1)[:, -1:]), EQ[:, k]
         hq = staticq.q_entropy_vec(P, Q)
         gaps = np.abs(staticq.renyi_entropy(P, Q) - staticq.renyi_from_q_entropy(hq, Q))
         worst = max(worst, float(gaps.max()))

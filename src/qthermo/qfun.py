@@ -244,10 +244,12 @@ def _cutoff_root(v: np.ndarray, qt: float) -> np.ndarray:
     the sum stops falling; within 1e-2 of qt = 1 the sum is taken in log1p
     form, as the power 1/(1-qt) amplifies the base's rounding.  For qt <= 0
     t is bisected in [max v, max v - log_qt(1/d)], where each summand ends <= 1/d.
+    A stack v (B, n, d) stops each slice by its own contexts, bit for bit as alone.
     """
     t = v.max(axis=-1)
     if abs(qt - 1.0) <= CLASSICAL_Q_TOL:
         return t + np.log(np.exp(v - t[..., None]).sum(axis=-1))
+    stack, live, hist = v.ndim == 3, True, []  # a stack's t and open slices after each step
     if qt > 0.0:
         power = even_power_order(qt) or 1.0 / (1.0 - qt)
         F_prev = np.inf
@@ -258,21 +260,34 @@ def _cutoff_root(v: np.ndarray, qt: float) -> np.ndarray:
             if abs(1.0 - qt) < 1e-2:
                 with np.errstate(divide="ignore"):  # log1p(-1) = -inf: a cut-off summand
                     F = np.exp(power * np.log1p(np.maximum(y, -1.0))).sum(axis=-1) - 1.0
-            else:
-                F = (base * dE).sum(axis=-1) - 1.0
-            step = F / dE.sum(axis=-1)
+            else:  # ufunc reduce: no method wrapper per step on these small arrays
+                F = np.add.reduce(base * dE, axis=-1) - 1.0
+            step = F / np.add.reduce(dE, axis=-1)
             t = t + step
-            if not ((step > 1e-15 * np.maximum(1.0, np.abs(t))) & (F < F_prev)).any():
-                return t
+            moving = (step > 1e-15 * np.maximum(1.0, np.abs(t))) & (F < F_prev)
+            if stack:  # a slice stops at its first step in which none of its contexts moves
+                hist.append((t, live := live & np.logical_or.reduce(moving, axis=1)))
+                moving = live
+            if not np.logical_or.reduce(moving, axis=None):
+                break
             F_prev = F
-    power = 1.0 / (1.0 - qt)
-    lo, hi = t, t + (1.0 - v.shape[-1] ** (qt - 1.0)) * power
-    while True:
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi) | (hi - lo <= 1e-16)):
-            return mid
-        F = (np.maximum(1.0 + (1.0 - qt) * (v - mid[..., None]), 0.0) ** power).sum(axis=-1)
-        lo, hi = np.where(F > 1.0, mid, lo), np.where(F > 1.0, hi, mid)
+    else:
+        power = 1.0 / (1.0 - qt)
+        lo, hi = t, t + (1.0 - v.shape[-1] ** (qt - 1.0)) * power
+        while True:
+            t = 0.5 * (lo + hi)
+            settled = (t == lo) | (t == hi) | (hi - lo <= 1e-16)
+            if stack:  # a slice stops at its first step in which all of its contexts settled
+                hist.append((t, live := live & ~settled.all(axis=1)))
+                settled = ~live
+            if np.all(settled):
+                break
+            F = (np.maximum(1.0 + (1.0 - qt) * (v - t[..., None]), 0.0) ** power).sum(axis=-1)
+            lo, hi = np.where(F > 1.0, t, lo), np.where(F > 1.0, hi, t)
+    if not stack:
+        return t
+    ts, lives = zip(*hist)  # a slice's stop is the number of steps after which it was open
+    return np.stack(ts)[np.sum(lives, axis=0), np.arange(len(v))]
 
 
 def _regularized_max(v: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:

@@ -44,6 +44,7 @@ from .ruelle import (
     _classify,
     _guarded_context_length,
     _newton,
+    _stacked_system,
     _System,
     _topical_root,
     equilibrium_markov,
@@ -119,8 +120,13 @@ def _jacobian_of_root(sys: _System, phi: np.ndarray, c: float) -> Jacobian:
 
 def positive_branch(A: Potential, q_tilde: QParam | float) -> SolveResult | None:
     """``qruelle_solve``'s root with positive summands, found without the lattice, or None."""
-    roots = _roots(A, QParam.of(q_tilde), allow_boundary=False, lattice=False)
-    return next((r for r in roots if r.summands_positive), None)
+    return positive_branches([A], q_tilde)[0]
+
+
+def positive_branches(As: list[Potential], q_tilde: QParam | float) -> list[SolveResult | None]:
+    """``positive_branch`` of each A of a stack sharing (d, k), each as it is alone."""
+    return [next((r for r in _roots(*root, False, False) if r.summands_positive), None)
+            for root in _topical_roots(As, QParam.of(q_tilde), "positive_branches")]
 
 
 def qruelle_solve(
@@ -150,18 +156,23 @@ def qruelle_solve(
     on every edge of the strongly connected de Bruijn graph, so the solution
     is unique up to constants (Gaubert & Gunawardena, Trans. AMS 356, 2004).
     """
-    return _roots(A, QParam.of(q_tilde), allow_boundary, lattice=True)
+    return _roots(*_topical_roots([A], QParam.of(q_tilde), "qruelle_solve")[0], allow_boundary, True)
 
 
-def _roots(A: Potential, qp: QParam, allow_boundary: bool, lattice: bool) -> list[SolveResult]:
-    """``qruelle_solve``'s roots; without ``lattice``, of its first candidate only."""
-    if A.memory > 4:
-        raise SizeGuardError(f"memory {A.memory} exceeds the solver guard (4)")
-    sys = _System(A, qp)
-    phi, c, _ = _topical_root(sys)
+def _topical_roots(As: list[Potential], qp: QParam, name: str) -> list[tuple[_System, np.ndarray, float]]:
+    """(system, phi, c) of each A of a stack: one ``_topical_root`` call, each row as if alone."""
+    for A in As:
+        if A.memory > 4:
+            raise SizeGuardError(f"memory {A.memory} exceeds the solver guard (4)")
+    sys = _stacked_system(As, qp, name)
+    return [(sys.rows(i), phi, c) for i, (phi, c) in enumerate(zip(*_topical_root(sys)))]
+
+
+def _roots(sys: _System, phi: np.ndarray, c: float, allow_boundary: bool, lattice: bool) -> list:
+    """``qruelle_solve``'s roots from the topical root (phi, c); without ``lattice``, that one's."""
     PHI, C = phi[None], np.array([c])
     if lattice and sys.order is not None:
-        c0 = _trivial_c(sys.d, qp)
+        c0 = _trivial_c(sys.d, QParam(sys.qt))
         phi_levels = (-3.0, -1.5, 0.0, 1.5, 3.0)
         c_levels = (c0, c0 + 2.0, c0 - 2.0, c0 + 4.0, c0 - 4.0)
         lattice = itertools.product(itertools.product(phi_levels, repeat=sys.n - 1), c_levels)
@@ -291,11 +302,15 @@ def q_equilibrium(A: Potential, q: QParam | float) -> tuple[float, MarkovMeasure
     if there is none); no full root list is built, so its ``branch_id`` is 0.
     The measure is the equilibrium of its Jacobian.
     """
-    branch = positive_branch(A, QParam.of(q).dual)
-    if branch is None:
+    return q_equilibria([A], q)[0]
+
+
+def q_equilibria(As: list[Potential], q: QParam | float) -> list[tuple[float, MarkovMeasure, SolveResult]]:
+    """``q_equilibrium`` of each A of a stack sharing (d, k); NonConvergenceError if any has no branch."""
+    branches = positive_branches(As, QParam.of(q).dual)
+    if any(branch is None for branch in branches):
         raise NonConvergenceError("no branch with strictly positive summands")
-    assert branch.jacobian is not None
-    return branch.c, equilibrium_markov(branch.jacobian), branch
+    return [(branch.c, equilibrium_markov(branch.jacobian), branch) for branch in branches]
 
 
 def a_q_transform(A: Potential, q: QParam | float) -> Potential:
@@ -310,16 +325,19 @@ def a_q_transform(A: Potential, q: QParam | float) -> Potential:
     return Potential(d=A.d, memory=A.memory, values=vals)
 
 
-def _g_half(a1: float, a2: float, C: float, a: float) -> float:
-    """Closed-form bridge increment at q = 1/2: g = 2 - r - 4 e^{-r/2}/(2+a)."""
+def _per_entry(f, x):
+    """A math function on each entry of a 1-d array x, or on a float: numpy's may differ in the last bit."""
+    return np.array([f(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else f(x)
+
+
+def _g_half(a1, a2, C, a):
+    """Closed-form bridge increment at q = 1/2: g = 2 - r - 4 e^{-r/2}/(2+a), on floats or arrays."""
     r = a1 - a2 - C
-    return 2.0 - r - 4.0 * math.exp(-r / 2.0) / (2.0 + a)
+    return 2.0 - r - 4.0 * _per_entry(math.exp, -r / 2.0) / (2.0 + a)
 
 
-def bridge_general_g(
-    a: float, a1: float, a2: float, C: float, q: QParam | float
-) -> float:
-    """Solve exp_{2-q}(g + r) = exp_q(a) e^r for g, where r = a1 - a2 - C.
+def bridge_general_g(a, a1, a2, C, q: QParam | float):
+    """Solve exp_{2-q}(g + r) = exp_q(a) e^r for g, where r = a1 - a2 - C, on floats or arrays.
 
     Uses the closed inverse g = log_{2-q}(exp_q(a) e^r) - r, with
     log_{2-q}(v) = (v^{q-1} - 1)/(q - 1).  At q = 1/2 this agrees with the
@@ -328,10 +346,10 @@ def bridge_general_g(
     qp = QParam.of(q)
     r = a1 - a2 - C
     if qp.classical:
-        return float(a)
+        return a if isinstance(a, np.ndarray) else float(a)
     # log of the right-hand side, kept in log form for stability
-    log_rhs = float(_log_exp_q(np.asarray(a, dtype=float), qp.q)) + r
-    return math.expm1((qp.q - 1.0) * log_rhs) / (qp.q - 1.0) - r
+    log_rhs = _log_exp_q(np.asarray(a, dtype=float), qp.q) + r
+    return _per_entry(math.expm1, (qp.q - 1.0) * log_rhs) / (qp.q - 1.0) - r
 
 
 def bridge_half(A: Potential) -> tuple[Potential, np.ndarray, float]:
@@ -347,13 +365,11 @@ def bridge_half(A: Potential) -> tuple[Potential, np.ndarray, float]:
     is the first entry that does not.
     """
     d, k = A.d, _guarded_context_length(A)
-    phi_B, c_B, _ = _topical_root(_System(a_q_transform(A, 0.5), QParam(1.0), k))
+    (phi_B,), (c_B,) = _topical_root(_System(a_q_transform(A, 0.5), QParam(1.0), k))
     w = np.arange(d ** (k + 1))
     heads, tails = phi_B[drop_last(w, d)], phi_B[drop_first(w, d, k + 1)]
-    args = zip(heads, tails, A.values[prefix_index(w, d, k + 1, A.memory)])
-    # scalar _g_half per entry: its math.exp may differ from np.exp in the last bit
-    B_vals = [_g_half(a1, a2, c_B, a) for a1, a2, a in args]
-    B = Potential(d=d, memory=k + 1, values=B_vals)
+    B = Potential(d=d, memory=k + 1,
+                  values=_g_half(heads, tails, c_B, A.values[prefix_index(w, d, k + 1, A.memory)]))
     defect = qruelle_residual(B, QParam(1.5), phi_B, c_B)
     if float(np.max(np.abs(defect))) > 1e-9:
         raise NonConvergenceError("bridged equation residual above 1e-9")

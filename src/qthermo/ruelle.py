@@ -83,10 +83,11 @@ def _relative_value_iteration(V: np.ndarray, pre_idx: np.ndarray, kernel, finish
     Row i iterates T(h) = kernel(V[i] + h[pre_idx]) for a ``kernel`` from (..., d) to (...),
     monotone and commuting with constants, so lo = min(Th - h) <= c <= hi = max(Th - h) for c
     in T(h*) = h* + c.  Each step moves h <- (h + Th)/2, h[0] = 0.  A row leaves the stack at
-    hi - lo <= 1e-12*max(1, |hi|), or when ``finish(i, h, lo, hi)`` returns other than None;
-    finish is tried at a relative width of 1e-3 and again each time the width has halved.
-    Returns per row h (B, n), (lo, hi), the kernel evaluations (the last counted) and finish's
-    result or None.  NonConvergenceError after 5,000 evaluations.
+    hi - lo <= 1e-12*max(1, |hi|), or when ``finish`` returns other than None for it: once a
+    step, ``finish(rows, h, lo, hi)`` gets the rows whose relative width has reached their own
+    retry width, 1e-3 and then half the last tried, and returns one result per row.  Returns per
+    row h (B, n), (lo, hi), the kernel evaluations (the last counted) and finish's result or
+    None.  NonConvergenceError after 5,000 evaluations.
     """
     B, n, _ = V.shape
     H, brackets, steps, results = np.empty((B, n)), [None] * B, [0] * B, [None] * B
@@ -95,27 +96,37 @@ def _relative_value_iteration(V: np.ndarray, pre_idx: np.ndarray, kernel, finish
     V, idx = (V[0], pre_idx) if one else (V, pre_idx + np.arange(0, B * n, n)[:, None, None])
     for step in range(1, 5001):
         gap = kernel(V + h.ravel()[idx]) - h  # idx reads h raveled
-        rows, keep = gap.reshape(-1, n), []  # keep: (place, width) of each row that stays
-        los, his = rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
-        for j in range(len(live)):
-            i, lo, hi = live[j], los[j], his[j]
-            width = (hi - lo) / max(1.0, abs(hi))
+        rows, due, stay = gap.reshape(-1, n), [], []  # ufunc reduce: no method wrapper per step
+        los, his = np.minimum.reduce(rows, axis=1).tolist(), np.maximum.reduce(rows, axis=1).tolist()
+        for j, i in enumerate(live):
+            width = (his[j] - los[j]) / max(1.0, abs(his[j]))
             if finish is not None and width <= retry[i]:
-                results[i], retry[i] = finish(i, h.reshape(-1, n)[j], lo, hi), 0.5 * width
-            if width <= 1e-12 or results[i] is not None:
-                H[i], brackets[i], steps[i] = h.reshape(-1, n)[j], (lo, hi), step
+                due.append(j)
+                retry[i] = 0.5 * width
+            if width > 1e-12:
+                stay.append(j)
+        if due:  # one call for the rows at their retry width
+            if len(due) == len(live):  # all of them, as a lone row is: no copies
+                tried = finish(live, h.reshape(-1, n), los, his)
             else:
-                keep.append((j, width))
-        if not keep:
-            return H, brackets, steps, results
+                tried = finish([live[j] for j in due], h.reshape(-1, n)[due], [los[j] for j in due],
+                               [his[j] for j in due])
+            for j, result in zip(due, tried):
+                results[live[j]] = result
+            stay = [j for j in stay if results[live[j]] is None]
+        if len(stay) < len(live):
+            for j in set(range(len(live))).difference(stay):
+                H[live[j]], brackets[live[j]], steps[live[j]] = h.reshape(-1, n)[j], (los[j], his[j]), step
+            if not stay:
+                return H, brackets, steps, results
+            live, one = [live[j] for j in stay], len(stay) == 1  # a last open row runs as a vector
+            h, gap, V = (x[stay[0]] if one else x[stay] for x in (h, gap, V))
+            idx = pre_idx if one else idx[: len(stay)]
         h = h + 0.5 * gap
         h = h - (h[0] if one else h[:, :1])
-        if len(keep) < len(live):
-            stay = [j for j, _ in keep]
-            live, h, V, idx = [live[j] for j in stay], h[stay], V[stay], idx[: len(stay)]
     raise NonConvergenceError(
         f"relative value iteration left {len(live)} of {B} rows open after 5000 steps, the "
-        f"widest at relative width {np.max([w for _, w in keep]):.3g}")
+        f"widest at relative width {max((his[j] - los[j]) / max(1.0, abs(his[j])) for j in stay):.3g}")
 
 
 def transfer_matrix(A: Potential) -> TransferMatrix:
@@ -146,10 +157,10 @@ class _System:
 
     Entry [j, a - 1] belongs to the word a.x, x the j-th length-k context:
     ``words`` is its (k+1)-word index, ``pre_idx`` its k-prefix index and
-    ``A_vals`` the potential on it.  The evaluations take a batch of S rows,
-    phi as an (S, n) array and c as an (S,) array, and return arrays whose
-    leading axis is the row.  ``bases`` sets every row outside the strict
-    domain to NaN, so the defects and summands built on it are NaN there too.
+    ``A_vals`` the potential on it, or (S, n, d) one per row.  The evaluations
+    take a batch of S rows, phi as an (S, n) array and c as an (S,) array, and
+    return arrays whose leading axis is the row.  ``bases`` sets every row outside
+    the strict domain to NaN, so the defects and summands built on it are NaN.
     """
 
     def __init__(self, A: Potential, q_tilde: QParam, k: int | None = None):
@@ -172,6 +183,9 @@ class _System:
         out = copy.copy(self)
         out.A_vals = A_vals
         return out
+
+    def rows(self, rows) -> "_System":  # a lone potential's system serves every row
+        return self if self.A_vals.ndim == 2 else self.with_values(self.A_vals[rows])
 
     def arguments(self, PHI: np.ndarray, C: np.ndarray) -> np.ndarray:
         return self.A_vals + PHI[:, self.pre_idx] - PHI[:, :, None] - C[:, None, None]
@@ -267,7 +281,7 @@ def _newton(
             phi_t = PHI[rows]
             phi_t[:, 1:] += lam * step[:, :-1]
             c_t = C[rows] + lam * step[:, -1]
-            E_t, dE_t = sys.summands(phi_t, c_t)
+            E_t, dE_t = sys.rows(rows).summands(phi_t, c_t)
             F_t = E_t.sum(axis=2) - 1.0
             fn_t = np.abs(F_t).max(axis=1)  # NaN outside the domain: rejected
             accept = (fn_t < fnorm[rows]) | (fn_t <= _NEWTON_TOL)
@@ -296,40 +310,48 @@ def _classify(sys: _System, phi: np.ndarray, c: float) -> tuple[bool, bool]:
     return positive, boundary
 
 
-def _topical_root(sys: _System) -> tuple[np.ndarray, float, bool]:
-    """(phi, c, positive) with T(phi) = phi + c, T the cut-off map.
+def _topical_root(sys: _System) -> tuple[np.ndarray, np.ndarray]:
+    """(PHI, C) with T(phi) = phi + c, T the cut-off map, a row per potential of sys as if alone.
 
     T(phi)(x) is the t with sum_a E(A(a x) + phi(prefix_k(a x)) - t) = 1, E the cut-off
-    q-exponential (exp at q-tilde = 1): ``_relative_value_iteration`` of ``_cutoff_root`` on
-    one row.  On at most ``_NEWTON_CONTEXTS`` contexts its finish, where every base at the
-    bracket's midpoint clears the margin, is ``_newton`` plus one more Newton step, kept
-    unless it raises the defect.  ``positive``: every base clears the margin.
+    q-exponential (exp at q-tilde = 1): ``_relative_value_iteration`` of ``_cutoff_root``.
+    On at most ``_NEWTON_CONTEXTS`` contexts its finish takes each due row whose every base
+    at the bracket's midpoint clears the margin through one ``_newton`` of them all, then one
+    more Newton step, kept per row unless it raises the defect.
     """
 
-    def finish(_, phi: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, float] | None:
-        c = 0.5 * (lo + hi)
-        if not _classify(sys, phi, c)[0]:
-            return None
-        PHI, C, ok = _newton(sys, phi[None], np.array([c]))
-        if not ok[0]:
-            return None
-        E, dE = sys.summands(PHI, C)
+    def finish(rows, PHI, lo, hi):
+        out, place, at = [None] * len(rows), range(len(rows)), sys.rows(rows)
+        C = np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
+        ok = (at.bases(at.arguments(PHI, C)) > _BOUNDARY_MARGIN).all(axis=(1, 2))  # NaN: not ok
+        if not ok.all():
+            place, PHI, C, at = np.asarray(place)[ok], PHI[ok], C[ok], at.rows(ok)
+        if not len(place):
+            return out
+        PHI, C, ok = _newton(at, PHI, C)
+        if not ok.all():
+            place, PHI, C, at = np.asarray(place)[ok], PHI[ok], C[ok], at.rows(ok)
+        if not len(place):
+            return out
+        E, dE = at.summands(PHI, C)
         F = E.sum(axis=2) - 1.0
-        step = sys.newton_steps(dE, F)
-        if np.isfinite(step).all():
-            PHI_t = PHI.copy()
-            PHI_t[:, 1:] += step[:, :-1]
-            C_t = C + step[:, -1]
-            F_t = sys.defect(sys.arguments(PHI_t, C_t))
-            if np.abs(F_t).max() <= np.abs(F).max():  # NaN: keep
-                PHI, C = PHI_t, C_t
-        return PHI[0], float(C[0])
+        step = at.newton_steps(dE, F)
+        if not np.isfinite(step).all():  # such a row's trial is its root
+            step[~np.isfinite(step).all(axis=1)] = 0.0
+        PHI_t, C_t = PHI.copy(), C + step[:, -1]
+        PHI_t[:, 1:] += step[:, :-1]
+        kept = np.abs(at.defect(at.arguments(PHI_t, C_t))).max(axis=1) <= np.abs(F).max(axis=1)
+        PHI, C = (PHI_t, C_t) if kept.all() else (np.where(kept[:, None], PHI_t, PHI), np.where(kept, C_t, C))
+        for j, phi, c in zip(place, PHI, C.tolist()):
+            out[j] = (phi, c)
+        return out
 
-    H, ((lo, hi),), _, (done,) = _relative_value_iteration(
-        sys.A_vals[None], sys.pre_idx, lambda v: _cutoff_root(v, sys.qt),
+    H, brackets, _, done = _relative_value_iteration(
+        sys.A_vals.reshape(-1, sys.n, sys.d), sys.pre_idx, lambda v: _cutoff_root(v, sys.qt),
         finish if sys.n <= _NEWTON_CONTEXTS else None)
-    phi, c = done or (H[0], 0.5 * (lo + hi))
-    return phi, c, _classify(sys, phi, c)[0]
+    for i, root in enumerate(done):
+        H[i] = H[i] if root is None else root[0]
+    return H, np.array([0.5 * (lo + hi) if r is None else r[1] for (lo, hi), r in zip(brackets, done)])
 
 
 def leading_eig(M: TransferMatrix) -> tuple[float, np.ndarray, np.ndarray]:
@@ -345,7 +367,7 @@ def leading_eig(M: TransferMatrix) -> tuple[float, np.ndarray, np.ndarray]:
     sys = _System(Potential.constant(d, 0.0, k + 1), QParam(1.0), k)
     with np.errstate(divide="ignore"):  # log 0 = -inf: an entry off the pattern's support
         sys = sys.with_values(np.log(A[sys.diag[:, None], sys.pre_idx]))
-    f, c, _ = _topical_root(sys)
+    (f,), (c,) = _topical_root(sys)
     lam, h = math.exp(c), np.exp(f)
     nu = _stationary(A * h / (lam * h[:, None])) / h
     nu = nu / nu.sum()
@@ -358,9 +380,27 @@ def leading_eig(M: TransferMatrix) -> tuple[float, np.ndarray, np.ndarray]:
     return lam, h, nu
 
 
+def _stacked_system(As: list[Potential], q_tilde: QParam, name: str) -> _System:
+    """One ``_System`` of a stack sharing (d, k), a lone potential's when B = 1; guards as for
+    ``transfer_matrix``, and ValueError for an empty stack or at the first A whose (d, k) differs."""
+    if not As:
+        raise ValueError(f"{name} needs at least one potential")
+    shapes = [(A.d, _guarded_context_length(A)) for A in As]
+    for i, dk in enumerate(shapes):
+        if dk != shapes[0]:
+            raise ValueError(f"potential {i} has (d, k) = {dk}, not {shapes[0]}")
+    sys = _System(As[0], q_tilde, shapes[0][1])
+    return sys if len(As) == 1 else sys.with_values(np.stack([sys.values_of(A) for A in As]))
+
+
 def classical_pressure(A: Potential) -> float:
     """log of the leading transfer-operator eigenvalue."""
-    return _topical_root(_System(A, QParam(1.0), _guarded_context_length(A)))[1]
+    return classical_pressures([A])[0]
+
+
+def classical_pressures(As: list[Potential]) -> list[float]:
+    """``classical_pressure`` of each A of a stack sharing (d, k), each as it is alone."""
+    return _topical_root(_stacked_system(As, QParam(1.0), "classical_pressures"))[1].tolist()
 
 
 def normalize(A: Potential) -> tuple[Potential, float, np.ndarray]:
@@ -370,11 +410,16 @@ def normalize(A: Potential) -> tuple[Potential, float, np.ndarray]:
     - log lambda`` as a memory-(k+1) table; ``exp(logJ)`` sums to one over
     the first symbol for every context.  h is in the gauge h(first context) = 1.
     """
-    sys = _System(A, QParam(1.0), _guarded_context_length(A))
-    log_h, c, _ = _topical_root(sys)
-    vals = np.empty(sys.d ** (sys.k + 1))
-    vals[sys.words] = sys.arguments(log_h[None], np.array([c]))[0]
-    return Potential(d=sys.d, memory=sys.k + 1, values=vals), math.exp(c), np.exp(log_h)
+    return normalizes([A])[0]
+
+
+def normalizes(As: list[Potential]) -> list[tuple[Potential, float, np.ndarray]]:
+    """``normalize`` of each A of a stack sharing (d, k), each as it is alone."""
+    sys = _stacked_system(As, QParam(1.0), "normalizes")
+    LOG_H, C = _topical_root(sys)
+    vals = np.empty((len(As), sys.d ** (sys.k + 1)))
+    vals[:, sys.words] = sys.arguments(LOG_H, C)
+    return [(Potential(sys.d, sys.k + 1, v), math.exp(c), np.exp(h)) for v, c, h in zip(vals, C.tolist(), LOG_H)]
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,9 @@ from .qfun import QParam, _regularized_max, log_q
 from .ruelle import (
     MarkovMeasure,
     _backward_matrix,
-    _context_tables,
     _forward_markov,
-    _guarded_context_length,
     _relative_value_iteration,
+    _stacked_system,
     _stationary,
     q_entropy_markov,
     variational_entropy_of_masses,
@@ -79,25 +78,18 @@ def q_pressure_scans(As: list[Potential], q: QParam | float, grid_n: int) -> lis
     T(h)(x) = max_Q sum_a Q_a (v_a + log_q(1/Q_a)), v_a = A(a x) + h(prefix_k(a x)),
     is ``qfun._regularized_max``, monotone and commuting with constants, so one
     relative value iteration (Puterman 1994, 8.5.5) brackets every sup, stopping
-    each row at hi - lo <= 1e-12*max(1, |hi|) as its scan alone would, up to the
-    last bit.  ``argmax`` is the stationary measure of the last maximizing
+    each row at hi - lo <= 1e-12*max(1, |hi|) bit for bit as its scan alone
+    would.  ``argmax`` is the stationary measure of the last maximizing
     Jacobian (sparse at q > 1); ``value``, its objective, reproduces exactly.
     ValueError for an empty stack or at the first A whose d or context length
     differs; guards as for ``ruelle.transfer_matrix``; NonConvergenceError at 5,000.
     """
-    if not As:
-        raise ValueError("q_pressure_scans needs at least one potential")
-    qp = QParam.of(q)
-    shapes = [(A.d, _guarded_context_length(A)) for A in As]
-    (d, k), bad = shapes[0], [i for i, dk in enumerate(shapes) if dk != shapes[0]]
-    if bad:
-        raise ValueError(f"potential {bad[0]} has (d, k) = {shapes[bad[0]]}, not {shapes[0]}")
-    tables = [_context_tables(A, k) for A in As]
-    words, pre_idx, V = tables[0][0], tables[0][1], np.stack([t[2] for t in tables])
+    sys = _stacked_system(As, QParam(1.0), "q_pressure_scans")  # its context tables
+    d, k, qp, V = sys.d, sys.k, QParam.of(q), sys.A_vals.reshape(-1, sys.n, sys.d)
     H, brackets, steps, _ = _relative_value_iteration(
-        V, pre_idx, lambda v: _regularized_max(v, qp.q)[1])
+        V, sys.pre_idx, lambda v: _regularized_max(v, qp.q)[1])
     vals = np.empty((len(As), d ** (k + 1)))
-    vals[:, words] = _regularized_max(V + H[:, pre_idx], qp.q)[0]
+    vals[:, sys.words] = _regularized_max(V + H[:, sys.pre_idx], qp.q)[0]
     out = []
     for A, row, bracket, it in zip(As, vals, brackets, steps):
         R = _backward_matrix(d, k, row)

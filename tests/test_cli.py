@@ -301,6 +301,31 @@ def test_criterion_10_single_draw_is_the_per_row_stream():
     assert runs[0][1] == runs[1][1]
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_criterion_13_draws_are_dirichlet_and_uniform(k):
+    # criterion 13 draws standard_exponential(k), normalized by the sum taken left to
+    # right, for dirichlet(ones(k)), and 0.2 + 1.6*random() for uniform(0.2, 1.8); the
+    # first rests on the alpha >= 0.1 branch of numpy's Generator.dirichlet
+    lib, ours = np.random.default_rng(k), np.random.default_rng(k)
+    want, got = [], []
+    for _ in range(1000):
+        want.append((*lib.dirichlet(np.ones(k)), lib.uniform(0.2, 1.8)))
+        got.append((*ours.standard_exponential(k), 0.2 + 1.6 * ours.random()))
+    EQ = np.array(got)
+    EQ[:, :k] *= 1.0 / np.add.accumulate(EQ[:, :k], axis=1)[:, -1:]  # as criterion 13 sums them
+    assert EQ.tobytes() == np.array(want).tobytes()
+    assert lib.bit_generator.state == ours.bit_generator.state
+
+
+def test_criterion_5_block_draws_are_the_single_draws():
+    # criterion 5 draws its candidates in blocks of 4-draws
+    single, block = np.random.default_rng(0), np.random.default_rng(0)
+    for rows in (20, 7, 1):
+        want = np.array([single.normal(0.0, 0.8, 4) for _ in range(rows)])
+        assert block.normal(0.0, 0.8, (rows, 4)).tobytes() == want.tobytes()
+    assert single.bit_generator.state == block.bit_generator.state
+
+
 def test_solve_branches(jana_file):
     payload = run_json(["solve", "--potential", jana_file, "--q-tilde", "0.5", "--all-branches"])
     assert payload["branch_count"] == len(payload["branches"]) == 2

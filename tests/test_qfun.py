@@ -244,6 +244,15 @@ def test_cutoff_root_solves_its_equation(qt):
     assert np.all(t >= v.max(axis=1))
 
 
+@pytest.mark.parametrize("qt", [-2.0, -0.5, 0.3, 0.5, 0.995, 1.5, 2.5])
+def test_cutoff_root_stops_each_slice_of_a_stack_as_alone(qt):
+    # slices of very different spreads stop after different Newton steps or bisections
+    rng = np.random.default_rng(4)
+    v = np.stack([rng.normal(0.0, s, (9, 3)) for s in (0.01, 0.3, 3.0, 30.0)])
+    t = _cutoff_root(v, qt)
+    assert t.tobytes() == np.stack([_cutoff_root(slice_, qt) for slice_ in v]).tobytes()
+
+
 # -- the one exp_q/log_q core -------------------------------------------------
 #
 # The public evaluators as they were written before they shared the core, kept

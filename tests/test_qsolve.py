@@ -10,8 +10,10 @@ from qthermo import qsolve
 from qthermo.errors import NonConvergenceError, QExpDomainError, SizeGuardError
 from qthermo.qfun import QParam, _cutoff_root, log_q
 from qthermo.qsolve import (
+    _classify,
     _neg_log_q_inv,
     _newton,
+    _stacked_system,
     _System,
     _topical_root,
     _trivial_c,
@@ -22,7 +24,9 @@ from qthermo.qsolve import (
     explimeq_family,
     jana_closed_form,
     positive_branch,
+    positive_branches,
     pressure_derivative,
+    q_equilibria,
     q_equilibrium,
     qruelle_residual,
     qruelle_solve,
@@ -32,9 +36,11 @@ from qthermo.qsolve import (
 from qthermo.ruelle import (
     Jacobian,
     classical_pressure,
+    classical_pressures,
     equilibrium_markov,
     leading_eig,
     normalize,
+    normalizes,
     random_jacobian,
     transfer_matrix,
 )
@@ -531,7 +537,7 @@ def _ref_solve(A, q_tilde, max_starts=2000):
     # the fixed-point candidate is the library's; the lattice runs at every
     # q-tilde, so at non-polynomial q-tilde it checks that the solver, which
     # skips the lattice there, misses no root
-    phi, c, _ = _topical_root(sys)
+    (phi,), (c,) = _topical_root(sys)
     candidates = [(phi, c)]
     phi_levels = (-3.0, -1.5, 0.0, 1.5, 3.0)
     c_levels = (c0, c0 + 2.0, c0 - 2.0, c0 + 4.0, c0 - 4.0)
@@ -654,7 +660,8 @@ def test_positive_root_is_the_cutoff_fixed_point(cell, qt, sigma, seed):
     for r in positive:
         T = _cutoff_root(sys.A_vals + r.phi[sys.pre_idx], sys.qt)
         assert np.max(np.abs(T - r.phi - r.c)) <= 1e-10
-    assert _topical_root(sys)[2] == bool(positive)
+    (phi,), (c,) = _topical_root(sys)
+    assert _classify(sys, phi, c)[0] == bool(positive)
     # positive_branch is the list's positive root, found without the lattice
     branch = positive_branch(A, qt)
     assert (branch is None) == (not positive)
@@ -673,7 +680,9 @@ def test_fixed_point_certifies_a_draw_without_positive_root():
     rng = np.random.default_rng([14, 1])
     rng.normal(0.0, 0.25, 4)
     A = Potential(d=2, memory=2, values=rng.normal(0.0, 0.25, 4))
-    phi, c, positive = _topical_root(_System(A, QParam(0.5)))
+    sys = _System(A, QParam(0.5))
+    (phi,), (c,) = _topical_root(sys)
+    positive = _classify(sys, phi, c)[0]
     assert abs(c - A.values[3]) <= 1e-12
     assert not positive
     assert not any(r.summands_positive for r in qruelle_solve(A, 0.5))
@@ -688,8 +697,8 @@ def test_cutoff_map_stops_at_its_roundoff_floor(qt, seed):
     # while the sum no longer falls; a step test alone would never stop
     A = Potential(d=3, memory=2, values=np.random.default_rng(seed).normal(0.0, 1.0, 9))
     sys = _System(A, QParam(qt))
-    phi, c, positive = _topical_root(sys)
-    assert positive
+    (phi,), (c,) = _topical_root(sys)
+    assert _classify(sys, phi, c)[0]
     T = _cutoff_root(sys.A_vals + phi[sys.pre_idx], sys.qt)
     assert np.max(np.abs(T - phi - c)) <= 1e-12
     assert np.max(np.abs(sys.defect(sys.arguments(phi[None], np.array([c]))))) <= 1e-12
@@ -704,10 +713,66 @@ def test_fixed_point_tends_to_the_classical_eigenfunction(d, memory):
     log_h = np.log(h) - math.log(h[0])
     gaps = []
     for eps in (1e-2, 5e-3, 2.5e-3):
-        phi, c, positive = _topical_root(_System(A, QParam(1.0 - eps)))
-        assert positive
+        sys = _System(A, QParam(1.0 - eps))
+        (phi,), (c,) = _topical_root(sys)
+        assert _classify(sys, phi, c)[0]
         gaps.append(abs(c - math.log(lam)))
         assert gaps[-1] <= eps
         assert np.max(np.abs(phi - log_h)) <= 0.1 * eps
     for wide, narrow in zip(gaps, gaps[1:]):
         assert wide / narrow == pytest.approx(2.0, rel=1e-2)
+
+
+@given(
+    d=st.sampled_from([2, 3]),
+    memory=st.integers(1, 3),
+    qt=st.sampled_from([0.5, 0.7, 1.0, 1.5]),
+    size=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_stacked_roots_are_their_lone_calls(d, memory, qt, size, seed):
+    rng = np.random.default_rng(seed)
+    # memories 1 and 2 share context length 1, so such a stack may mix them
+    mems = rng.choice([1, 2], size) if memory <= 2 else np.full(size, memory)
+    As = [Potential(d=d, memory=int(m), values=rng.normal(0.0, 0.8, d ** int(m))) for m in mems]
+    sys = _stacked_system(As, QParam(qt), "the test")
+    try:
+        lone = [_topical_root(_System(A, QParam(qt), sys.k)) for A in As]
+    except NonConvergenceError:  # a rare slow draw: the stack must raise alike
+        with pytest.raises(NonConvergenceError):
+            _topical_root(sys)
+        return
+    PHI, C = _topical_root(sys)
+    assert [(phi.tobytes(), c) for phi, c in zip(PHI, C)] == [(phi.tobytes(), c) for (phi,), (c,) in lone]
+    assert classical_pressures(As) == [classical_pressure(A) for A in As]
+    for (logJ, lam, h), A in zip(normalizes(As), As):
+        one = normalize(A)
+        assert (logJ.values.tobytes(), lam, h.tobytes()) == (one[0].values.tobytes(), one[1], one[2].tobytes())
+    branches = positive_branches(As, qt)
+    for branch, A in zip(branches, As):
+        one = positive_branch(A, qt)
+        assert (branch is None) == (one is None)
+        if one is not None:
+            assert (branch.phi.tobytes(), branch.c, branch.residual) == (one.phi.tobytes(), one.c, one.residual)
+            assert branch.jacobian.values.tobytes() == one.jacobian.values.tobytes()
+    if all(branches):
+        for (p, mu, branch), A in zip(q_equilibria(As, 2.0 - qt), As):
+            one = q_equilibrium(A, 2.0 - qt)
+            assert (p, mu.P.tobytes(), mu.pi.tobytes()) == (one[0], one[1].P.tobytes(), one[1].pi.tobytes())
+            assert branch.jacobian.values.tobytes() == one[2].jacobian.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [classical_pressures, normalizes, lambda As: positive_branches(As, 0.5), lambda As: q_equilibria(As, 1.5)],
+    ids=["classical_pressures", "normalizes", "positive_branches", "q_equilibria"],
+)
+def test_stacked_entry_points_refuse_an_empty_or_mixed_stack(call):
+    with pytest.raises(ValueError, match="needs at least one potential"):
+        call([])
+    A2 = Potential(d=2, memory=2, values=np.array([0.0, 1.0, 0.5, 0.2]))
+    with pytest.raises(ValueError, match=r"potential 1 has \(d, k\) = \(3, 1\), not \(2, 1\)"):
+        call([A2, Potential.constant(3, 0.0)])
+    with pytest.raises(ValueError, match=r"potential 2 has \(d, k\) = \(2, 2\), not \(2, 1\)"):
+        call([A2, A2, Potential.constant(2, 0.0, memory=3)])

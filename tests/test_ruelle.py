@@ -487,8 +487,8 @@ def test_root_is_the_single_row_loop(d, memory, qt, sigma, seed):
         with pytest.raises(NonConvergenceError):
             _topical_root(sys)
         return
-    phi, c, positive = _topical_root(sys)
-    assert (phi.tobytes(), c, positive) == (ref_phi.tobytes(), ref_c, ref_positive)
+    (phi,), (c,) = _topical_root(sys)
+    assert (phi.tobytes(), c, _classify(sys, phi, c)[0]) == (ref_phi.tobytes(), ref_c, ref_positive)
 
 
 def test_stacked_rows_run_as_alone_when_one_finishes():
@@ -501,14 +501,19 @@ def test_stacked_rows_run_as_alone_when_one_finishes():
     def kernel(v):
         return _cutoff_root(v, 1.0)
 
-    tried = {}  # each row's relative widths at its finish's tries
+    tried, calls = {}, []  # each row's relative widths at its finish's tries; each call's rows
 
-    def finish(i, h, lo, hi):
-        tried.setdefault(i, []).append((hi - lo) / max(1.0, abs(hi)))
-        return "finished" if i == 1 else None
+    def finish(rows, h, lo, hi):
+        calls.append(list(rows))
+        assert h.shape == (len(rows), 2) and len(lo) == len(hi) == len(rows)
+        for i, row_lo, row_hi in zip(rows, lo, hi):
+            tried.setdefault(i, []).append((row_hi - row_lo) / max(1.0, abs(row_hi)))
+        return ["finished" if i == 1 else None for i in rows]
 
     H, brackets, steps, results = _relative_value_iteration(V, pre_idx, kernel, finish)
     assert results == [None, "finished", None, None]
+    # one call per step at most, each row in it once
+    assert len(calls) <= max(steps) and all(len(set(c)) == len(c) for c in calls)
     assert len(set(steps)) == len(steps)
     for w in tried.values():  # first at 1e-3, then each time the width has halved
         assert w[0] <= 1e-3 and all(b <= 0.5 * a for a, b in zip(w, w[1:]))
@@ -551,7 +556,7 @@ def _ref_normalized_values(A):
     A_vals, pre_idx = _ref_system_tables(A)
     sys = _System(A, QParam(1.0)).with_values(A_vals)
     assert np.array_equal(sys.pre_idx, pre_idx)
-    log_h, c, _ = _topical_root(sys)
+    (log_h,), (c,) = _topical_root(sys)
     d, k = A.d, max(A.memory - 1, 1)
     words = all_words(d, k + 1)
     vals = np.empty(len(words))
