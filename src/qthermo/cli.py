@@ -30,11 +30,10 @@ import numpy as np
 
 from . import qfun, staticq, variational
 from .errors import NonConvergenceError, QThermoError
-from .qfun import QParam, exp_q, log_q
+from .qfun import QParam, _per_entry, exp_q, log_q
 from .qsolve import (
     _g_half,
     _neg_log_q_inv,
-    _per_entry,
     bridge_general_g,
     bridge_half,
     derivative_identity_report,

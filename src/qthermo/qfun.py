@@ -75,6 +75,11 @@ def _log_q_domain_min(arr: np.ndarray, name: str) -> float:
     return lo
 
 
+def _per_entry(f, x):
+    """A math function on each entry of a 1-d array x, or on a float: numpy's may differ in the last bit."""
+    return np.array([f(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else f(x)
+
+
 def _log_q(u, q):
     """log_q(u) = expm1((1-q) log u)/(1-q): the one evaluator of log_q, q != 1.
 

@@ -30,19 +30,18 @@ quotient, with phidot from a central difference of Newton roots.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonConvergenceError, QExpDomainError, QThermoError, SizeGuardError
-from .qfun import QParam, _log_exp_q, log_q
+from .qfun import QParam, _log_exp_q, _per_entry, log_q
 from .ruelle import (
     Jacobian,
     MarkovMeasure,
-    _classify,
     _guarded_context_length,
+    _judge,
     _newton,
     _stacked_system,
     _System,
@@ -54,6 +53,7 @@ from .shift import Potential, drop_first, drop_last, index_word, prefix_index
 _ACCEPT_TOL = 1e-10
 _DEDUP_TOL = 1e-7
 _MAX_STARTS = 2000
+_PHI_LEVELS = np.array([-3.0, -1.5, 0.0, 1.5, 3.0])
 
 
 @dataclass(frozen=True)
@@ -109,13 +109,25 @@ def qruelle_residual(
     return sys.defect(args)[0]
 
 
-def _jacobian_of_root(sys: _System, phi: np.ndarray, c: float) -> Jacobian:
-    E = sys.summands(phi[None], np.array([c]))[0]
-    vals = np.empty(sys.d ** (sys.k + 1))
-    vals[sys.words] = E[0]
-    # row sums are 1 + residual; renormalize so Jacobian validation is exact
-    rows = vals.reshape(sys.d, -1).sum(axis=0)
-    return Jacobian(d=sys.d, k=sys.k, values=vals / np.tile(rows, sys.d))
+def _solver_system(As: list[Potential], qp: QParam, name: str) -> _System:
+    """``_stacked_system`` of a stack, behind the solver's memory guard (4)."""
+    for A in As:
+        if A.memory > 4:
+            raise SizeGuardError(f"memory {A.memory} exceeds the solver guard (4)")
+    return _stacked_system(As, qp, name)
+
+
+def _result(sys: _System, phi, c, residual, E, positive=True, boundary=False, branch_id=0) -> SolveResult:
+    """One judged root (``ruelle._judge``) as a SolveResult; a positive root's Jacobian is its E."""
+    jacobian = None
+    if positive:
+        vals = np.empty(sys.d ** (sys.k + 1))
+        vals[sys.words] = E
+        # row sums are 1 + residual; renormalize so Jacobian validation is exact
+        rows = vals.reshape(sys.d, -1).sum(axis=0)
+        jacobian = Jacobian(d=sys.d, k=sys.k, values=vals / np.tile(rows, sys.d))
+    return SolveResult(phi=phi.copy(), c=float(c), residual=float(residual), summands_positive=bool(positive),
+                       jacobian=jacobian, branch_id=branch_id, boundary=bool(boundary))
 
 
 def positive_branch(A: Potential, q_tilde: QParam | float) -> SolveResult | None:
@@ -124,9 +136,30 @@ def positive_branch(A: Potential, q_tilde: QParam | float) -> SolveResult | None
 
 
 def positive_branches(As: list[Potential], q_tilde: QParam | float) -> list[SolveResult | None]:
-    """``positive_branch`` of each A of a stack sharing (d, k), each as it is alone."""
-    return [next((r for r in _roots(*root, False, False) if r.summands_positive), None)
-            for root in _topical_roots(As, QParam.of(q_tilde), "positive_branches")]
+    """``positive_branch`` of each A of a stack sharing (d, k), each as it is alone: one
+    ``_topical_root`` call for the fixed points and one ``_judge`` call for their residuals and signs."""
+    sys = _solver_system(As, QParam.of(q_tilde), "positive_branches")
+    PHI, C = _topical_root(sys)
+    residual, positive, _, E = _judge(sys, PHI, C)
+    return [_result(sys, phi, c, res, e) if res <= _ACCEPT_TOL and pos else None  # NaN: not accepted
+            for phi, c, res, pos, e in zip(PHI, C, residual, positive, E)]
+
+
+def _lattice_starts(n: int, c0: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``cap`` Newton starts (PHI, C) of the lattice on n contexts, phi[0] = 0.
+
+    Start i has c level i % 5 of (c0, c0 + 2, c0 - 2, c0 + 4, c0 - 4) and phi[1:] the base-5
+    digits of i // 5 over ``_PHI_LEVELS``, most significant first: the order of
+    itertools.product(itertools.product(phi_levels, repeat=n - 1), c_levels).
+    """
+    i = np.arange(min(5**n, cap))  # a Python int: 5**n overflows int64 from n = 28
+    PHI, rest = np.full((len(i), n), _PHI_LEVELS[0]), i // 5
+    PHI[:, 0] = 0.0
+    for col in range(n - 1, 0, -1):  # the last digit first
+        if not rest.any():  # only the last few digits of i // 5 < cap are non-zero
+            break
+        PHI[:, col], rest = _PHI_LEVELS[rest % 5], rest // 5
+    return PHI, np.array([c0, c0 + 2.0, c0 - 2.0, c0 + 4.0, c0 - 4.0])[i % 5]
 
 
 def qruelle_solve(
@@ -145,9 +178,10 @@ def qruelle_solve(
     stalls).  Only where 1/(1 - qt) is an even integer does a batched
     multistart Newton lattice follow, with phi components in
     {-3, -1.5, 0, 1.5, 3} and c in {c0, c0 +- 2, c0 +- 4} (c0 the constant of
-    the zero potential), capped at ``_MAX_STARTS`` starts.  Roots are accepted
-    at residual <= 1e-10, deduplicated at distance 1e-7, and classified by the
-    sign margin of their summand bases.  Roots with a zero-base summand are
+    the zero potential), capped at ``_MAX_STARTS`` starts.  One ``_judge`` call
+    accepts roots at residual <= 1e-10 and classifies them by the sign margin of
+    their summand bases; a root within 1e-7 of an earlier one (in c and in each
+    phi entry) is dropped.  Roots with a zero-base summand are
     reported only when ``allow_boundary`` is set.  An empty list is valid.
 
     At every other q-tilde the list is complete: every root has positive
@@ -156,63 +190,23 @@ def qruelle_solve(
     on every edge of the strongly connected de Bruijn graph, so the solution
     is unique up to constants (Gaubert & Gunawardena, Trans. AMS 356, 2004).
     """
-    return _roots(*_topical_roots([A], QParam.of(q_tilde), "qruelle_solve")[0], allow_boundary, True)
-
-
-def _topical_roots(As: list[Potential], qp: QParam, name: str) -> list[tuple[_System, np.ndarray, float]]:
-    """(system, phi, c) of each A of a stack: one ``_topical_root`` call, each row as if alone."""
-    for A in As:
-        if A.memory > 4:
-            raise SizeGuardError(f"memory {A.memory} exceeds the solver guard (4)")
-    sys = _stacked_system(As, qp, name)
-    return [(sys.rows(i), phi, c) for i, (phi, c) in enumerate(zip(*_topical_root(sys)))]
-
-
-def _roots(sys: _System, phi: np.ndarray, c: float, allow_boundary: bool, lattice: bool) -> list:
-    """``qruelle_solve``'s roots from the topical root (phi, c); without ``lattice``, that one's."""
-    PHI, C = phi[None], np.array([c])
-    if lattice and sys.order is not None:
-        c0 = _trivial_c(sys.d, QParam(sys.qt))
-        phi_levels = (-3.0, -1.5, 0.0, 1.5, 3.0)
-        c_levels = (c0, c0 + 2.0, c0 - 2.0, c0 + 4.0, c0 - 4.0)
-        lattice = itertools.product(itertools.product(phi_levels, repeat=sys.n - 1), c_levels)
-        starts = list(itertools.islice(lattice, _MAX_STARTS))
-        PHI_l = np.zeros((len(starts), sys.n))
-        PHI_l[:, 1:] = [free_phi for free_phi, _ in starts]
-        PHI_l, C_l, converged = _newton(sys, PHI_l, np.array([c_start for _, c_start in starts]))
-        # candidates in order: the topical root, then the lattice rows
+    sys = _solver_system([A], QParam.of(q_tilde), "qruelle_solve")
+    PHI, C = _topical_root(sys)
+    if sys.order is not None:  # candidates in order: the topical root, then the lattice rows
+        starts = _lattice_starts(sys.n, _trivial_c(sys.d, QParam(sys.qt)), _MAX_STARTS)
+        PHI_l, C_l, converged = _newton(sys, *starts)
         PHI, C = np.vstack([PHI, PHI_l[converged]]), np.concatenate([C, C_l[converged]])
-    residuals = np.abs(sys.defect(sys.arguments(PHI, C))).max(axis=1)
-
-    roots: list[tuple[np.ndarray, float, float]] = []
-    for phi, c, residual in zip(PHI, C, residuals):
-        if not residual <= _ACCEPT_TOL:  # NaN: outside the domain
-            continue
-        if any(
-            abs(c - c2) < _DEDUP_TOL and np.max(np.abs(phi - p2)) < _DEDUP_TOL
-            for p2, c2, _ in roots
-        ):
-            continue
-        roots.append((phi, c, residual))
-
-    roots.sort(key=lambda r: (-r[1], tuple(r[0])))
-    results: list[SolveResult] = []
-    for phi, c, residual in roots:
-        positive, boundary = _classify(sys, phi, c)
-        if boundary and not allow_boundary:
-            continue
-        results.append(
-            SolveResult(
-                phi=phi.copy(),
-                c=float(c),
-                residual=float(residual),
-                summands_positive=positive,
-                jacobian=_jacobian_of_root(sys, phi, c) if positive else None,
-                branch_id=len(results),
-                boundary=boundary,
-            )
-        )
-    return results
+    residual, positive, boundary, E = _judge(sys, PHI, C)
+    roots, left = [], np.flatnonzero(residual <= _ACCEPT_TOL)  # NaN: outside the domain
+    while left.size:  # the first remaining candidate is a root and drops those near it
+        i, left = left[0], left[1:]
+        roots.append(i)
+        dist = np.maximum(np.abs(C[left] - C[i]), np.abs(PHI[left] - PHI[i]).max(axis=1))
+        left = left[~(dist < _DEDUP_TOL)]
+    roots.sort(key=lambda i: (-C[i], tuple(PHI[i])))
+    roots = [i for i in roots if allow_boundary or not boundary[i]]
+    return [_result(sys, PHI[i], C[i], residual[i], E[i], positive[i], boundary[i], branch_id)
+            for branch_id, i in enumerate(roots)]
 
 
 def jana_closed_form(a12: float, a21: float) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -323,11 +317,6 @@ def a_q_transform(A: Potential, q: QParam | float) -> Potential:
     """
     vals = _log_exp_q(np.asarray(A.values, dtype=float), QParam.of(q).q)
     return Potential(d=A.d, memory=A.memory, values=vals)
-
-
-def _per_entry(f, x):
-    """A math function on each entry of a 1-d array x, or on a float: numpy's may differ in the last bit."""
-    return np.array([f(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else f(x)
 
 
 def _g_half(a1, a2, C, a):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError, QLogDomainError, SizeGuardError
-from .qfun import QParam, _cutoff_root, even_power_order, log_q
+from .qfun import QParam, _cutoff_root, _per_entry, even_power_order, log_q
 from .shift import Potential, drop_first, drop_last, prefix_index, prepend, word_index
 
 _STATE_GUARD = 4096
@@ -139,10 +139,9 @@ def transfer_matrix(A: Potential) -> TransferMatrix:
     """
     d, k = A.d, _guarded_context_length(A)
     _, pre_idx, A_vals = _context_tables(A, k)
-    # math.exp per entry: np.exp may differ from it in the last bit
-    entries = [math.exp(v) for v in A_vals.ravel().tolist()]
     M = np.zeros((d**k, d**k))
-    M[np.arange(d**k)[:, None], pre_idx] = np.reshape(entries, A_vals.shape)
+    # math.exp per entry: np.exp may differ from it in the last bit
+    M[np.arange(d**k)[:, None], pre_idx] = _per_entry(math.exp, A_vals.ravel()).reshape(A_vals.shape)
     return TransferMatrix(d=d, k=k, matrix=M)
 
 
@@ -240,6 +239,25 @@ class _System:
             return np.array([_solve_or_lstsq(J, -f) for J, f in zip(Jmat, F)])
 
 
+def _judge(sys: _System, PHI: np.ndarray, C: np.ndarray):
+    """(residual, positive, boundary, E) of each candidate root (PHI[i], C[i]) from one evaluation:
+    max |sum_a E - 1| (NaN outside the strict domain), every base above ``_BOUNDARY_MARGIN``, when
+    not positive some base at zero within it (even if others went negative through the even-power
+    extension), and the summands E (S, n, d)."""
+    U = sys.arguments(PHI, C)
+    base = sys.bases(U)
+    E = np.exp(U) if sys.classical else base**sys.power
+    positive = base.min(axis=(1, 2)) > _BOUNDARY_MARGIN  # NaN: not positive
+    boundary = ~positive & (np.abs(base) <= _BOUNDARY_MARGIN).any(axis=(1, 2))
+    return np.abs(E.sum(axis=2) - 1.0).max(axis=1), positive, boundary, E
+
+
+def _classify(sys: _System, phi: np.ndarray, c: float) -> tuple[bool, bool]:
+    """(positive, boundary) of one root: ``_judge``'s one-row case."""
+    _, positive, boundary, _ = _judge(sys, phi[None], np.array([c]))
+    return bool(positive[0]), bool(boundary[0])
+
+
 def _solve_or_lstsq(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(J, rhs)
@@ -299,15 +317,6 @@ def _newton(
         converged |= fnorm <= _NEWTON_TOL
         live &= ~converged
     return PHI, C, converged
-
-
-def _classify(sys: _System, phi: np.ndarray, c: float) -> tuple[bool, bool]:
-    base = sys.bases(sys.arguments(phi[None], np.array([c])))
-    positive = float(np.min(base)) > _BOUNDARY_MARGIN
-    # a root touches the boundary when any single base sits at zero, even if
-    # other summands have gone negative through the even-power extension
-    boundary = not positive and bool(np.any(np.abs(base) <= _BOUNDARY_MARGIN))
-    return positive, boundary
 
 
 def _topical_root(sys: _System) -> tuple[np.ndarray, np.ndarray]:
@@ -563,11 +572,15 @@ def _backward_matrix(d: int, k: int, values: np.ndarray) -> np.ndarray:
     return R
 
 
-def _forward_markov(d: int, k: int, R: np.ndarray, pi: np.ndarray) -> MarkovMeasure:
-    """The measure with masses pi and P(x -> z) = R[x, z] pi[z] / pi[x], R >= 0.
+def _forward_markov(d: int, k: int, values: np.ndarray) -> MarkovMeasure:
+    """The stationary Markov measure whose backward conditionals are ``values`` >= 0 on (k+1)-words.
 
-    Roundoff mass on a state with none on its successors is dropped; massless states move uniformly.
+    Its masses solve R pi = pi directly (``_stationary`` of R^T), R = ``_backward_matrix``, as zeros
+    can make the chain periodic or partly transient; P(x -> z) = R[x, z] pi[z] / pi[x].  Roundoff
+    mass on a state with none on its successors is dropped; massless states move uniformly.
     """
+    R = _backward_matrix(d, k, values)
+    pi = _stationary(R.T)
     while np.any((pi > 0.0) & (R @ pi == 0.0)):
         pi = np.where(R @ pi == 0.0, 0.0, pi)
         pi = pi / pi.sum()
@@ -581,12 +594,8 @@ def _forward_markov(d: int, k: int, R: np.ndarray, pi: np.ndarray) -> MarkovMeas
 
 
 def equilibrium_markov(J: Jacobian) -> MarkovMeasure:
-    """Unique stationary Markov measure whose backward conditionals equal J.
-
-    The masses solve R pi = pi directly (``_stationary`` of the row-stochastic R^T).
-    """
-    R = _backward_matrix(J.d, J.k, J.values)
-    return _forward_markov(J.d, J.k, R, _stationary(R.T))
+    """Unique stationary Markov measure whose backward conditionals equal J: ``_forward_markov``."""
+    return _forward_markov(J.d, J.k, J.values)
 
 
 def _mass_log_weights(mu: MarkovMeasure) -> tuple[np.ndarray, np.ndarray]:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QExpDomainError
-from .qfun import CLASSICAL_Q_TOL, QParam, _exp_q_log1p_arg, _log_exp_q, _regularized_max
+from .qfun import CLASSICAL_Q_TOL, QParam, _exp_q_log1p_arg, _log_exp_q, _per_entry, _regularized_max
 
 
 def _check_prob(p, rows: bool = False) -> np.ndarray:
@@ -91,9 +91,7 @@ def q_entropy_vec(p, q: QParam | float) -> float | np.ndarray:
 def renyi_entropy(p, q: QParam | float) -> float | np.ndarray:
     """Renyi entropy log(sum p^q)/(1-q); Shannon at q = 1; rows as ``q_entropy_vec``."""
     # math.log per row: numpy's SIMD log differs in the last bit
-    return _entropy_rows(
-        p, q, lambda rows, qs: np.array([math.log(s) for s in _power_sums(rows, qs).tolist()])
-    )
+    return _entropy_rows(p, q, lambda rows, qs: _per_entry(math.log, _power_sums(rows, qs)))
 
 
 def renyi_from_q_entropy(hq, q: QParam | float) -> float | np.ndarray:
@@ -106,7 +104,7 @@ def renyi_from_q_entropy(hq, q: QParam | float) -> float | np.ndarray:
     out, deformed = h.copy(), ~shannon
     x = _exp_q_log1p_arg(h[deformed], qs[deformed])
     # math.log1p per entry: numpy's SIMD log1p differs in the last bit
-    out[deformed] = np.array([math.log1p(v) for v in x.tolist()]) / (1.0 - qs[deformed])
+    out[deformed] = _per_entry(math.log1p, x) / (1.0 - qs[deformed])
     return out if np.ndim(hq) else float(out[0])
 
 

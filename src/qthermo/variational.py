@@ -19,11 +19,9 @@ from .errors import QThermoError
 from .qfun import QParam, _regularized_max, log_q
 from .ruelle import (
     MarkovMeasure,
-    _backward_matrix,
     _forward_markov,
     _relative_value_iteration,
     _stacked_system,
-    _stationary,
     q_entropy_markov,
     variational_entropy_of_masses,
 )
@@ -92,10 +90,7 @@ def q_pressure_scans(As: list[Potential], q: QParam | float, grid_n: int) -> lis
     vals[:, sys.words] = _regularized_max(V + H[:, sys.pre_idx], qp.q)[0]
     out = []
     for A, row, bracket, it in zip(As, vals, brackets, steps):
-        R = _backward_matrix(d, k, row)
-        # zeros can make the chain periodic or partly transient, so its masses
-        # are solved for directly
-        mu = _forward_markov(d, k, R, _stationary(R.T))
+        mu = _forward_markov(d, k, row)
         value = float(q_entropy_markov(mu, qp) + mu.integrate(A))
         out.append(ScanResult(value, mu, grid_n=grid_n, refined=True, excluded_fraction=0.0,
                               bracket=bracket, iterations=it))

@@ -10,7 +10,7 @@ from qthermo import qsolve
 from qthermo.errors import NonConvergenceError, QExpDomainError, SizeGuardError
 from qthermo.qfun import QParam, _cutoff_root, log_q
 from qthermo.qsolve import (
-    _classify,
+    _lattice_starts,
     _neg_log_q_inv,
     _newton,
     _stacked_system,
@@ -35,6 +35,7 @@ from qthermo.qsolve import (
 )
 from qthermo.ruelle import (
     Jacobian,
+    _classify,
     classical_pressure,
     classical_pressures,
     equilibrium_markov,
@@ -600,6 +601,38 @@ def test_solver_matches_per_start_reference_memory_4(qt, monkeypatch):
     _assert_same_roots(A, qt, max_starts=150)
 
 
+@pytest.mark.parametrize("cap", [150, 2000])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 27, 64])
+def test_lattice_starts_are_the_tuple_enumeration(n, cap):
+    # n = 64 (d = 4, memory 4) is past 5**27, where an int64 power of 5 overflows
+    c0 = math.log(3.0)
+    phi_levels = (-3.0, -1.5, 0.0, 1.5, 3.0)
+    c_levels = (c0, c0 + 2.0, c0 - 2.0, c0 + 4.0, c0 - 4.0)
+    # itertools.product first reads its arguments whole, so the outer product over the
+    # 5**(n - 1) phi tuples is written as the lazy loop it equals
+    lattice = ((phi, c) for phi in itertools.product(phi_levels, repeat=n - 1) for c in c_levels)
+    want = list(itertools.islice(lattice, cap))
+    if n <= 7:
+        nested = itertools.product(itertools.product(phi_levels, repeat=n - 1), c_levels)
+        assert want == list(itertools.islice(nested, cap))
+    PHI, C = _lattice_starts(n, c0, cap)
+    assert PHI.shape == (len(want), n) and C.shape == (len(want),)
+    assert not PHI[:, 0].any()
+    assert [(tuple(phi[1:]), c) for phi, c in zip(PHI.tolist(), C.tolist())] == want
+
+
+def test_solver_runs_the_lattice_on_27_contexts(monkeypatch):
+    # d = 3, memory 4: the starts are index arithmetic, never the 5**26 phi tuples
+    monkeypatch.setattr(qsolve, "_MAX_STARTS", 150)
+    A = Potential(d=3, memory=4, values=np.random.default_rng(0).normal(0.0, 0.3, 81))
+    roots = qruelle_solve(A, 0.5)
+    assert len(roots) > 1
+    assert all(r.residual <= 1e-10 for r in roots)
+    assert [r.c for r in roots] == sorted((r.c for r in roots), reverse=True)
+    (positive,) = [r for r in roots if r.summands_positive]
+    assert np.array_equal(positive.phi, positive_branch(A, 0.5).phi)
+
+
 def test_singular_row_takes_the_least_squares_step(monkeypatch):
     # at qt = 1/2 the summand derivative is the base itself; with the bases of
     # the first context all zero, that row of the Jacobian vanishes
@@ -689,6 +722,26 @@ def test_fixed_point_certifies_a_draw_without_positive_root():
     assert positive_branch(A, 0.5) is None
     with pytest.raises(NonConvergenceError):
         q_equilibrium(A, 1.5)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NonConvergenceError,
+    reason="at this root a base touches the cut-off: the finish is refused at every retry "
+    "width and the damped iteration narrows only to relative width 9.5e-6 in 5,000 steps",
+)
+def test_positive_branch_on_a_root_touching_the_cutoff():
+    # the 764th draw of default_rng(1) drawing d, memory, q-tilde, sigma, then the values
+    A = Potential(d=3, memory=3, values=np.array([
+        -1.8829424506807695, 2.7278197333865273, 1.3479187476632135, 0.24256799241106153,
+        -4.0178917043428655, 2.0560969000599423, 1.0044757238706667, -2.806594167850003,
+        2.878664592285677, -1.8858588890248078, 3.2657369976572665, 0.3787887440000056,
+        -1.3102758341215297, 6.13528011993367, 4.216364416393569, 2.091499256250895,
+        -2.697117693353194, -1.149334647006714, 1.6720292474700185, -1.5842809701396177,
+        -1.9438315354332114, 1.3077599583913229, 0.8741637718401147, -3.855165101409547,
+        2.4697490567237343, 0.09962139710922807, 6.132462880060668]))
+    branch = positive_branch(A, 0.7)
+    assert branch is None or (branch.residual <= 1e-10 and branch.summands_positive)
 
 
 @pytest.mark.parametrize("qt,seed", [(1.03, 0), (0.97, 24)])
