@@ -10,8 +10,8 @@ for every context word x; at qt = 1 exp_qt is exp and the equation is the
 classical eigen-equation.  A root with positive summands is the unique
 fixed point, T(phi) = phi + c, of a monotone cut-off map, found by
 ``ruelle._topical_root``, the one root kernel at every qt: the library's one
-fixed-point loop on the map ``qfun._cutoff_root`` per context, with a Newton
-finish; ``positive_branch`` returns that root.  When
+fixed-point loop on the map ``qfun._cutoff_root`` per context, with Newton
+steps on T(phi) = phi + c itself; ``positive_branch`` returns that root.  When
 1/(1 - qt) is an even positive integer the q-exponential extends to a global
 polynomial and ``qruelle_solve`` also runs a batched multistart Newton lattice
 for roots whose summand bases are negative or zero; otherwise evaluation is
@@ -43,6 +43,7 @@ from .ruelle import (
     _guarded_context_length,
     _judge,
     _newton,
+    _newton_steps,
     _stacked_system,
     _System,
     _topical_root,
@@ -374,7 +375,7 @@ def _branch_slope(
     context x, the cohomological equation
         sum_a E'(u_a(x)) (B(a x) + phidot(prefix_k(a x)) - phidot(x) - cdot) = 0
     with E' the summand derivative.  Its matrix is the Newton matrix, so one
-    ``newton_steps`` call with F(x) = sum_a E'(u_a(x)) B(a x) returns
+    ``_newton_steps`` call with F(x) = sum_a E'(u_a(x)) B(a x) returns
     (phidot[1:], cdot).  Also returns the system of A on the common context
     length, the table of B and the root's phi on it.
     """
@@ -392,7 +393,7 @@ def _branch_slope(
     phi = root.phi[prefix_index(np.arange(sys.n), sys.d, sys.k, k)]
     _, dE = sys.summands(phi[None], np.array([root.c]))
     rhs = (dE * B_vals).sum(axis=2)
-    return root, sys, B_vals, phi, float(sys.newton_steps(dE, rhs)[0, -1])
+    return root, sys, B_vals, phi, float(_newton_steps(sys.pre_idx, dE, rhs)[0, -1])
 
 
 def pressure_derivative(

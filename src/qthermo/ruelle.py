@@ -1,7 +1,8 @@
 """Classical (extensive) thermodynamic formalism on the full shift.
 
 Transfer matrices for locally constant potentials; the one fixed-point loop,
-``_relative_value_iteration`` on stacked context tables, which drives the
+``_relative_value_iteration`` on stacked context tables, with Newton steps on
+T(h) = h + c itself where T's tangent is given, which drives the
 scans of ``variational`` and the root kernel of the equation of ``qsolve`` at
 every q-tilde (``_System``, ``_topical_root``), whose q-tilde = 1 case gives
 the leading eigendata; normalization to a Jacobian, stationary Markov
@@ -77,53 +78,57 @@ def _context_tables(A: Potential, k: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return words, drop_last(words, d), A.values[prefix_index(words, d, k + 1, A.memory)]
 
 
-def _relative_value_iteration(V: np.ndarray, pre_idx: np.ndarray, kernel, finish=None):
-    """Damped relative value iteration on a stack of tables V (B, n, d): the one fixed-point loop.
+def _relative_value_iteration(V: np.ndarray, pre_idx: np.ndarray, kernel, tangent=None):
+    """Relative value iteration with Newton steps on a stack of tables V (B, n, d): the one fixed-point loop.
 
     Row i iterates T(h) = kernel(V[i] + h[pre_idx]) for a ``kernel`` from (..., d) to (...),
     monotone and commuting with constants, so lo = min(Th - h) <= c <= hi = max(Th - h) for c
-    in T(h*) = h* + c.  Each step moves h <- (h + Th)/2, h[0] = 0.  A row leaves the stack at
-    hi - lo <= 1e-12*max(1, |hi|), or when ``finish`` returns other than None for it: once a
-    step, ``finish(rows, h, lo, hi)`` gets the rows whose relative width has reached their own
-    retry width, 1e-3 and then half the last tried, and returns one result per row.  Returns per
-    row h (B, n), (lo, hi), the kernel evaluations (the last counted) and finish's result or
-    None.  NonConvergenceError after 5,000 evaluations.
+    in T(h*) = h* + c.  Each step moves h <- (h + Th)/2, h[0] = 0.  A row due for Newton moves
+    h <- h + delta instead, (I - P) delta + g = Th - h, delta[0] = 0, P[x, pre_idx[x, a]] = W[x, a]
+    for W = ``tangent(v, Th)``, T's row-stochastic derivative at v = V + h[pre_idx], unless delta
+    is not finite.  Given a tangent, a row on at most ``_NEWTON_CONTEXTS`` contexts is due at its
+    retry width, 1e-3 and then half its width at its last Newton step.  A row leaves the stack at
+    hi - lo <= 1e-12*max(1, |hi|), unless it is due and wider than 1e-15.  Returns per row h (B, n),
+    (lo, hi) and the kernel evaluations (the last counted).  NonConvergenceError after 5,000.
     """
-    B, n, _ = V.shape
-    H, brackets, steps, results = np.empty((B, n)), [None] * B, [0] * B, [None] * B
-    live, retry, one = list(range(B)), [1e-3] * B, B == 1
+    B, n, d = V.shape
+    H, brackets, steps = np.empty((B, n)), [None] * B, [0] * B
+    retry = [1e-3 if tangent is not None and n <= _NEWTON_CONTEXTS else 0.0] * B
+    live, one = list(range(B)), B == 1
     h = np.zeros(n if one else (B, n))  # a lone row runs as a vector on its 2-d table
     V, idx = (V[0], pre_idx) if one else (V, pre_idx + np.arange(0, B * n, n)[:, None, None])
     for step in range(1, 5001):
-        gap = kernel(V + h.ravel()[idx]) - h  # idx reads h raveled
+        v = V + h.ravel()[idx]  # idx reads h raveled
+        Th = kernel(v)
+        gap = Th - h
         rows, due, stay = gap.reshape(-1, n), [], []  # ufunc reduce: no method wrapper per step
         los, his = np.minimum.reduce(rows, axis=1).tolist(), np.maximum.reduce(rows, axis=1).tolist()
         for j, i in enumerate(live):
             width = (his[j] - los[j]) / max(1.0, abs(his[j]))
-            if finish is not None and width <= retry[i]:
-                due.append(j)
-                retry[i] = 0.5 * width
-            if width > 1e-12:
+            if width > 1e-12 or 1e-15 < width <= retry[i]:
                 stay.append(j)
-        if due:  # one call for the rows at their retry width
-            if len(due) == len(live):  # all of them, as a lone row is: no copies
-                tried = finish(live, h.reshape(-1, n), los, his)
-            else:
-                tried = finish([live[j] for j in due], h.reshape(-1, n)[due], [los[j] for j in due],
-                               [his[j] for j in due])
-            for j, result in zip(due, tried):
-                results[live[j]] = result
-            stay = [j for j in stay if results[live[j]] is None]
+                if width <= retry[i]:
+                    due.append(j)
+                    retry[i] = 0.5 * width
         if len(stay) < len(live):
             for j in set(range(len(live))).difference(stay):
                 H[live[j]], brackets[live[j]], steps[live[j]] = h.reshape(-1, n)[j], (los[j], his[j]), step
             if not stay:
-                return H, brackets, steps, results
+                return H, brackets, steps
+        nxt = h + 0.5 * gap
+        if due:  # one batched solve for the (h[1:], g) steps of the due rows
+            W = tangent(v.reshape(-1, n, d)[due], Th.reshape(-1, n)[due])
+            delta = _newton_steps(pre_idx, W, rows[due])
+            ok = np.isfinite(delta).all(axis=1)  # a row without a finite step keeps the damped one
+            due = np.asarray(due)[ok]
+            moved = h.reshape(-1, n)[due]
+            moved[:, 1:] += delta[ok, :-1]
+            nxt.reshape(-1, n)[due] = moved
+        h = nxt - (nxt[0] if one else nxt[:, :1])
+        if len(stay) < len(live):
             live, one = [live[j] for j in stay], len(stay) == 1  # a last open row runs as a vector
-            h, gap, V = (x[stay[0]] if one else x[stay] for x in (h, gap, V))
+            h, V = (x[stay[0]] if one else x[stay] for x in (h, V))
             idx = pre_idx if one else idx[: len(stay)]
-        h = h + 0.5 * gap
-        h = h - (h[0] if one else h[:, :1])
     raise NonConvergenceError(
         f"relative value iteration left {len(live)} of {B} rows open after 5000 steps, the "
         f"widest at relative width {max((his[j] - los[j]) / max(1.0, abs(his[j])) for j in stay):.3g}")
@@ -217,27 +222,6 @@ class _System:
         E = np.exp(U) if self.classical else self.bases(U) ** self.power
         return E.sum(axis=2) - 1.0
 
-    def newton_steps(self, dE: np.ndarray, F: np.ndarray) -> np.ndarray:
-        """Newton steps on the free unknowns (phi[1:], c) of every row, (S, n).
-
-        ``dE`` holds the summand derivatives E' and ``F`` the defects.  phi[0]
-        stays 0 (the gauge).  One singular matrix makes the stacked solve
-        raise for all of them; the rows are then solved one at a time, each
-        falling back to least squares when its own matrix is singular.
-        """
-        n, diag = self.n, self.diag
-        dsum = dE.sum(axis=2)
-        Jfull = np.zeros((len(F), n, n + 1))
-        # the k-prefixes of a.x are distinct over a, so assignment is the sum
-        Jfull[:, diag[:, None], self.pre_idx] = dE
-        Jfull[:, diag, diag] -= dsum
-        Jfull[:, :, n] = -dsum
-        Jmat = Jfull[:, :, 1:]
-        try:
-            return np.linalg.solve(Jmat, -F[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            return np.array([_solve_or_lstsq(J, -f) for J, f in zip(Jmat, F)])
-
 
 def _judge(sys: _System, PHI: np.ndarray, C: np.ndarray):
     """(residual, positive, boundary, E) of each candidate root (PHI[i], C[i]) from one evaluation:
@@ -265,6 +249,29 @@ def _solve_or_lstsq(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(J, rhs, rcond=None)[0]
 
 
+def _newton_steps(pre_idx: np.ndarray, dE: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Newton steps on the free unknowns (phi[1:], c) of every row, (S, n), on the pattern pre_idx (n, d).
+
+    ``dE`` (S, n, d) holds the summand derivatives E' and ``F`` (S, n) the defects.  phi[0]
+    stays 0 (the gauge).  One singular matrix makes the stacked solve raise for all of them;
+    the rows are then solved one at a time, each falling back to least squares when its own
+    matrix is singular.
+    """
+    n = F.shape[1]
+    diag = np.arange(n)
+    dsum = dE.sum(axis=2)
+    Jfull = np.zeros((len(F), n, n + 1))
+    # the k-prefixes of a.x are distinct over a, so assignment is the sum
+    Jfull[:, diag[:, None], pre_idx] = dE
+    Jfull[:, diag, diag] -= dsum
+    Jfull[:, :, n] = -dsum
+    Jmat = Jfull[:, :, 1:]
+    try:
+        return np.linalg.solve(Jmat, -F[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        return np.array([_solve_or_lstsq(J, -f) for J, f in zip(Jmat, F)])
+
+
 def _newton(
     sys: _System, PHI: np.ndarray, C: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -289,7 +296,7 @@ def _newton(
         rows = np.flatnonzero(live)
         if not rows.size:
             break
-        step = sys.newton_steps(dE[rows], F[rows])
+        step = _newton_steps(sys.pre_idx, dE[rows], F[rows])
         finite = np.isfinite(step).all(axis=1)
         live[rows[~finite]] = False
         rows, step = rows[finite], step[finite]
@@ -323,44 +330,19 @@ def _topical_root(sys: _System) -> tuple[np.ndarray, np.ndarray]:
     """(PHI, C) with T(phi) = phi + c, T the cut-off map, a row per potential of sys as if alone.
 
     T(phi)(x) is the t with sum_a E(A(a x) + phi(prefix_k(a x)) - t) = 1, E the cut-off
-    q-exponential (exp at q-tilde = 1): ``_relative_value_iteration`` of ``_cutoff_root``.
-    On at most ``_NEWTON_CONTEXTS`` contexts its finish takes each due row whose every base
-    at the bracket's midpoint clears the margin through one ``_newton`` of them all, then one
-    more Newton step, kept per row unless it raises the defect.
+    q-exponential (exp at q-tilde = 1): ``_relative_value_iteration`` of ``_cutoff_root`` with
+    T's tangent E'/sum_a E' at t, in which a cut summand weighs 0.  c is the closed bracket's
+    midpoint.
     """
 
-    def finish(rows, PHI, lo, hi):
-        out, place, at = [None] * len(rows), range(len(rows)), sys.rows(rows)
-        C = np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
-        ok = (at.bases(at.arguments(PHI, C)) > _BOUNDARY_MARGIN).all(axis=(1, 2))  # NaN: not ok
-        if not ok.all():
-            place, PHI, C, at = np.asarray(place)[ok], PHI[ok], C[ok], at.rows(ok)
-        if not len(place):
-            return out
-        PHI, C, ok = _newton(at, PHI, C)
-        if not ok.all():
-            place, PHI, C, at = np.asarray(place)[ok], PHI[ok], C[ok], at.rows(ok)
-        if not len(place):
-            return out
-        E, dE = at.summands(PHI, C)
-        F = E.sum(axis=2) - 1.0
-        step = at.newton_steps(dE, F)
-        if not np.isfinite(step).all():  # such a row's trial is its root
-            step[~np.isfinite(step).all(axis=1)] = 0.0
-        PHI_t, C_t = PHI.copy(), C + step[:, -1]
-        PHI_t[:, 1:] += step[:, :-1]
-        kept = np.abs(at.defect(at.arguments(PHI_t, C_t))).max(axis=1) <= np.abs(F).max(axis=1)
-        PHI, C = (PHI_t, C_t) if kept.all() else (np.where(kept[:, None], PHI_t, PHI), np.where(kept, C_t, C))
-        for j, phi, c in zip(place, PHI, C.tolist()):
-            out[j] = (phi, c)
-        return out
+    def tangent(v, t):
+        u = v - t[..., None]
+        W = np.exp(u) if sys.classical else np.maximum(1.0 + (1.0 - sys.qt) * u, 0.0) ** (sys.power - 1)
+        return W / W.sum(axis=-1, keepdims=True)
 
-    H, brackets, _, done = _relative_value_iteration(
-        sys.A_vals.reshape(-1, sys.n, sys.d), sys.pre_idx, lambda v: _cutoff_root(v, sys.qt),
-        finish if sys.n <= _NEWTON_CONTEXTS else None)
-    for i, root in enumerate(done):
-        H[i] = H[i] if root is None else root[0]
-    return H, np.array([0.5 * (lo + hi) if r is None else r[1] for (lo, hi), r in zip(brackets, done)])
+    H, brackets, _ = _relative_value_iteration(
+        sys.A_vals.reshape(-1, sys.n, sys.d), sys.pre_idx, lambda v: _cutoff_root(v, sys.qt), tangent)
+    return H, np.array([0.5 * (lo + hi) for lo, hi in brackets])
 
 
 def leading_eig(M: TransferMatrix) -> tuple[float, np.ndarray, np.ndarray]:

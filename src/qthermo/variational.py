@@ -84,7 +84,7 @@ def q_pressure_scans(As: list[Potential], q: QParam | float, grid_n: int) -> lis
     """
     sys = _stacked_system(As, QParam(1.0), "q_pressure_scans")  # its context tables
     d, k, qp, V = sys.d, sys.k, QParam.of(q), sys.A_vals.reshape(-1, sys.n, sys.d)
-    H, brackets, steps, _ = _relative_value_iteration(
+    H, brackets, steps = _relative_value_iteration(
         V, sys.pre_idx, lambda v: _regularized_max(v, qp.q)[1])
     vals = np.empty((len(As), d ** (k + 1)))
     vals[:, sys.words] = _regularized_max(V + H[:, sys.pre_idx], qp.q)[0]

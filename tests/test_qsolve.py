@@ -724,24 +724,40 @@ def test_fixed_point_certifies_a_draw_without_positive_root():
         q_equilibrium(A, 1.5)
 
 
+# the 764th draw of default_rng(1) drawing d, memory, q-tilde, sigma, then the values
+_CUTOFF_DRAW = Potential(d=3, memory=3, values=np.array([
+    -1.8829424506807695, 2.7278197333865273, 1.3479187476632135, 0.24256799241106153,
+    -4.0178917043428655, 2.0560969000599423, 1.0044757238706667, -2.806594167850003,
+    2.878664592285677, -1.8858588890248078, 3.2657369976572665, 0.3787887440000056,
+    -1.3102758341215297, 6.13528011993367, 4.216364416393569, 2.091499256250895,
+    -2.697117693353194, -1.149334647006714, 1.6720292474700185, -1.5842809701396177,
+    -1.9438315354332114, 1.3077599583913229, 0.8741637718401147, -3.855165101409547,
+    2.4697490567237343, 0.09962139710922807, 6.132462880060668]))
+
+
+def test_positive_branch_on_a_root_touching_the_cutoff():
+    # at the fixed point summands are cut off (the least strict base is -5.14), and the
+    # equation of one context is met by the 14th entry's summand alone: c = A[13]
+    A = _CUTOFF_DRAW
+    assert positive_branch(A, 0.7) is None
+    sys = _System(A, QParam(0.7))
+    (phi,), (c,) = _topical_root(sys)
+    gap = _cutoff_root(sys.A_vals + phi[sys.pre_idx], sys.qt) - phi
+    assert gap.max() - gap.min() <= 1e-12
+    assert abs(c - 6.13528011993367) <= 1e-12 and A.values[13] == 6.13528011993367
+    assert (1.0 + 0.3 * sys.arguments(phi[None], np.array([c]))).min() < -5.0
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=NonConvergenceError,
-    reason="at this root a base touches the cut-off: the finish is refused at every retry "
-    "width and the damped iteration narrows only to relative width 9.5e-6 in 5,000 steps",
+    reason="the scan has no Newton step yet: on the cut-off draw its damped iteration narrows "
+    "only to relative width 6.0e-6 in 5,000 steps",
 )
-def test_positive_branch_on_a_root_touching_the_cutoff():
-    # the 764th draw of default_rng(1) drawing d, memory, q-tilde, sigma, then the values
-    A = Potential(d=3, memory=3, values=np.array([
-        -1.8829424506807695, 2.7278197333865273, 1.3479187476632135, 0.24256799241106153,
-        -4.0178917043428655, 2.0560969000599423, 1.0044757238706667, -2.806594167850003,
-        2.878664592285677, -1.8858588890248078, 3.2657369976572665, 0.3787887440000056,
-        -1.3102758341215297, 6.13528011993367, 4.216364416393569, 2.091499256250895,
-        -2.697117693353194, -1.149334647006714, 1.6720292474700185, -1.5842809701396177,
-        -1.9438315354332114, 1.3077599583913229, 0.8741637718401147, -3.855165101409547,
-        2.4697490567237343, 0.09962139710922807, 6.132462880060668]))
-    branch = positive_branch(A, 0.7)
-    assert branch is None or (branch.residual <= 1e-10 and branch.summands_positive)
+def test_scan_on_the_cutoff_draw():
+    res = q_pressure_scan(_CUTOFF_DRAW, 1.3, 8)
+    lo, hi = res.bracket
+    assert hi - lo <= 1e-12 * max(1.0, abs(hi))
 
 
 @pytest.mark.parametrize("qt,seed", [(1.03, 0), (0.97, 24)])
