@@ -4,20 +4,21 @@ The n-step operator applied to the constant function 1 at a base point x is
 
     L_n(1)(x) = sum over the d^n preimage words w of exp_q(S_n A(w x)),
 
-with S_n the n-term Birkhoff sum.  ``log_frak_L_sequence`` evaluates it
-exactly for n <= 5000.  When 0 < q < 1, p = 1/(1-q) is an integer P and
-min A >= 0, L_n = d^n E[Y^P] over uniform words, Y = 1 + (1-q) S_n >= 1.
-Prepending a to a word in context x adds v = A(a.x) to S_n, so the moments
-M_i(x) = d^-n sum of Y^i over the words in context x, i <= P, map into
-context prefix_k(a.x) by M'_j += C(j, i) ((1-q)v)^(j-i) M_i, at any d and
-memory.  Otherwise, also for P > 16 or moments past the float range,
-``SumBuckets`` (memory <= 2, d <= 3) carries log path counts per distinct
-sum, quantized to 1e-9; lattice potentials give polynomially many sums.
-A bucket's S_n is off by at most n * 5e-10, and the counts carry rounding
-of about 1e-16 relative per step.  ``frak_L_n`` is the sequence's last term.
-``asymptotic_pressure`` fits the tail of (1/n) log L_n(1)(x0), and
-``variational_scan_subadd`` gives the variational side in closed form:
-log d, attained by the uniform Bernoulli measure.
+with S_n the n-term Birkhoff sum.  ``log_frak_L_sequence`` evaluates it exactly for
+n <= 5000.  When 0 < q < 1, p = 1/(1-q) is an integer P and min A >= 0, L_n = d^n E[Y^P]
+over uniform words, Y = 1 + (1-q) S_n >= 1.  Prepending a to a word in context x adds
+v = A(a.x) to S_n, so the moments M_i(x) = d^-n sum of Y^i over the words in context x,
+i <= P, follow one linear map M' = L M at any d and memory: the entry of L from (x, i)
+to (prefix_k(a.x), j) is C(j, i) ((1-q)v)^(j-i) / d.  On N = d^k (P+1) pairs (x, i) with
+N^2 <= 200 n_max (N <= 632 at n_max = 2000, 8 MB at 5000), L is dense: 64 terms are one
+product of M with the rows e_P^T L^b, b <= 64, and L^64 moves M on; larger N step n by n.
+Otherwise, also for P > 16 or moments past the float range, ``SumBuckets`` (memory <= 2,
+d <= 3) carries log path counts per distinct sum, quantized to 1e-9; lattice potentials
+give polynomially many sums.  A bucket's S_n is off by at most n * 5e-10, and the counts
+carry rounding of about 1e-16 relative per step.  ``frak_L_n`` is the sequence's last
+term.  ``asymptotic_pressure`` fits the tail of (1/n) log L_n(1)(x0), and
+``variational_scan_subadd`` gives the variational side in closed form: log d, attained
+by the uniform Bernoulli measure.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ _BUCKET_GUARD = 2**20
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 # the transform holds d^(k+1) (P+1)^2 floats
 _MOMENT_ORDER_GUARD = 16
+_BLOCK, _DENSE_WORK = 64, 200  # dense while N^2 <= 200 n_max: measured break-even N^2/550..N^2/250
 
 
 def phi_n(A: Potential, q: QParam | float, w, tail):
@@ -184,12 +186,25 @@ def _moment_log_sequence(
     T = binom * ((1.0 - q.q) * A_vals[..., None, None]) ** np.maximum(j[:, None] - j, 0) / d
     M = np.zeros((d**k, P + 1))
     M[word_index(x0_prefix[:r], d) * d ** (k - r)] = 1.0
-    out = np.empty(n_max)
-    for n in range(n_max):
-        moved = np.einsum("xaji,xi->xaj", T, M)
-        M = np.zeros_like(M)
-        np.add.at(M, pre_idx, moved)
-        out[n] = M[:, P].sum()
+    N, B = M.size, min(_BLOCK, n_max)
+    if N * N > _DENSE_WORK * n_max:
+        out = np.empty(n_max)
+        for n in range(n_max):
+            moved = np.einsum("xaji,xi->xaj", T, M)
+            M = np.zeros_like(M)
+            np.add.at(M, pre_idx, moved)
+            out[n] = M[:, P].sum()
+        return np.arange(1, n_max + 1) * math.log(d) + np.log(out)
+    # M_{n+1} = L M_n, L[(pre_idx[x, a-1], j), (x, i)] = T[x, a-1, j, i]; rows[b-1] = e_P^T L^b
+    L = np.zeros((d**k, P + 1, d**k, P + 1))
+    L[pre_idx.ravel(), :, np.repeat(np.arange(d**k), d)] = T.reshape(-1, P + 1, P + 1)
+    L, rows, row = L.reshape(N, N), np.empty((B, N)), np.tile(j == P, d**k).astype(float)
+    for b in range(B):
+        rows[b] = row = row @ L
+    power, starts = np.linalg.matrix_power(L, B) if n_max > B else None, [M.ravel()]
+    while len(starts) * B < n_max:
+        starts.append(power @ starts[-1])
+    out = (np.stack(starts) @ rows.T).ravel()[:n_max]
     return np.arange(1, n_max + 1) * math.log(d) + np.log(out)
 
 
@@ -220,6 +235,8 @@ def log_frak_L_sequence(
 ) -> np.ndarray:
     """a_n = log L_n(1)(x0), n = 1..n_max <= 5000, by moments or buckets (module docstring)."""
     qp = QParam.of(q)
+    if n_max < 0:
+        raise ValueError(f"n_max = {n_max}: the sequence needs n_max >= 0")
     if n_max > 5000:
         raise SizeGuardError("n > 5000 exceeds the evaluation guard")
     P = _moment_order(A, qp, n_max)
@@ -240,13 +257,15 @@ def asymptotic_fit(
 
     Requires min A >= 0 (the regime where every bucket stays inside the
     exp_q domain for 0 < q < 1).  The tail n in [n_max/2, n_max] is fitted
-    by least squares against 1, (log n)/n and 1/n; the coefficients come in
-    that order, and the constant estimates the limit.  The (log n)/n term
-    is essential: the constant-potential closed form carries exactly that
-    correction.
+    by least squares against 1, (log n)/n and 1/n, so n_max >= 4; the
+    coefficients come in that order, and the constant estimates the limit.
+    The (log n)/n term is essential: the constant-potential closed form
+    carries exactly that correction.  ValueError outside these domains.
     """
     if float(np.min(A.values)) < 0.0:
         raise ValueError("asymptotic pressure requires a nonnegative potential")
+    if n_max < 4:
+        raise ValueError(f"n_max = {n_max}: the tail fit needs n_max >= 4")
     a_n = log_frak_L_sequence(A, q, x0_prefix, n_max)
     ns = np.arange(1, n_max + 1)
     seq = a_n / ns

@@ -121,6 +121,16 @@ def test_criterion_09_asymptotic_pressure():
     _assert_criterion(cli.criterion_9())
 
 
+def test_criterion_09_measured_values_are_pinned():
+    # the values of the moment recursion taken one n at a time, which the blocked
+    # product reproduces bit for bit
+    measured = cli.criterion_9().measured
+    assert measured == pytest.approx({
+        "closed_form_rel": 6.2501718364237054e-15, "estimate_const": 0.693149202792149,
+        "estimate_01": 0.6931517078316085, "base_point_diff": 8.027782949504569e-07,
+    }, rel=1e-14, abs=0.0)
+
+
 def test_criterion_10_deformed_sum_subadditivity():
     _assert_criterion(cli.criterion_10())
 

@@ -214,6 +214,18 @@ def test_missing_potential_file_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("n_max", ["0", "3", "-5"])
+def test_asym_pressure_refuses_a_tail_too_short_to_fit(n_max, tmp_path, capsys):
+    # the tail [n_max/2, n_max] needs 3 points for its 3 columns; a negative n_max is
+    # refused by name, not by a math domain error
+    potential = tmp_path / "A.json"
+    potential.write_text(Potential(d=2, memory=1, values=np.array([0.0, 1.0])).to_json())
+    argv = ["asym-pressure", "--potential", str(potential), "--q", "0.5", f"--n-max={n_max}"]
+    rc, out = run_cli(argv)
+    assert rc == 2 and out == ""
+    assert capsys.readouterr().err == f"error: n_max = {n_max}: the tail fit needs n_max >= 4\n"
+
+
 def test_unknown_subcommand_is_argparse_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["spectrum"])

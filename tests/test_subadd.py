@@ -6,10 +6,13 @@ import pytest
 
 from qthermo.errors import QExpDomainError, QThermoError, SizeGuardError
 from qthermo.qfun import QParam
-from qthermo.ruelle import ks_entropy
-from qthermo.shift import Potential
+from qthermo.ruelle import _context_tables, ks_entropy
+from qthermo.shift import Potential, word_index
 from qthermo.subadd import (
+    _DENSE_WORK,
     SumBuckets,
+    _moment_order,
+    asymptotic_fit,
     asymptotic_pressure,
     frak_L_n,
     frak_L_n_enumerate,
@@ -202,6 +205,74 @@ def _bucket_log_sequence(A, q, x0_prefix, n_max):
         sb.step()
         out[i] = sb.log_value(QParam(q))
     return out
+
+
+def _step_log_sequence(A, q, x0_prefix, n_max):
+    # the moment recursion one n at a time: the reference for the blocked product
+    qp = QParam(q)
+    P = _moment_order(A, qp, n_max)
+    d, r, k = A.d, A.memory - 1, A.context_length()
+    _, pre_idx, A_vals = _context_tables(A, k)
+    j = np.arange(P + 1)
+    binom = np.array([[math.comb(a, b) for b in j] for a in j], dtype=float)
+    T = binom * ((1.0 - q) * A_vals[..., None, None]) ** np.maximum(j[:, None] - j, 0) / d
+    M = np.zeros((d**k, P + 1))
+    M[word_index(x0_prefix[:r], d) * d ** (k - r)] = 1.0
+    out = np.empty(n_max)
+    for n in range(n_max):
+        moved = np.einsum("xaji,xi->xaj", T, M)
+        M = np.zeros_like(M)
+        np.add.at(M, pre_idx, moved)
+        out[n] = M[:, P].sum()
+    return np.arange(1, n_max + 1) * math.log(d) + np.log(out)
+
+
+@pytest.mark.parametrize("P", range(2, 9))
+@pytest.mark.parametrize("d, m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+def test_blocked_moments_equal_the_step_loop(d, m, P):
+    # every block boundary: one short block, one full, one full plus a term, and many
+    rng = np.random.default_rng(1000 * d + 100 * m + P)
+    A = Potential(d=d, memory=m, values=rng.uniform(0.0, 1.5, d**m))
+    q, x0 = 1.0 - 1.0 / P, tuple(rng.integers(1, d + 1, m - 1))
+    want = _step_log_sequence(A, q, x0, 2000)
+    for n_max in (1, 63, 64, 65, 2000):
+        got = log_frak_L_sequence(A, q, x0, n_max)
+        np.testing.assert_allclose(got, want[:n_max], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "d, m, q, n_max, dense",
+    [(3, 5, 0.75, 2000, True), (3, 5, 0.75, 800, False), (4, 5, 0.75, 2000, False)],
+)
+def test_moment_recursion_on_both_sides_of_the_dense_size(d, m, q, n_max, dense, monkeypatch):
+    # N = d^4 (P + 1) pairs: N = 405 is dense at n_max = 2000 but steps at 800, and
+    # N = 1,280 steps at 2000: there L^64 costs more than the steps
+    A = Potential(d=d, memory=m, values=np.random.default_rng(9).uniform(0.0, 1.5, d**m))
+    N = d**4 * (round(1.0 / (1.0 - q)) + 1)
+    assert (N * N <= _DENSE_WORK * n_max) == dense
+    want = _step_log_sequence(A, q, (1, 2, 3, 2), n_max)
+    steps, einsum = [], np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args: steps.append(1) or einsum(*args))
+    got = log_frak_L_sequence(A, q, (1, 2, 3, 2), n_max)
+    assert len(steps) == (0 if dense else n_max)
+    if dense:
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+def test_log_sequence_refuses_a_negative_length():
+    with pytest.raises(ValueError, match="n_max = -1"):
+        log_frak_L_sequence(A_01, 0.5, (), -1)
+    assert log_frak_L_sequence(A_01, 0.5, (), 0).shape == (0,)
+
+
+@pytest.mark.parametrize("n_max", [-5, 0, 1, 3])
+def test_asymptotic_fit_refuses_a_tail_too_short_to_fit(n_max):
+    with pytest.raises(ValueError, match=f"n_max = {n_max}: the tail fit needs n_max >= 4"):
+        asymptotic_fit(A_01, 0.5, (), n_max)
+    coef, seq = asymptotic_fit(A_01, 0.5, (), 4)
+    assert coef.shape == (3,) and len(seq) == 4
 
 
 @pytest.mark.parametrize("q", [0.5, 2.0 / 3.0, 0.75])
