@@ -8,7 +8,7 @@ every q-tilde (``_System``, ``_topical_root``), whose q-tilde = 1 case gives
 the leading eigendata; normalization to a Jacobian, stationary Markov
 equilibrium states, and the entropy zoo:
 Kolmogorov-Shannon entropy, dynamical q-entropy, relative q-entropy, and the
-variational (infimum) form of the q-entropy, a convex program for q <= 1.
+variational (infimum) form of the q-entropy, solved by exact Newton for q <= 1.
 
 Conventions.  A potential of memory ``m`` acts on states that are words of
 length ``k = max(m - 1, 1)``.  The transfer operator
@@ -20,8 +20,6 @@ matrix ``M[x, y] = e^{A(prefix_m(y1 x))}`` over pairs of k-words with the
 overlap condition ``y[1:] == x[:k-1]``.  The Jacobian of the associated
 equilibrium state lives on (k+1)-words and is the backward conditional
 probability of the first symbol given the tail.
-
-Imports numpy only: the variational q-entropy loads scipy (one BFGS run).
 """
 
 from __future__ import annotations
@@ -234,12 +232,6 @@ def _judge(sys: _System, PHI: np.ndarray, C: np.ndarray):
     positive = base.min(axis=(1, 2)) > _BOUNDARY_MARGIN  # NaN: not positive
     boundary = ~positive & (np.abs(base) <= _BOUNDARY_MARGIN).any(axis=(1, 2))
     return np.abs(E.sum(axis=2) - 1.0).max(axis=1), positive, boundary, E
-
-
-def _classify(sys: _System, phi: np.ndarray, c: float) -> tuple[bool, bool]:
-    """(positive, boundary) of one root: ``_judge``'s one-row case."""
-    _, positive, boundary, _ = _judge(sys, phi[None], np.array([c]))
-    return bool(positive[0]), bool(boundary[0])
 
 
 def _solve_or_lstsq(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -626,27 +618,39 @@ def relative_q_entropy(
 
 
 def _variational_objective(
-    t: np.ndarray, masses: np.ndarray, d: int, r: int, q: QParam
-) -> tuple[float, np.ndarray]:
-    """(value, gradient in t) of sum masses * log_q(sum_a u(a x) / u(x)), u = exp(t)."""
+    t: np.ndarray, masses: np.ndarray, d: int, q: QParam
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(value, gradient, Hessian in t) of sum masses * log_q(sum_a u(a x) / u(x)), u = exp(t).
+
+    At the log-ratios y, grad y_w = sigma_{prefix(w)} - e_w with sigma_j the softmax of t over the
+    words a j, so the Hessian is G^T diag(m phi'') G + sum_j c_j (diag sigma_j - sigma_j sigma_j^T),
+    phi = log_q o exp, G's rows grad y_w and c_j the sum of m phi' over the words with prefix j.
+    """
     # u = exp(t) stays in log space: exp(t - max t) underflows to 0 once the
     # spread of t passes about 745
     t = t.reshape(d, -1)  # major axis: first symbol of the r-word
     top = t.max(axis=0)
     # log of the sums over the first symbol, indexed by (r-1)-words
     log_s = top + np.log(np.exp(t - top).sum(axis=0))
-    # at an r-word with flat lexicographic index i, the prefix w[:r-1] has
-    # index i // d, so the log-ratio table is repeat(log_s, d) - t
-    log_ratio = (log_s[0] if r == 1 else np.repeat(log_s, d)) - t.reshape(-1)
+    # the prefix w[:r-1] of the r-word of flat lexicographic index i has index i // d
+    n = t.size
+    prefix = np.arange(n) // d
+    log_ratio = log_s[prefix] - t.reshape(-1)
     if q.classical:
-        value, weight = masses @ log_ratio, masses
+        value, weight, curv = masses @ log_ratio, masses, np.zeros(n)
     else:
         value = masses @ (np.expm1((1.0 - q.q) * log_ratio) / (1.0 - q.q))
-        # d/dy log_q(e^y) = e^{(1-q) y} at each word
+        # phi'(y) = e^{(1-q) y} and phi''(y) = (1-q) e^{(1-q) y} at each word
         weight = masses * np.exp((1.0 - q.q) * log_ratio)
+        curv = (1.0 - q.q) * weight
     # t[a, j] enters log_s[j], which every word with prefix j shares
-    c = weight.sum(keepdims=True) if r == 1 else weight.reshape(-1, d).sum(axis=1)
-    return float(value), (np.exp(t - log_s) * c).ravel() - weight
+    c = weight.reshape(-1, d).sum(axis=1)
+    sigma = np.exp(t - log_s)
+    S = np.zeros((len(log_s), n))  # row j: sigma_j over the full table
+    S[np.arange(n) % len(log_s), np.arange(n)] = sigma.ravel()
+    G = S[prefix] - np.eye(n)
+    hess = G.T @ (curv[:, None] * G) + np.diag((sigma * c).ravel()) - S.T @ (c[:, None] * S)
+    return float(value), (sigma * c).ravel() - weight, hess
 
 
 def q_entropy_variational(mu: MarkovMeasure, q: QParam | float, u_memory: int = 2) -> float:
@@ -659,7 +663,7 @@ def q_entropy_variational(mu: MarkovMeasure, q: QParam | float, u_memory: int = 
     and nondecreasing in y, the log-ratio is a log-sum-exp minus a linear
     term, and the masses are nonnegative (Boyd & Vandenberghe, Convex
     Optimization, 2004, section 3.2.4).  Every local minimum is then global,
-    so one quasi-Newton run from the flat table with the exact gradient
+    so one damped Newton run from the flat table with the exact Hessian
     returns the infimum.
 
     For q <= 1 the value is bounded between the Kolmogorov-Shannon entropy
@@ -690,22 +694,27 @@ def variational_entropy_of_masses(
     if qp.q > 1.0 and not qp.classical:
         raise QLogDomainError(f"variational q-entropy is -inf for q = {qp.q} > 1")
 
-    from scipy.optimize import minimize  # brute-force oracle only: off the import path
-
-    def objective(t: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = _variational_objective(np.concatenate(([0.0], t)), masses, d, u_memory, qp)
-        return value, grad[1:]
-
-    res = minimize(
-        objective,
-        np.zeros(d**u_memory - 1),
-        jac=True,
-        method="BFGS",
-        options={"maxiter": 500, "gtol": 1e-10},
-    )
-    # BFGS often ends on precision loss at a converged point, so the final
-    # gradient, not its success flag, decides (measured worst: about 1e-8)
-    gmax = float(np.max(np.abs(res.jac)))
-    if not gmax <= 1e-6:
-        raise NonConvergenceError(f"variational q-entropy: final gradient {gmax:.3g} > 1e-6")
-    return float(res.fun)
+    # damped Newton from the flat table with t[0] = 0, by least squares as at q = 1 the objective
+    # is flat along coboundaries; near roundoff the value stops falling, so a lower gradient counts
+    t = np.zeros(d**u_memory)
+    value, grad, hess = _variational_objective(t, masses, d, qp)
+    fmin, gmin = value, np.abs(grad[1:]).max()
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite trial is rejected
+        for _ in range(100):
+            step = np.concatenate(([0.0], np.linalg.lstsq(hess[1:, 1:], -grad[1:], rcond=None)[0]))
+            for lam in 0.5 ** np.arange(40):
+                trial = _variational_objective(t + lam * step, masses, d, qp)
+                gmax = np.abs(trial[1][1:]).max()
+                if math.isfinite(trial[0]) and (trial[0] <= value + 1e-4 * lam * (grad @ step)
+                                                or gmax < np.abs(grad[1:]).max()):
+                    break
+            else:
+                break
+            if not (trial[0] < fmin or gmax < gmin):
+                break  # at roundoff the value and the gradient only cycle
+            t, (value, grad, hess) = t + lam * step, trial
+            fmin, gmin = min(fmin, value), min(gmin, gmax)
+    gmax = float(np.abs(grad[1:]).max())
+    if not gmax <= 1e-10:
+        raise NonConvergenceError(f"variational q-entropy: final gradient {gmax:.3g} > 1e-10")
+    return value

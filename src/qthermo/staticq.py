@@ -19,10 +19,9 @@ is pinned to 1/(1-q) instead of being solved from the normalization, and the
 final rescaling is not a symmetry of the objective), so it generally sits
 strictly below the true supremum.  ``true_static_equilibrium`` solves the
 KKT conditions exactly through the cut-off root and ``static_q_pressure_scan``
-maximizes by brute force; both agree with each other and exceed the closed
-form whenever beta != 0, a is non-constant and q != 1.
-
-Imports numpy only: the brute-force ``static_q_pressure_scan`` loads scipy.
+maximizes by brute force, a simplex grid and a numpy zoom around its best
+point; both agree with each other and exceed the closed form whenever
+beta != 0, a is non-constant and q != 1.
 """
 
 from __future__ import annotations
@@ -165,11 +164,9 @@ def static_q_pressure_scan(
 ) -> StaticEquilibrium:
     """Brute-force maximum of H_q(p) + beta <a, p> on a simplex grid (d=2,3).
 
-    Barycentric stride 1/grid_n, then one coordinate-wise golden-section pass
-    around the best grid point.
+    Barycentric stride 1/grid_n, then in each free coordinate a zoom of 21 points
+    over +-w around the best point, w from 2/grid_n down by a factor 5 to 1e-14.
     """
-    from scipy.optimize import minimize_scalar  # brute-force oracle only: off the import path
-
     qp = QParam.of(q)
     a = np.asarray(payoff, dtype=float)
     d = a.size
@@ -190,26 +187,20 @@ def static_q_pressure_scan(
     vals = q_entropy_vec(pts, np.full(len(pts), qp.q)) + beta * pts @ a
     best = pts[int(np.argmax(vals))].copy()
 
-    # golden-section in each free coordinate around the best point
+    value = _objective(best, a, qp, beta)
     for axis in range(d - 1):
         rest = best.sum() - best[axis] - best[-1]
-
-        def f(t):
-            p = best.copy()
-            p[axis] = t
-            p[-1] = 1.0 - rest - t
-            if p[-1] <= 0.0 or t <= 0.0:
-                return math.inf
-            return -_objective(p, a, qp, beta)
-
-        lo = max(1e-12, best[axis] - 2.0 / grid_n)
-        hi = min(1.0 - rest - 1e-12, best[axis] + 2.0 / grid_n)
-        res = minimize_scalar(f, bracket=None, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-13})
-        if -res.fun > _objective(best, a, qp, beta):
-            best[axis] = res.x
-            best[-1] = 1.0 - rest - res.x
-    return StaticEquilibrium(_objective(best, a, qp, beta), best)
+        w = 2.0 / grid_n
+        lo, hi = best[axis] - w, best[axis] + w
+        while w > 1e-14:
+            for t in np.clip(best[axis] + np.linspace(-w, w, 21), lo, hi):
+                trial = best.copy()
+                trial[axis], trial[-1] = t, 1.0 - rest - t
+                v = _objective(trial, a, qp, beta) if t > 0.0 and trial[-1] > 0.0 else -math.inf
+                if v > value:
+                    best, value = trial, v
+            w *= 0.2
+    return StaticEquilibrium(value, best)
 
 
 def beta_sweep(payoff, q: QParam | float, betas) -> list[tuple[float, float | None]]:

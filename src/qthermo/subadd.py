@@ -256,20 +256,20 @@ def asymptotic_fit(
     """Tail-fit coefficients of (1/n) log L_n(1)(x0), plus the sequence.
 
     Requires min A >= 0 (the regime where every bucket stays inside the
-    exp_q domain for 0 < q < 1).  The tail n in [n_max/2, n_max] is fitted
-    by least squares against 1, (log n)/n and 1/n, so n_max >= 4; the
-    coefficients come in that order, and the constant estimates the limit.
+    exp_q domain for 0 < q < 1).  The tail n in [ceil(n_max/2), n_max], 4 points
+    at least (n_max >= 6), is fitted by least squares against 1, (log n)/n and
+    1/n; the coefficients come in that order, and the constant estimates the limit.
     The (log n)/n term is essential: the constant-potential closed form
     carries exactly that correction.  ValueError outside these domains.
     """
     if float(np.min(A.values)) < 0.0:
         raise ValueError("asymptotic pressure requires a nonnegative potential")
-    if n_max < 4:
-        raise ValueError(f"n_max = {n_max}: the tail fit needs n_max >= 4")
+    if n_max < 6:
+        raise ValueError(f"n_max = {n_max}: the tail fit needs n_max >= 6")
     a_n = log_frak_L_sequence(A, q, x0_prefix, n_max)
     ns = np.arange(1, n_max + 1)
     seq = a_n / ns
-    lo = n_max // 2
+    lo = (n_max + 1) // 2
     tail_n = ns[lo - 1 :].astype(float)
     design = np.column_stack(
         [np.ones_like(tail_n), np.log(tail_n) / tail_n, 1.0 / tail_n]

@@ -214,16 +214,16 @@ def test_missing_potential_file_exits_2(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("n_max", ["0", "3", "-5"])
+@pytest.mark.parametrize("n_max", ["0", "3", "4", "5", "-5"])
 def test_asym_pressure_refuses_a_tail_too_short_to_fit(n_max, tmp_path, capsys):
-    # the tail [n_max/2, n_max] needs 3 points for its 3 columns; a negative n_max is
-    # refused by name, not by a math domain error
+    # the tail [ceil(n_max/2), n_max] needs 4 points for its 3 columns, or the fit is
+    # exactly determined; a negative n_max is refused by name, not by a math domain error
     potential = tmp_path / "A.json"
     potential.write_text(Potential(d=2, memory=1, values=np.array([0.0, 1.0])).to_json())
     argv = ["asym-pressure", "--potential", str(potential), "--q", "0.5", f"--n-max={n_max}"]
     rc, out = run_cli(argv)
     assert rc == 2 and out == ""
-    assert capsys.readouterr().err == f"error: n_max = {n_max}: the tail fit needs n_max >= 4\n"
+    assert capsys.readouterr().err == f"error: n_max = {n_max}: the tail fit needs n_max >= 6\n"
 
 
 def test_unknown_subcommand_is_argparse_error():
@@ -485,7 +485,7 @@ def test_solve_at_classical_q_tilde_is_the_classical_pressure(jana_file, tmp_pat
     "entry", [["-c", "import qthermo.cli"], ["-m", "qthermo", "--help"]], ids=["import", "help"]
 )
 def test_import_path_is_numpy_only(entry, tmp_path):
-    # scipy loads only inside the brute-force oracles, never at import
+    # qthermo needs no scipy, at import or anywhere else
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *entry],
         capture_output=True,
@@ -499,19 +499,47 @@ def test_import_path_is_numpy_only(entry, tmp_path):
     assert [line for line in timings if "scipy" in line] == []
 
 
-def test_scipy_loads_lazily_from_cold_start(tmp_path):
-    code = (
-        "import json, sys; import qthermo; before = 'scipy' in sys.modules; "
-        "p = qthermo.static_q_pressure_scan((0.5, 0.8), 1.2, 1 / 3).pressure; "
-        "print(json.dumps([before, 'scipy' in sys.modules, p]))"
-    )
+_SCIPY_BLOCKED = """
+import importlib.abc, json, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("scipy was not blocked")
+import qthermo
+from qthermo.ruelle import variational_entropy_of_masses
+mu = qthermo.MarkovMeasure.from_transitions(2, 1, [[0.7, 0.3], [0.6, 0.4]])
+print(json.dumps([
+    qthermo.q_entropy_variational(mu, 0.5),
+    variational_entropy_of_masses(mu.cylinder_masses(3), 2, 3, 0.8),
+    qthermo.static_q_pressure_scan((0.5, 0.8, -0.1), 1.2, 1 / 3).pressure,
+    qthermo.entropy_affinity_report(0.5, 3).max_defect,
+]))
+"""
+
+
+def test_qthermo_runs_with_scipy_blocked(tmp_path):
+    # numpy is the only runtime dependency: the former scipy users run where scipy cannot load
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=child_env()
+        [sys.executable, "-c", _SCIPY_BLOCKED], capture_output=True, text=True, cwd=tmp_path,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    before, after, pressure = json.loads(proc.stdout)
-    assert (before, after) == (False, True)
-    assert pressure == staticq.static_q_pressure_scan((0.5, 0.8), 1.2, 1 / 3).pressure
+    mu = qthermo.MarkovMeasure.from_transitions(2, 1, [[0.7, 0.3], [0.6, 0.4]])
+    assert json.loads(proc.stdout) == [
+        qthermo.q_entropy_variational(mu, 0.5),
+        qthermo.ruelle.variational_entropy_of_masses(mu.cylinder_masses(3), 2, 3, 0.8),
+        staticq.static_q_pressure_scan((0.5, 0.8, -0.1), 1.2, 1 / 3).pressure,
+        qthermo.entropy_affinity_report(0.5, 3).max_defect,
+    ]
 
 
 def test_criterion_1_imports_no_module(tmp_path):

@@ -35,7 +35,7 @@ from qthermo.qsolve import (
 )
 from qthermo.ruelle import (
     Jacobian,
-    _classify,
+    _judge,
     classical_pressure,
     classical_pressures,
     equilibrium_markov,
@@ -49,6 +49,12 @@ from qthermo.shift import Potential, prefix_index
 from qthermo.variational import q_pressure_scan
 
 JANA = Potential(d=2, memory=2, values=np.array([0.0, 2.0, 3.5, 0.0]))
+
+
+def _classify(sys, phi, c):
+    """(positive, boundary) of one root: ``_judge``'s one-row case."""
+    _, positive, boundary, _ = _judge(sys, phi[None], np.array([c]))
+    return bool(positive[0]), bool(boundary[0])
 
 
 def test_zero_potential_unique_root_strict():

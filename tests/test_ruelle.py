@@ -319,7 +319,7 @@ def _ratio_objective(t, masses, d, r, q):
 def test_variational_objective_is_finite_at_a_wide_spread():
     # a spread of 760 underflows exp(t - max t) to 0 in linear space
     value = ruelle._variational_objective(
-        np.array([0.0, 760.0, 0.0, 0.0]), np.full(4, 0.25), 2, 2, QParam(0.5)
+        np.array([0.0, 760.0, 0.0, 0.0]), np.full(4, 0.25), 2, QParam(0.5)
     )[0]
     assert math.isfinite(value) and value > 0.0
     rng = np.random.default_rng(11)
@@ -330,17 +330,19 @@ def test_variational_objective_is_finite_at_a_wide_spread():
                 t = rng.normal(0.0, 3.0, d**r)
                 masses = rng.dirichlet(np.ones(d**r))
                 want = _ratio_objective(t, masses, d, r, QParam(q))
-                got, grad = ruelle._variational_objective(t, masses, d, r, QParam(q))
+                got, grad, hess = ruelle._variational_objective(t, masses, d, QParam(q))
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-                # the exact gradient against a central difference, whose
-                # roundoff grows with the value (up to about 1e4 here)
-                fd = [
-                    (ruelle._variational_objective(t + e, masses, d, r, QParam(q))[0]
-                     - ruelle._variational_objective(t - e, masses, d, r, QParam(q))[0])
-                    / (2 * h)
-                    for e in h * np.eye(d**r)
-                ]
+                # the exact gradient and Hessian against central differences of the
+                # value and of the gradient, whose roundoff grows with the value (up
+                # to about 1e4 here)
+                steps = h * np.eye(d**r)
+                plus = [ruelle._variational_objective(t + e, masses, d, QParam(q)) for e in steps]
+                minus = [ruelle._variational_objective(t - e, masses, d, QParam(q)) for e in steps]
+                fd = [(p[0] - m[0]) / (2 * h) for p, m in zip(plus, minus)]
                 assert grad == pytest.approx(np.array(fd), rel=0, abs=1e-6 * max(1.0, got))
+                fd_hess = np.array([(p[1] - m[1]) / (2 * h) for p, m in zip(plus, minus)])
+                assert hess == pytest.approx(hess.T, rel=0, abs=1e-12 * max(1.0, got))
+                assert hess == pytest.approx(fd_hess, rel=0, abs=1e-6 * max(1.0, got))
 
 
 def _ref_variational(mu, q, r):
@@ -352,7 +354,7 @@ def _ref_variational(mu, q, r):
     masses, d, qp = mu.cylinder_masses(r), mu.d, QParam(q)
 
     def objective(t):
-        return ruelle._variational_objective(np.concatenate(([0.0], t)), masses, d, r, qp)[0]
+        return ruelle._variational_objective(np.concatenate(([0.0], t)), masses, d, qp)[0]
 
     n_free = d**r - 1
     starts = [np.zeros(n_free)]
@@ -408,11 +410,11 @@ def test_jacobian_log_potential_roundtrip():
 
 def test_variational_entropy_rejects_q_above_one(monkeypatch):
     # for q > 1 log_q is unbounded below at ratios near zero, so the infimum
-    # is -inf; both entry points refuse before the optimizer runs
+    # is -inf; both entry points refuse before the Newton evaluates anything
     def no_optimizer(*args, **kwargs):
         raise AssertionError("optimizer reached")
 
-    monkeypatch.setattr("scipy.optimize.minimize", no_optimizer)
+    monkeypatch.setattr(ruelle, "_variational_objective", no_optimizer)
     mu = MarkovMeasure.from_transitions(2, 1, np.array([[0.7, 0.3], [0.6, 0.4]]))
     with pytest.raises(QLogDomainError):
         q_entropy_variational(mu, 1.5)
@@ -421,16 +423,41 @@ def test_variational_entropy_rejects_q_above_one(monkeypatch):
 
 
 def test_variational_entropy_refuses_an_unconverged_minimizer(monkeypatch):
-    # the final gradient decides, not scipy's success flag
-    from types import SimpleNamespace
+    # the final gradient decides: a Newton stuck at a gradient of 1e-9 raises,
+    # as the gate is 1e-10
+    def stalled(t, masses, d, q):
+        return 0.0, np.full_like(t, 1e-9), np.eye(len(t))
 
-    def stalled(fun, x0, **kwargs):
-        return SimpleNamespace(fun=0.0, jac=np.full_like(x0, 1e-3), success=True)
-
-    monkeypatch.setattr("scipy.optimize.minimize", stalled)
+    monkeypatch.setattr(ruelle, "_variational_objective", stalled)
     mu = MarkovMeasure.from_transitions(2, 1, np.array([[0.7, 0.3], [0.6, 0.4]]))
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(NonConvergenceError, match="final gradient 1e-09 > 1e-10"):
         variational_entropy_of_masses(mu.cylinder_masses(2), 2, 2, 0.5)
+
+
+def test_newton_ends_at_a_vanishing_gradient(monkeypatch):
+    # on a seeded grid the value returned is the objective at a point whose
+    # largest free gradient entry is at most 1e-10; at q = 1 and r >= 2, past
+    # the memory of the measure, it is the KS entropy
+    seen = []
+
+    def recorded(*args):
+        out = objective(*args)
+        seen.append((out[0], float(np.abs(out[1][1:]).max())))
+        return out
+
+    objective = ruelle._variational_objective
+    monkeypatch.setattr(ruelle, "_variational_objective", recorded)
+    rng = np.random.default_rng(5)
+    for d in (2, 3):
+        for r in (1, 2, 3, 4):
+            for q in (0.2, 0.5, 0.8, 1.0):
+                for _ in range(2):
+                    mu = _rand_markov(rng, d)
+                    seen.clear()
+                    got = q_entropy_variational(mu, q, u_memory=r)
+                    assert min(g for v, g in seen if v == got) <= 1e-10
+                    if q == 1.0 and r >= 2:
+                        assert got == pytest.approx(ks_entropy(mu), abs=1e-12)
 
 
 # -- the one fixed-point loop against independent oracles ---------------------

@@ -350,6 +350,14 @@ def test_static_scan_frozen_true_value():
     assert sc.pressure >= static_q_pressure((0.5, 0.8), 1.2, 1.0 / 3.0).pressure - 1e-12
 
 
+@pytest.mark.parametrize("beta", [0.4, 1.2])
+@pytest.mark.parametrize("q", [1.0 / 3.0, 0.5, 1.0, 1.5])
+def test_static_scan_at_d_2_is_the_true_equilibrium(q, beta):
+    # in one free coordinate the zoom runs down to a width of 1e-14 around the maximizer
+    want = true_static_equilibrium((0.5, 0.8), beta, q).pressure
+    assert static_q_pressure_scan((0.5, 0.8), beta, q).pressure == pytest.approx(want, rel=0, abs=1e-12)
+
+
 def test_static_scan_at_q_1_is_the_log_partition_function():
     # the classical supremum of H(p) + beta <a, p> is log sum_j e^(beta a_j)
     beta = 1.2

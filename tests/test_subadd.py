@@ -267,12 +267,12 @@ def test_log_sequence_refuses_a_negative_length():
     assert log_frak_L_sequence(A_01, 0.5, (), 0).shape == (0,)
 
 
-@pytest.mark.parametrize("n_max", [-5, 0, 1, 3])
+@pytest.mark.parametrize("n_max", [-5, 0, 1, 3, 4, 5])
 def test_asymptotic_fit_refuses_a_tail_too_short_to_fit(n_max):
-    with pytest.raises(ValueError, match=f"n_max = {n_max}: the tail fit needs n_max >= 4"):
+    with pytest.raises(ValueError, match=f"n_max = {n_max}: the tail fit needs n_max >= 6"):
         asymptotic_fit(A_01, 0.5, (), n_max)
-    coef, seq = asymptotic_fit(A_01, 0.5, (), 4)
-    assert coef.shape == (3,) and len(seq) == 4
+    coef, seq = asymptotic_fit(A_01, 0.5, (), 6)
+    assert coef.shape == (3,) and len(seq) == 6
 
 
 @pytest.mark.parametrize("q", [0.5, 2.0 / 3.0, 0.75])
